@@ -50,7 +50,6 @@ from .optimize import (
     OptimizerConfig,
     classical_mds_init,
     grad_check,
-    jacobi_eigh,
     minimize,
 )
 from .algorithms import (

@@ -22,7 +22,7 @@ import numpy as np
 from .algorithms import PipelineSpec, build_problem
 from .errors import ValidationError
 from .metric import PseudometricSpace, hamming_matrix
-from .optimize import Embedding, OptimizerConfig, minimize, sorted_eigh_descending, double_centered_gram
+from .optimize import Embedding, OptimizerConfig, classical_mds_init, minimize
 
 ALPHABET = "ACGT"
 
@@ -173,25 +173,12 @@ class BenchResult:
         raise KeyError(f"no row for ({cluster!r}, m={m})")
 
 
-def _classical_inits(problem_targets: np.ndarray, ms: list[int]) -> dict[int, np.ndarray]:
-    """Top-m classical MDS coordinates for several m from one eigendecomposition."""
-    evals, evecs = sorted_eigh_descending(double_centered_gram(problem_targets))
-    out = {}
-    n = problem_targets.shape[0]
-    for m in ms:
-        take = min(m, n)
-        coords = evecs[:, :take] * np.sqrt(np.clip(evals[:take], 0.0, None))
-        if take < m:
-            coords = np.hstack([coords, np.zeros((n, m - take))])
-        out[m] = np.ascontiguousarray(coords)
-    return out
-
-
 def run_bench(cfg: BenchConfig, progress=None) -> BenchResult:
     """Run every pipeline on every repetition and aggregate accuracies.
 
     The classical initialization is computed once per distinct target matrix
-    per repetition and shared across embedding dimensions.
+    per repetition, for the largest embedding dimension that shares it; each
+    pipeline takes its leading m columns.
     """
     t_start = time.perf_counter()
     per_pipeline: list[list[float]] = [[] for _ in cfg.pipelines]
@@ -200,22 +187,17 @@ def run_bench(cfg: BenchConfig, progress=None) -> BenchResult:
         dataset = generate(cfg, seed)
         space = dataset.space()
         problems = [build_problem(space, spec) for spec in cfg.pipelines]
-        init_cache: dict[tuple, dict[int, np.ndarray]] = {}
+        init_cache: dict[tuple, np.ndarray] = {}
         for idx, (spec, problem) in enumerate(zip(cfg.pipelines, problems)):
             if spec.optimizer.init == "classical":
                 key = (spec.cluster, spec.loss, spec.k, spec.delta)
                 if key not in init_cache:
-                    ms = sorted(
-                        {
-                            s.m
-                            for s in cfg.pipelines
-                            if (s.cluster, s.loss, s.k, s.delta) == key
-                        }
+                    m_max = max(
+                        s.m for s in cfg.pipelines if (s.cluster, s.loss, s.k, s.delta) == key
                     )
-                    init_cache[key] = _classical_inits(problem.init_targets(), ms)
-                optimizer = replace(
-                    spec.optimizer, init="given", init_coords=init_cache[key][spec.m]
-                )
+                    init_cache[key] = classical_mds_init(problem.init_targets(), m_max).coords
+                coords = np.ascontiguousarray(init_cache[key][:, : spec.m])
+                optimizer = replace(spec.optimizer, init="given", init_coords=coords)
             else:
                 optimizer = spec.optimizer.with_seed(spec.optimizer.seed + rep)
             result = minimize(problem, optimizer)

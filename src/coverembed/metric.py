@@ -145,15 +145,18 @@ def from_sequences_hamming(seqs, labels=None) -> PseudometricSpace:
     return PseudometricSpace(d, labels)
 
 
-def hamming_matrix(codes: np.ndarray, chunk: int = 64) -> np.ndarray:
-    """Pairwise Hamming distances between rows of a 2-d code array."""
-    n = codes.shape[0]
-    d = np.empty((n, n), dtype=float)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = codes[start:stop, None, :] != codes[None, :, :]
-        d[start:stop] = block.sum(axis=-1, dtype=np.int64)
-    np.fill_diagonal(d, 0.0)
+def hamming_matrix(codes: np.ndarray) -> np.ndarray:
+    """Pairwise Hamming distances between rows of a 2-d code array.
+
+    L minus the number of agreeing positions, counted one symbol at a time as
+    onehot @ onehot^T. Every partial sum is an integer <= L, exact in float64,
+    so the result does not depend on the BLAS summation order or thread count.
+    """
+    n, length = codes.shape
+    d = np.full((n, n), float(length))
+    for symbol in np.unique(codes):
+        onehot = (codes == symbol).astype(float)
+        d -= onehot @ onehot.T
     return d
 
 

@@ -1,15 +1,21 @@
 """Embedding optimization: classical-MDS initialization and deterministic descent.
 
-The eigensolver is a cyclic threshold Jacobi iteration rather than a LAPACK
-call so that results are bit-reproducible across platforms and thread counts;
-the descent is full-batch gradient descent with backtracking line search.
+The initialization needs only the top m eigenpairs. Up to HOUSEHOLDER_MAX_N
+points they come from a Householder tridiagonalization written without BLAS
+calls, so they do not depend on the BLAS thread count; larger matrices go to
+LAPACK `eigh`, whose eigenvectors can. The descent is full-batch gradient
+descent with backtracking line search; its gradient multiplies n x n by n x m
+matrices through BLAS, which for large n can also round differently from one
+BLAS thread count to another.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ValidationError
 
@@ -70,74 +76,6 @@ class MinimizeResult:
     trace: tuple[tuple[int, float, float, float], ...]  # (iter, loss, step, grad norm)
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-10, max_sweeps: int = 60):
-    """Eigendecomposition of a symmetric matrix by cyclic threshold Jacobi.
-
-    Sweeps rotate every (p, q) whose off-diagonal entry is large enough to
-    matter; stops when the off-diagonal Frobenius norm drops below tol
-    (relaxed proportionally for matrices of large norm, where 1e-10 absolute
-    is below attainable double precision).
-
-    Returns (eigenvalues, eigenvectors) in matrix order, unsorted.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix must be square, got {a.shape}")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValidationError("matrix must be symmetric")
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.diagonal(a).copy(), v
-    scale = np.linalg.norm(a)
-    stop = max(tol, 1e-14 * scale)
-
-    def off_norm():
-        off = a - np.diag(np.diagonal(a))
-        return float(np.linalg.norm(off))
-
-    for _ in range(max_sweeps):
-        current = off_norm()
-        if current < stop:
-            break
-        skip = stop / n
-        for p in range(n - 1):
-            row = a[p]
-            for q in range(p + 1, n):
-                apq = row[q]
-                if abs(apq) <= skip:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                    if theta == 0.0:
-                        t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                ap = a[p].copy()
-                aq = a[q].copy()
-                a[p] = c * ap - s * aq
-                a[q] = s * ap + c * aq
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-                row = a[p]
-    return np.diagonal(a).copy(), v
-
-
 def double_centered_gram(targets: np.ndarray) -> np.ndarray:
     """B = -1/2 J (D о D) J without matrix products (deterministic reductions)."""
     d2 = targets * targets
@@ -148,24 +86,96 @@ def double_centered_gram(targets: np.ndarray) -> np.ndarray:
     return (b + b.T) / 2.0
 
 
-JACOBI_MAX_N = 256
+# Largest n solved by the thread-free Householder path. Its O(n^3) work runs
+# as n elementwise numpy passes, which at n = 1000 costs seconds where LAPACK
+# takes a fifth of one, so larger matrices go to LAPACK.
+HOUSEHOLDER_MAX_N = 256
 
 
-def sorted_eigh_descending(matrix: np.ndarray):
-    """Eigenpairs sorted by descending eigenvalue with fixed vector signs.
+def _householder_tridiagonal(a: np.ndarray):
+    """Reduce the symmetric matrix a, in place, to tridiagonal T = Q^T a Q.
 
-    Cyclic Jacobi up to 256 points; beyond that the rotation count makes the
-    pure-Python sweeps slower than the benchmark budget allows, so the LAPACK
-    solver takes over with the same deterministic ordering and sign fix.
+    Golub & Van Loan, Matrix Computations, Algorithm 8.3.1. Only elementwise
+    numpy and einsum reductions touch n-sized operands, so no BLAS thread
+    pool takes part and the bytes do not depend on the BLAS thread count.
+    Every rank-2 update adds v w^T + w v^T, which is exactly symmetric.
+
+    Returns (diagonal, off-diagonal, reflectors); reflector (k, v, beta)
+    is H = I - beta v v^T acting on rows k+1.. and Q = H_0 H_1 ... H_{n-3}.
+    Columns whose part below the subdiagonal is already zero get no reflector.
     """
-    if matrix.shape[0] <= JACOBI_MAX_N:
-        evals, evecs = jacobi_eigh(matrix)
+    n = a.shape[0]
+    off = np.empty(n - 1)
+    reflectors = []
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        tail = float(np.einsum("i,i->", x[1:], x[1:]))
+        if tail == 0.0:
+            off[k] = x[0]
+            continue
+        alpha = -math.copysign(math.sqrt(x[0] * x[0] + tail), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        beta = 2.0 / float(np.einsum("i,i->", v, v))
+        sub = a[k + 1 :, k + 1 :]
+        p = beta * np.einsum("ij,j->i", sub, v)
+        w = p - (0.5 * beta * float(np.einsum("i,i->", p, v))) * v
+        sub -= v[:, None] * w[None, :] + w[:, None] * v[None, :]
+        off[k] = alpha
+        reflectors.append((k, v, beta))
+    if n >= 2:
+        off[n - 2] = a[n - 1, n - 2]
+    return np.diagonal(a).copy(), off, reflectors
+
+
+def _apply_reflectors(reflectors, z: np.ndarray) -> np.ndarray:
+    """Q z for the Q of `_householder_tridiagonal`, last reflector first."""
+    y = z.copy()
+    for k, v, beta in reversed(reflectors):
+        rows = y[k + 1 :]
+        rows -= (beta * v)[:, None] * np.einsum("i,ij->j", v, rows)[None, :]
+    return y
+
+
+def top_eigenpairs(matrix: np.ndarray, m: int):
+    """The top min(m, n) eigenpairs of a symmetric matrix, by descending eigenvalue.
+
+    Up to HOUSEHOLDER_MAX_N points: Householder tridiagonalization, then the
+    top eigenpairs of the tridiagonal matrix (LAPACK bisection and inverse
+    iteration on O(n) data, `scipy.linalg.eigh_tridiagonal`), transformed
+    back. Nothing there runs on the BLAS thread pool, so the bytes do not
+    depend on the BLAS thread count. Beyond that size, `np.linalg.eigh`,
+    whose eigenvectors can differ in the last bits from one BLAS thread
+    count to another.
+
+    Equal eigenvalues keep the solver's order (stable sort). Each vector's
+    largest-magnitude entry is made positive. When the m-th eigenvalue equals
+    the (m+1)-th, the columns returned for it are one deterministic
+    orthonormal set inside its eigenspace; which set is not a function of the
+    spectrum alone.
+
+    Returns (eigenvalues, eigenvectors as columns).
+    """
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"matrix must be square, got {a.shape}")
+    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
+        raise ValidationError("matrix must be symmetric")
+    if m < 1:
+        raise ValidationError(f"number of eigenpairs must be >= 1, got {m}")
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    take = min(m, n)
+    if n > HOUSEHOLDER_MAX_N:
+        evals, evecs = np.linalg.eigh(a)
     else:
-        evals, evecs = np.linalg.eigh((matrix + matrix.T) / 2.0)
-    order = np.argsort(-evals, kind="stable")
+        diag, off, reflectors = _householder_tridiagonal(a)
+        evals, z = eigh_tridiagonal(diag, off, select="i", select_range=(n - take, n - 1))
+        evecs = _apply_reflectors(reflectors, z)
+    order = np.argsort(-evals, kind="stable")[:take]
     evals = evals[order]
     evecs = evecs[:, order]
-    for col in range(evecs.shape[1]):
+    for col in range(take):
         idx = int(np.argmax(np.abs(evecs[:, col])))
         if evecs[idx, col] < 0:
             evecs[:, col] = -evecs[:, col]
@@ -175,19 +185,23 @@ def sorted_eigh_descending(matrix: np.ndarray):
 def classical_mds_init(targets: np.ndarray, m: int) -> Embedding:
     """Classical multidimensional scaling of a finite target-distance matrix.
 
-    Double centering followed by the top-m Jacobi eigenpairs, scaled by the
-    square root of the (clipped) eigenvalues. Exact for targets realizable in
-    m dimensions, up to rotation and translation.
+    Double centering followed by the top-m eigenpairs (`top_eigenpairs`),
+    scaled by the square root of the (clipped) eigenvalues. Exact for targets
+    realizable in m dimensions, up to rotation and translation. The bytes do
+    not depend on the BLAS thread count up to HOUSEHOLDER_MAX_N points; above
+    that LAPACK `eigh` decides them. When the m-th and (m+1)-th eigenvalues
+    are equal, the coordinates for that eigenvalue use a deterministic
+    orthonormal set inside its eigenspace.
     """
     t = np.asarray(targets, dtype=float)
     if not np.isfinite(t).all():
         raise ValidationError("classical MDS needs finite targets; apply a policy first")
     if m < 1:
         raise ValidationError(f"embedding dimension must be >= 1, got {m}")
-    evals, evecs = sorted_eigh_descending(double_centered_gram(t))
+    evals, evecs = top_eigenpairs(double_centered_gram(t), m)
     n = t.shape[0]
-    take = min(m, n)
-    coords = evecs[:, :take] * np.sqrt(np.clip(evals[:take], 0.0, None))
+    take = evals.shape[0]
+    coords = evecs * np.sqrt(np.clip(evals, 0.0, None))
     if take < m:
         coords = np.hstack([coords, np.zeros((n, m - take))])
     return Embedding(np.ascontiguousarray(coords))

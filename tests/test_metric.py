@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverembed import (
@@ -10,7 +10,7 @@ from coverembed import (
     from_sequences_hamming,
     isometry_epsilon,
 )
-from coverembed.metric import _first_triangle_violation
+from coverembed.metric import _first_triangle_violation, hamming_matrix
 
 
 def test_from_matrix_two_points():
@@ -68,6 +68,26 @@ def test_hamming_rejects_unequal_lengths():
 def test_hamming_values_are_integral_floats():
     space = from_sequences_hamming(["ACGTAC", "TGCATG", "ACGTTG"])
     assert np.array_equal(space.d, np.round(space.d))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 9),
+    length=st.integers(1, 12),
+    symbols=st.integers(5, 256),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, length=1, symbols=5, seed=0)
+@example(n=6, length=1, symbols=256, seed=1)
+@example(n=1, length=12, symbols=256, seed=2)
+def test_hamming_matrix_equals_brute_force(n, length, symbols, seed):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, symbols, size=(n, length), dtype=np.uint8)
+    expected = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            expected[i, j] = sum(int(a != b) for a, b in zip(codes[i], codes[j]))
+    assert np.array_equal(hamming_matrix(codes), expected)
 
 
 def test_isometry_epsilon_examples():

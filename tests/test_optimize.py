@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,45 +15,137 @@ from coverembed import (
     classical_mds_init,
     fce_problem,
     grad_check,
-    jacobi_eigh,
     mds_stress_problem,
     minimize,
 )
 from coverembed.loss import pairwise_distances
-from coverembed.optimize import random_init, sorted_eigh_descending
+from coverembed.optimize import HOUSEHOLDER_MAX_N, random_init, top_eigenpairs
 
 
-def test_jacobi_two_by_two():
-    evals, evecs = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert sorted(evals) == [1.0, 3.0]
+def _lapack_top(s, m):
+    evals, evecs = np.linalg.eigh(s)
+    return evals[::-1][:m], evecs[:, ::-1][:, :m]
+
+
+def test_top_eigenpairs_two_by_two():
+    evals, evecs = top_eigenpairs(np.array([[2.0, 1.0], [1.0, 2.0]]), 2)
+    assert evals == pytest.approx([3.0, 1.0], abs=1e-14)
     # columns are orthonormal
+    assert np.allclose(evecs.T @ evecs, np.eye(2), atol=1e-12)
+    assert np.allclose(evecs[:, 0], [math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
+
+
+def test_top_eigenpairs_matches_lapack_on_random_symmetric():
+    rng = np.random.default_rng(2)
+    for n in (3, 6, 12, 64, 256):
+        s = rng.normal(size=(n, n))
+        s = (s + s.T) / 2
+        for m in sorted({1, min(3, n), min(5, n)}):
+            evals, evecs = top_eigenpairs(s, m)
+            ref_evals, ref_evecs = _lapack_top(s, m)
+            assert evals.shape == (m,) and evecs.shape == (n, m)
+            assert np.allclose(evals, ref_evals, rtol=1e-10, atol=0)
+            assert np.allclose(evecs.T @ evecs, np.eye(m), atol=1e-12)
+            # same invariant subspace: the orthogonal projectors agree
+            assert np.allclose(evecs @ evecs.T, ref_evecs @ ref_evecs.T, atol=1e-9)
+            assert np.allclose(s @ evecs, evecs * evals, atol=1e-10 * np.abs(s).max())
+        if n <= 12:
+            evals, evecs = top_eigenpairs(s, n)
+            assert np.allclose(evecs @ np.diag(evals) @ evecs.T, s, atol=1e-9)
+
+
+def test_top_eigenpairs_matches_lapack_across_the_cutoff():
+    rng = np.random.default_rng(7)
+    for n in (HOUSEHOLDER_MAX_N, HOUSEHOLDER_MAX_N + 1):
+        s = rng.normal(size=(n, n))
+        s = (s + s.T) / 2
+        evals, evecs = top_eigenpairs(s, 3)
+        ref_evals, ref_evecs = _lapack_top(s, 3)
+        assert np.allclose(evals, ref_evals, rtol=1e-10, atol=0)
+        assert np.allclose(evecs @ evecs.T, ref_evecs @ ref_evecs.T, atol=1e-9)
+
+
+def test_top_eigenpairs_degenerate_top_eigenvalue():
+    n = 8
+    spectrum = np.array([3.0, 3.0] + [1.0] * (n - 2))
+    rng = np.random.default_rng(3)
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    for basis in (np.eye(n), rotation):
+        s = basis @ np.diag(spectrum) @ basis.T
+        s = (s + s.T) / 2
+        evals, evecs = top_eigenpairs(s, 2)
+        assert evals == pytest.approx([3.0, 3.0], abs=1e-12)
+        # an orthonormal basis of the 2-dimensional top eigenspace
+        assert np.allclose(evecs.T @ evecs, np.eye(2), atol=1e-12)
+        top = basis[:, :2]
+        assert np.allclose(evecs @ evecs.T, top @ top.T, atol=1e-10)
+        again = top_eigenpairs(s, 2)
+        assert np.array_equal(again[0], evals) and np.array_equal(again[1], evecs)
+
+
+def test_top_eigenpairs_tiny_and_zero_matrices():
+    evals, evecs = top_eigenpairs(np.array([[-2.5]]), 3)
+    assert evals.tolist() == [-2.5] and evecs.tolist() == [[1.0]]
+    evals, evecs = top_eigenpairs(np.array([[1.0, 0.0], [0.0, 4.0]]), 1)
+    assert evals.tolist() == [4.0]
+    assert np.allclose(evecs, [[0.0], [1.0]], atol=0)
+    evals, evecs = top_eigenpairs(np.zeros((5, 5)), 2)
+    assert evals.tolist() == [0.0, 0.0]
     assert np.allclose(evecs.T @ evecs, np.eye(2), atol=1e-12)
 
 
-def test_jacobi_matches_lapack_on_random_symmetric():
-    rng = np.random.default_rng(2)
-    for n in (3, 6, 12):
-        s = rng.normal(size=(n, n))
-        s = (s + s.T) / 2
-        evals, evecs = jacobi_eigh(s)
-        assert np.allclose(np.sort(evals), np.linalg.eigvalsh(s), atol=1e-9)
-        recon = evecs @ np.diag(evals) @ evecs.T
-        assert np.allclose(recon, s, atol=1e-9)
-
-
-def test_jacobi_rejects_asymmetric():
+def test_top_eigenpairs_rejects_asymmetric():
     with pytest.raises(ValidationError):
-        jacobi_eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        top_eigenpairs(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)
+    with pytest.raises(ValidationError):
+        top_eigenpairs(np.eye(3), 0)
 
 
-def test_sorted_eigh_sign_convention():
+def test_top_eigenpairs_sign_convention():
     s = np.diag([3.0, 1.0, 2.0])
-    evals, evecs = sorted_eigh_descending(s)
+    evals, evecs = top_eigenpairs(s, 3)
     assert list(evals) == [3.0, 2.0, 1.0]
+    rng = np.random.default_rng(5)
+    r = rng.normal(size=(20, 20))
+    _, random_evecs = top_eigenpairs((r + r.T) / 2, 4)
     # each column's largest-magnitude entry is positive
-    for col in range(3):
-        idx = int(np.argmax(np.abs(evecs[:, col])))
-        assert evecs[idx, col] > 0
+    for vecs in (evecs, random_evecs):
+        for col in range(vecs.shape[1]):
+            idx = int(np.argmax(np.abs(vecs[:, col])))
+            assert vecs[idx, col] > 0
+
+
+_CLASSICAL_BYTES = """
+import hashlib, sys
+import numpy as np
+from coverembed import classical_mds_init, from_points_euclidean
+rng = np.random.default_rng(11)
+points = rng.normal(size=(256, 4))
+targets = from_points_euclidean(points).d ** 0.75
+coords = classical_mds_init(targets, 3).coords
+sys.stdout.write(hashlib.sha256(coords.tobytes()).hexdigest())
+"""
+
+
+def test_classical_init_bytes_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["OPENBLAS_NUM_THREADS"] = threads
+        env["OMP_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", _CLASSICAL_BYTES],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        digests.append(done.stdout)
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_classical_init_recovers_line_gaps():
