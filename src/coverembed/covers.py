@@ -10,6 +10,7 @@ scale; in strength coordinates a = exp(-delta) it is a fuzzy cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +29,10 @@ class Cover:
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def block_sets(self) -> list[frozenset[int]]:
-        return [frozenset(b) for b in self.blocks]
+    @cached_property
+    def block_masks(self) -> tuple[int, ...]:
+        """One int per block, bit v set iff v is a member; computed once per cover."""
+        return tuple(sum(1 << v for v in b) for b in self.blocks)
 
     def co_occurrence_edges(self) -> set[tuple[int, int]]:
         edges = set()
@@ -85,12 +88,10 @@ def refines(fine: Cover, coarse: Cover) -> bool:
     """True iff every block of `fine` is contained in some block of `coarse`."""
     if fine.n != coarse.n:
         raise ValidationError(f"ground set mismatch: {fine.n} vs {coarse.n}")
-    coarse_sets = coarse.block_sets()
-    for b in fine.blocks:
-        bs = set(b)
-        if not any(bs <= cs for cs in coarse_sets):
-            return False
-    return True
+    coarse_masks = coarse.block_masks
+    return all(
+        any((b & c) == b for c in coarse_masks) for b in fine.block_masks
+    )
 
 
 @dataclass(frozen=True)
@@ -180,16 +181,20 @@ def membership_matrix(h: HierarchicalCover) -> MembershipMatrix:
     """W[i,j] = exp(-delta*) at the smallest scale delta* where i,j share a block.
 
     Pairs that never share a block get W = 0 (the sup over an empty strength
-    set); the diagonal is 1.
+    set); the diagonal is 1. A block already in the previous scale's cover is
+    skipped: every pair in it was assigned at that scale or earlier.
     """
     n = h.n
     w = np.zeros((n, n))
     assigned = np.zeros((n, n), dtype=bool)
     np.fill_diagonal(w, 1.0)
     np.fill_diagonal(assigned, True)
+    previous: frozenset[tuple[int, ...]] = frozenset()
     for scale, cover in zip(h.scales, h.covers):
         strength = float(np.exp(-scale))
         for b in cover.blocks:
+            if b in previous:
+                continue
             sub = np.ix_(b, b)
             fresh = ~assigned[sub]
             if fresh.any():
@@ -197,6 +202,7 @@ def membership_matrix(h: HierarchicalCover) -> MembershipMatrix:
                 assigned[sub] = True
         if assigned.all():
             break
+        previous = frozenset(cover.blocks)
     return MembershipMatrix(w)
 
 

@@ -5,6 +5,14 @@ two step functions are eps-interleaved when each cover at scale delta refines
 the other's cover at delta + eps, in both directions. Because both sides are
 step functions, the least such eps lies in the finite set of pairwise scale
 differences, and refinement only needs checking at interval breakpoints.
+
+Cost of `interleaving_distance` on hierarchies with S1 and S2 critical scales:
+the candidate set holds at most |S1|*|S2| + 1 values, bisection over it takes
+O(log(|S1|*|S2|)) steps, and each step checks O(|S1| + |S2|) breakpoints per
+direction. A breakpoint maps to a pair (cover i of one side, cover j of the
+other), and each pair's `refines` test runs at most once per direction and
+call: later steps look it up. A `refines` test costs one bitmask AND per pair
+of blocks.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import PipelineSpec, run_pipeline, stage_membership
-from .covers import HierarchicalCover, cover_at, refines
+from .covers import HierarchicalCover, refines
 from .errors import ValidationError
 from .metric import PseudometricSpace, isometry_epsilon
 from .loss import pairwise_distances
@@ -32,31 +40,36 @@ class InterleavingReport:
 
 
 def _refinement_failure(
-    ha: HierarchicalCover, hb: HierarchicalCover, eps: float
+    ha: HierarchicalCover,
+    hb: HierarchicalCover,
+    eps: float,
+    memo: dict[tuple[int, int], bool],
 ) -> float | None:
     """First scale where ha(delta) fails to refine hb(delta + eps), else None.
 
     Checkpoints are the breakpoints of either side; the shifted side is
     evaluated at its exact stored scales so a rounded delta + eps cannot land
     one ulp below a cover change. Evaluating ha one ulp early is harmless: an
-    even finer cover refines everything the intended one refines.
+    even finer cover refines everything the intended one refines. Each
+    checkpoint maps to cover indices (i, j) the way `cover_at` does, and
+    `memo[(i, j)]` caches whether ha.covers[i] refines hb.covers[j].
     """
     checkpoints = [(s, s + eps) for s in ha.scales]
     checkpoints += [(t - eps, t) for t in hb.scales if t - eps > 0]
     checkpoints.append((0.0, eps))
-    for delta, shifted in sorted(checkpoints):
-        if not refines(cover_at(ha, max(delta, 0.0)), cover_at(hb, shifted)):
+    checkpoints.sort()
+    fine = np.searchsorted(
+        np.asarray(ha.scales), [max(delta, 0.0) for delta, _ in checkpoints], side="right"
+    ) - 1
+    coarse = np.searchsorted(
+        np.asarray(hb.scales), [shifted for _, shifted in checkpoints], side="right"
+    ) - 1
+    for (delta, _), i, j in zip(checkpoints, fine.tolist(), coarse.tolist()):
+        ok = memo.get((i, j))
+        if ok is None:
+            ok = memo[i, j] = refines(ha.covers[i], hb.covers[j])
+        if not ok:
             return delta
-    return None
-
-
-def _interleaves_at(h1, h2, eps: float):
-    fail = _refinement_failure(h1, h2, eps)
-    if fail is not None:
-        return fail
-    fail = _refinement_failure(h2, h1, eps)
-    if fail is not None:
-        return fail
     return None
 
 
@@ -75,13 +88,18 @@ def interleaving_distance(h1: HierarchicalCover, h2: HierarchicalCover) -> Inter
             diffs.add(abs(s - t))
     candidates = sorted(diffs)
     failures: list[tuple[float, float]] = []
+    # refinement results per direction, shared by every bisection step
+    memo12: dict[tuple[int, int], bool] = {}
+    memo21: dict[tuple[int, int], bool] = {}
     lo, hi = 0, len(candidates) - 1
     best: float | None = None
     # bisection over the sorted candidates: interleaving is monotone in eps
     while lo <= hi:
         mid = (lo + hi) // 2
         eps = candidates[mid]
-        witness = _interleaves_at(h1, h2, eps)
+        witness = _refinement_failure(h1, h2, eps, memo12)
+        if witness is None:
+            witness = _refinement_failure(h2, h1, eps, memo21)
         if witness is None:
             best = eps
             hi = mid - 1

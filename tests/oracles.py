@@ -170,3 +170,69 @@ def perturbed(rng, space, eps):
     d = np.clip(space.d + noise, 0.0, None)
     np.fill_diagonal(d, 0.0)
     return from_matrix(d)
+
+
+def oracle_refines(fine, coarse):
+    """Every block of `fine` is a subset of some block of `coarse`, by set containment."""
+    return all(
+        any(set(b) <= set(c) for c in coarse.blocks) for b in fine.blocks
+    )
+
+
+def reference_interleaving_report(h1, h2):
+    """Bisection over the candidate shifts with set-based refinement at every checkpoint.
+
+    The search `interleaving_distance` ran before it cached refinement tests:
+    same candidates, same bisection order and witnesses, each checkpoint
+    evaluated afresh through `cover_at` and `oracle_refines`.
+    """
+    import math
+
+    from coverembed import cover_at
+    from coverembed.stability import InterleavingReport
+
+    def refinement_failure(ha, hb, eps):
+        checkpoints = [(s, s + eps) for s in ha.scales]
+        checkpoints += [(t - eps, t) for t in hb.scales if t - eps > 0]
+        checkpoints.append((0.0, eps))
+        for delta, shifted in sorted(checkpoints):
+            if not oracle_refines(cover_at(ha, max(delta, 0.0)), cover_at(hb, shifted)):
+                return delta
+        return None
+
+    candidates = sorted({0.0} | {abs(s - t) for s in h1.scales for t in h2.scales})
+    failures = []
+    lo, hi = 0, len(candidates) - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        eps = candidates[mid]
+        witness = refinement_failure(h1, h2, eps)
+        if witness is None:
+            witness = refinement_failure(h2, h1, eps)
+        if witness is None:
+            best = eps
+            hi = mid - 1
+        else:
+            failures.append((eps, witness))
+            lo = mid + 1
+    return InterleavingReport(
+        epsilon_star=best if best is not None else math.inf,
+        candidates=tuple(candidates),
+        failures=tuple(sorted(failures)),
+    )
+
+
+def oracle_membership(h):
+    """W[i, j] = exp(-scale) of the first cover, scanning all of them, where i, j share a block."""
+    n = h.n
+    w = np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for scale, cover in zip(h.scales, h.covers):
+                if any(i in b and j in b for b in cover.blocks):
+                    w[i, j] = float(np.exp(-scale))
+                    break
+    return w

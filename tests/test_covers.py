@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coverembed import (
     ValidationError,
@@ -16,6 +18,7 @@ from coverembed import (
     target_distances,
 )
 from coverembed.covers import (
+    Cover,
     HierarchicalCover,
     build_hierarchy,
     cover_from_json,
@@ -23,8 +26,15 @@ from coverembed.covers import (
     hierarchy_from_json,
     hierarchy_to_json,
 )
+from coverembed.functors import cluster_hierarchy
 
-from oracles import oracle_components, random_space, threshold_edges
+from oracles import (
+    oracle_components,
+    oracle_membership,
+    oracle_refines,
+    random_space,
+    threshold_edges,
+)
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -54,6 +64,29 @@ def test_refines_examples():
     assert refines(make_cover(3, [[0, 1], [1, 2]]), make_cover(3, [[0, 1, 2]]))
     with pytest.raises(ValidationError):
         refines(singles, make_cover(3, [[0, 1, 2]]))
+
+
+BLOCKS = st.lists(st.sets(st.integers(0, 127), min_size=1, max_size=8), min_size=1, max_size=6)
+
+
+@given(n=st.integers(1, 70), fine=BLOCKS, coarse=BLOCKS)
+@example(n=1, fine=[{0}], coarse=[{0}])
+@example(n=5, fine=[{0, 1}, {1, 2, 3}, {4}], coarse=[{0, 1}, {1, 2, 3}, {4}])
+@example(n=4, fine=[{0}, {1}, {2}, {3}], coarse=[{0, 1, 2, 3}])
+@example(n=4, fine=[{0, 1, 2, 3}], coarse=[{0, 1}, {2, 3}])
+@example(n=4, fine=[{0, 1}, {2, 3}], coarse=[{0, 2}, {1, 3}])
+@example(n=70, fine=[{0, 69}], coarse=[{0, 68, 69}])
+def test_refines_equals_set_containment(n, fine, coarse):
+    # block members are drawn from 0..127 and folded into the ground set
+    fine_cover = make_cover(n, [{v % n for v in b} for b in fine], validate=False)
+    coarse_cover = make_cover(n, [{v % n for v in b} for b in coarse], validate=False)
+    assert refines(fine_cover, coarse_cover) == oracle_refines(fine_cover, coarse_cover)
+    assert refines(fine_cover, fine_cover)
+    assert fine_cover.block_masks == tuple(
+        sum(2**v for v in b) for b in fine_cover.blocks
+    )
+    with pytest.raises(ValidationError, match="mismatch"):
+        refines(fine_cover, Cover(n + 1, coarse_cover.blocks))
 
 
 def test_cover_at_interval_conventions():
@@ -92,6 +125,45 @@ def test_membership_never_coclustered_is_zero():
     w = membership_matrix(truncated)
     assert w.w[0, 2] == 0.0
     assert w.w[0, 1] == np.exp(-1.0)
+
+
+def test_membership_equals_first_co_occurrence_scan():
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        # rounded distances tie, so one scale can merge several pairs
+        d = np.round(random_space(rng, n=6).d, 1)
+        space = from_matrix(d)
+        for h in (
+            single_linkage(space),
+            maximal_linkage(space),
+            cluster_hierarchy(space, "lk", k=2),
+            cluster_hierarchy(space, "fuzzy"),
+        ):
+            assert np.array_equal(membership_matrix(h).w, oracle_membership(h))
+            # truncated before everything merges: some pairs stay at W = 0
+            if len(h.scales) > 2:
+                cut = HierarchicalCover(6, h.scales[:2], h.covers[:2])
+                assert np.array_equal(membership_matrix(cut).w, oracle_membership(cut))
+
+
+def test_membership_of_a_hierarchy_that_does_not_coarsen():
+    # (0, 1) is dropped at scale 1 and returns at scale 2 without being in the
+    # previous cover; (2, 3) is kept across scales 1 and 2
+    covers = (
+        make_cover(4, [[0, 1], [2], [3]]),
+        make_cover(4, [[0], [1, 2, 3]]),
+        make_cover(4, [[0, 1], [1, 2, 3]]),
+        make_cover(4, [[0, 3], [1, 2, 3]]),
+    )
+    h = HierarchicalCover(4, (0.0, 1.0, 2.0, 3.0), covers)
+    with pytest.raises(ValidationError, match="refine"):
+        h.validate_coarsening()
+    w = membership_matrix(h).w
+    assert np.array_equal(w, oracle_membership(h))
+    assert w[0, 1] == 1.0
+    assert w[1, 3] == np.exp(-1.0)
+    assert w[0, 3] == np.exp(-3.0)
+    assert w[0, 2] == 0.0
 
 
 def test_target_distances_values():

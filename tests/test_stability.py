@@ -15,9 +15,10 @@ from coverembed import (
     single_linkage,
 )
 from coverembed.covers import HierarchicalCover, make_cover
+from coverembed.functors import cluster_hierarchy
 
 from oracles import exhaustive_interleaving_epsilon as exhaustive_epsilon
-from oracles import perturbed, random_space
+from oracles import perturbed, random_space, reference_interleaving_report
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -52,6 +53,43 @@ def test_interleaving_matches_exhaustive_oracle():
         h1 = single_linkage(random_space(rng, n=5))
         h2 = maximal_linkage(random_space(rng, n=5))
         assert interleaving_distance(h1, h2).epsilon_star == exhaustive_epsilon(h1, h2)
+
+
+def _rounded(space, decimals=1):
+    # rounding makes distances and scale differences tie
+    return from_matrix(np.round(space.d, decimals))
+
+
+def test_interleaving_report_matches_reference_search():
+    rng = np.random.default_rng(12)
+    params = {"sl": {}, "ml": {}, "lk": {"k": 2}, "fuzzy": {}}
+    for _ in range(4):
+        x = _rounded(random_space(rng, n=6))
+        y = _rounded(perturbed(rng, x, 0.3))
+        z = _rounded(random_space(rng, n=6))
+        for stage, kwargs in params.items():
+            hx, hy, hz = (cluster_hierarchy(s, stage, **kwargs) for s in (x, y, z))
+            # two calls in a row on different pairs, then a repeat of the first
+            first = interleaving_distance(hx, hy)
+            assert first == reference_interleaving_report(hx, hy)
+            assert interleaving_distance(hz, hx) == reference_interleaving_report(hz, hx)
+            assert interleaving_distance(hx, hy) == first
+            itself = interleaving_distance(hx, hx)
+            assert itself == reference_interleaving_report(hx, hx)
+            assert itself.epsilon_star == 0.0
+
+
+def test_interleaving_report_matches_reference_small_and_infinite():
+    one = single_linkage(from_matrix([[0.0]]))
+    assert interleaving_distance(one, one) == reference_interleaving_report(one, one)
+    a = single_linkage(from_matrix([[0, 1], [1, 0]]))
+    b = maximal_linkage(from_matrix([[0, 2], [2, 0]]))
+    assert interleaving_distance(a, b) == reference_interleaving_report(a, b)
+    h = maximal_linkage(CHAIN)
+    truncated = HierarchicalCover(3, h.scales[:2], h.covers[:2])
+    report = interleaving_distance(h, truncated)
+    assert math.isinf(report.epsilon_star)
+    assert report == reference_interleaving_report(h, truncated)
 
 
 def test_interleaving_symmetry_and_triangle():
