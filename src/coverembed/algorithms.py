@@ -202,15 +202,13 @@ def k_path_scaling(
 ) -> Embedding:
     """Stress minimization against minimax costs over paths of at most k edges.
 
-    Uses the path-of-<=-k-edges convention directly (hops = k), so k=1
-    reproduces the metric MDS targets and k >= n-1 the single linkage targets.
+    Here k counts path edges (hops = k), so k=1 reproduces the metric MDS
+    targets and k >= n-1 the single linkage targets; the pipeline's k counts
+    path points, hence k + 1.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    targets = hop_bounded_minimax(space.d, k)
-    problem = mds_stress_problem(targets, m)
-    result = minimize(problem, optimizer)
-    return Embedding(result.embedding.coords, labels=space.labels)
+    return _run(PipelineSpec("lk", "mds", m, k=k + 1, optimizer=optimizer), space)
 
 
 def k_vertex_scaling(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import PipelineSpec, run_pipeline
-from .covers import MembershipMatrix, membership_matrix
+from .covers import MembershipMatrix
 from .dna import BenchConfig, run_bench
 from .errors import NumericalError, ValidationError
 from .fileio import (
@@ -35,7 +35,7 @@ from .fileio import (
     write_json,
     write_trace_csv,
 )
-from .functors import cluster_hierarchy, maximal_linkage
+from .functors import cluster_hierarchy
 from .loss import QuadratureSettings, flatten, mds_fuzzy_family
 from .metric import PseudometricSpace
 from .optimize import OptimizerConfig
@@ -325,8 +325,8 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
         }
     if not (0 <= i < space.n and 0 <= j < space.n and i != j):
         raise ValidationError(f"pair ({i}, {j}) out of range for n={space.n}")
-    w_full = membership_matrix(maximal_linkage(space))
-    wij = float(w_full.w[min(i, j), max(i, j)])
+    # maximal linkage joins a pair exactly at its distance
+    wij = float(np.exp(-float(space.d[min(i, j), max(i, j)])))
     truncated = False
     if wij == 0.0:
         if a_min is None:
@@ -373,11 +373,7 @@ def cmd_rerun(args):
     sub = manifest["subcommand"]
     config = manifest["config"]
     argv = [sub]
-    parser = make_parser()
-    sub_parser = None
-    for action in parser._subparsers._group_actions:
-        sub_parser = action.choices[sub]
-    store = {a.dest: a for a in sub_parser._actions}
+    store = {a.dest: a for a in _subparser(make_parser(), sub)._actions}
     for key, value in config.items():
         if key in ("json_errors",):
             continue
@@ -479,10 +475,7 @@ def make_parser() -> CliParser:
     p.add_argument("--y", required=True)
     p.add_argument("--input-kind", choices=("dist", "points", "seqs"), default="dist")
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest", default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--json-errors", action="store_true", dest="json_errors")
-    p.add_argument("--config", default=None)
+    _common_io(p, infile=False)
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("bench-dna", help="sequence recombination benchmark")
@@ -519,9 +512,16 @@ def make_parser() -> CliParser:
     return parser
 
 
-def _apply_config_file(args, parser_actions):
-    if not getattr(args, "config", None):
-        return args
+def _subparser(parser, subcommand):
+    return parser._subparsers._group_actions[0].choices[subcommand]
+
+
+def _apply_config_file(args, argv):
+    """Fill options from the key=value file named by --config.
+
+    An option spelled out on the command line wins over the file; a key that
+    names no option of the subcommand is an error.
+    """
     overrides = {}
     with open(args.config, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -532,11 +532,26 @@ def _apply_config_file(args, parser_actions):
                 raise ValidationError(f"config line without '=': {line!r}")
             key, value = line.split("=", 1)
             overrides[key.strip().replace("-", "_")] = value.strip()
-    for action in parser_actions:
-        if action.dest in overrides and getattr(args, action.dest) == action.default:
-            raw = overrides[action.dest]
-            caster = action.type or str
-            setattr(args, action.dest, caster(raw))
+    parser = make_parser()
+    options = {
+        a.dest: a for a in _subparser(parser, args.subcommand)._actions if a.option_strings
+    }
+    unknown = sorted(set(overrides) - set(options))
+    if unknown:
+        raise ValidationError(
+            f"config keys name no option of {args.subcommand!r}: {', '.join(unknown)}"
+        )
+    # parsed again without defaults, the namespace holds only the given options
+    for action in options.values():
+        action.default = argparse.SUPPRESS
+    given = vars(parser.parse_args(argv))
+    for key, raw in overrides.items():
+        if key in given:
+            continue
+        try:
+            setattr(args, key, (options[key].type or str)(raw))
+        except ValueError as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from exc
     return args
 
 
@@ -546,9 +561,7 @@ def dispatch(argv) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            for action in parser._subparsers._group_actions:
-                sub_parser = action.choices[args.subcommand]
-                args = _apply_config_file(args, sub_parser._actions)
+            args = _apply_config_file(args, argv)
         return args.func(args)
     except ValidationError as exc:
         _report_error("validation", exc, argv)

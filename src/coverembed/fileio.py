@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -162,7 +161,3 @@ def write_bench_csv(path, result):
                 f"{row.pipeline.cluster},{row.pipeline.loss},{row.pipeline.m},"
                 f"{fmt(row.mean)},{fmt(row.std)},{len(row.accuracies)},{row.ties_seen},{raw}\n"
             )
-
-
-def ensure_parent(path):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)

@@ -1,16 +1,21 @@
 """Hierarchical overlapping clustering constructors.
 
-Each constructor maps a pseudometric space to a HierarchicalCover: the cover
-at scale delta is computed from the threshold graph whose edges are the pairs
-at distance <= delta (edges take effect exactly at their distance). The six
-constructors differ in how threshold-graph structure becomes blocks:
+Each constructor maps a pseudometric space to a HierarchicalCover through one
+threshold scan: at every distinct finite value delta of a first-co-occurrence
+matrix, the blocks of the graph whose edges are the pairs at matrix entry
+<= delta (edges take effect exactly at their value). The six constructors
+differ only in the matrix scanned and in how graph structure becomes blocks:
 
-  single_linkage   connected components
-  maximal_linkage  maximal cliques
-  l_k_linkage      maximal cliques of the bounded-hop reachability relation
-  vl_k_linkage     maximal k-vertex-connected subgraphs
-  iso_cluster      maximal linkage over the geodesic (shortest-path) metric
-  fuzzy_simplex    maximal cliques of the fuzzy-union membership graph
+  single_linkage   bottleneck matrix       connected components
+  maximal_linkage  d                       maximal cliques
+  l_k_linkage      hop-bounded minimax     maximal cliques
+  vl_k_linkage     d                       maximal k-vertex-connected subgraphs
+  iso_cluster      geodesic metric         maximal cliques
+  fuzzy_simplex    -log fuzzy membership   maximal cliques
+
+Single linkage scans the bottleneck matrix, whose distinct values are the
+n-1 merge heights of the minimum spanning tree, so it builds at most n
+threshold graphs instead of one per distinct distance.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ from .covers import (
     MembershipMatrix,
     build_hierarchy,
     make_cover,
+    target_distances,
 )
 from .errors import DisconnectedError, ValidationError
 from .graphs import (
+    bottleneck_matrix,
     components_of_inf,
     connected_components,
     geodesic_matrix,
@@ -36,64 +43,49 @@ from .graphs import (
 from .metric import PseudometricSpace
 
 
-def _offdiag_values(d: np.ndarray) -> np.ndarray:
-    n = d.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    return np.unique(d[mask])
+def _threshold_hierarchy(dist: np.ndarray, blocks_of=max_cliques) -> HierarchicalCover:
+    """Blocks of the threshold graphs of `dist`, at 0 and each distinct finite value.
 
-
-def _clique_hierarchy(n: int, dist: np.ndarray) -> HierarchicalCover:
-    """Maximal cliques of the threshold graphs of `dist`, at each distinct value."""
+    `dist` is the functor's first-co-occurrence matrix: two points share a
+    block from scale dist[i, j] on. The scan stops at the first single block.
+    """
+    n = dist.shape[0]
+    vals = np.unique(dist[~np.eye(n, dtype=bool)])
     staged = []
-    for delta in _critical_scales(dist):
-        blocks = max_cliques(threshold_neighbors(dist, delta))
+    for delta in [0.0] + [float(v) for v in vals[np.isfinite(vals)] if v > 0]:
+        blocks = blocks_of(threshold_neighbors(dist, delta))
         staged.append((delta, make_cover(n, blocks, validate=False)))
         if len(blocks) == 1:
             break
     return build_hierarchy(n, staged)
 
 
-def _critical_scales(dist: np.ndarray) -> list[float]:
-    vals = _offdiag_values(dist)
-    vals = vals[np.isfinite(vals)]
-    scales = [0.0] + [float(v) for v in vals if v > 0]
-    return scales
-
-
 def single_linkage(space: PseudometricSpace) -> HierarchicalCover:
     """Blocks at scale delta are the connected components of the threshold graph.
 
-    Critical scales are the merge heights of the minimum spanning tree.
+    Scanned over the bottleneck matrix, so the only scales visited are the
+    n-1 merge heights of the minimum spanning tree, not every distinct
+    distance.
     """
-    n = space.n
-    staged = []
-    for delta in _critical_scales(space.d):
-        comps = connected_components(threshold_neighbors(space.d, delta))
-        staged.append((delta, make_cover(n, comps, validate=False)))
-        if len(comps) == 1:
-            break
-    return build_hierarchy(n, staged)
+    return _threshold_hierarchy(bottleneck_matrix(space.d), connected_components)
 
 
 def maximal_linkage(space: PseudometricSpace) -> HierarchicalCover:
     """Blocks at scale delta are the maximal cliques of the threshold graph."""
-    return _clique_hierarchy(space.n, space.d)
+    return _threshold_hierarchy(space.d)
 
 
-def l_k_linkage(space: PseudometricSpace, k: int, hops: int | None = None) -> HierarchicalCover:
+def l_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
     """Blocks are maximal sets of points pairwise reachable within a bounded hop count.
 
-    k counts the points of the connecting sequence, so the default hop bound
-    is max(1, k-1); k=1 collapses to the direct edge relation (maximal
-    linkage) and k >= n reproduces single linkage. Pass `hops` to bound path
-    edges directly instead.
+    k counts the points of the connecting sequence, so the hop bound is
+    max(1, k-1); k=1 collapses to the direct edge relation (maximal linkage)
+    and k >= n reproduces single linkage. This is the one k convention of the
+    library: `PipelineSpec.k` and `k_path_scaling` translate to it.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    if hops is None:
-        hops = max(1, k - 1)
-    reach = hop_bounded_minimax(space.d, hops)
-    return _clique_hierarchy(space.n, reach)
+    return _threshold_hierarchy(hop_bounded_minimax(space.d, max(1, k - 1)))
 
 
 def vl_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
@@ -105,16 +97,10 @@ def vl_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    n = space.n
-    j = min(n, k)
-    staged = []
-    for delta in _critical_scales(space.d):
-        neighbors = threshold_neighbors(space.d, delta)
-        blocks = maximal_j_connected_sets(neighbors, j)
-        staged.append((delta, make_cover(n, blocks, validate=False)))
-        if len(blocks) == 1:
-            break
-    return build_hierarchy(n, staged)
+    j = min(space.n, k)
+    return _threshold_hierarchy(
+        space.d, lambda neighbors: maximal_j_connected_sets(neighbors, j)
+    )
 
 
 def geodesic_metric(
@@ -158,8 +144,7 @@ def iso_cluster(
     The membership matrix is then exp(-geodesic distance), so a stress loss
     over its target distances is the IsoMap objective.
     """
-    geo = geodesic_metric(space, delta_cap, disconnected, cap_factor)
-    return maximal_linkage(geo)
+    return _threshold_hierarchy(geodesic_metric(space, delta_cap, disconnected, cap_factor).d)
 
 
 def fuzzy_union_membership(space: PseudometricSpace) -> MembershipMatrix:
@@ -188,11 +173,7 @@ def fuzzy_simplex(space: PseudometricSpace) -> tuple[HierarchicalCover, Membersh
     on pairs with membership >= a, i.e. scale delta = -log membership.
     """
     membership = fuzzy_union_membership(space)
-    with np.errstate(divide="ignore"):
-        dist = -np.log(membership.w)
-    np.fill_diagonal(dist, 0.0)
-    dist = np.maximum(dist, 0.0)
-    return _clique_hierarchy(space.n, dist), membership
+    return _threshold_hierarchy(target_distances(membership)), membership
 
 
 CLUSTER_STAGES = ("sl", "ml", "lk", "vlk", "iso", "fuzzy")

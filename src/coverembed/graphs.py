@@ -174,11 +174,10 @@ def components_of_inf(g: np.ndarray) -> list[tuple[int, ...]]:
 # -- vertex connectivity via max-flow on the vertex-split network ------------
 
 
-def _vertex_capacity_maxflow(neighbors, s, t, stop_at=None):
+def _vertex_capacity_maxflow(neighbors, s, t):
     """Max number of internally vertex-disjoint s-t paths (Menger).
 
-    Unit-capacity vertex-split digraph solved by BFS augmentation; if stop_at
-    is given, augmentation stops once that many paths are found. Returns
+    Unit-capacity vertex-split digraph solved by BFS augmentation. Returns
     (flow_value, residual_reachable_on_original_vertices_in/out).
     """
     n = len(neighbors)
@@ -201,7 +200,7 @@ def _vertex_capacity_maxflow(neighbors, s, t, stop_at=None):
             add_edge(2 * v + 1, 2 * u, inf)
     source, sink = 2 * s + 1, 2 * t
     flow = 0
-    while stop_at is None or flow < stop_at:
+    while True:
         prev = {source: None}
         queue = deque([source])
         while queue and sink not in prev:
@@ -264,39 +263,9 @@ def min_vertex_cut(neighbors):
             if t in neighbors[s]:
                 continue
             val, cut = _min_cut_for_pair(neighbors, s, t)
-            key = (val, cut)
             if best_val is None or val < best_val or (val == best_val and cut < best_cut):
                 best_val, best_cut = val, cut
     return best_val, best_cut
-
-
-def is_j_connected(vertices, neighbors, j: int) -> bool:
-    """Whether the induced subgraph stays connected under every removal of < j vertices.
-
-    Complete induced subgraphs (including single vertices and edges) count as
-    j-connected for every j; otherwise this is kappa >= j by Menger.
-    """
-    vs = sorted(vertices)
-    if len(vs) <= 1:
-        return True
-    index = {v: i for i, v in enumerate(vs)}
-    sub = [
-        {index[u] for u in neighbors[v] if u in index}
-        for v in vs
-    ]
-    if is_complete(sub):
-        return True
-    if len(vs) <= j:
-        return False
-    m = len(vs)
-    for s in range(m):
-        for t in range(s + 1, m):
-            if t in sub[s]:
-                continue
-            flow, _ = _vertex_capacity_maxflow(sub, s, t, stop_at=j)
-            if flow < j:
-                return False
-    return True
 
 
 def maximal_j_connected_sets(neighbors, j: int) -> list[tuple[int, ...]]:
@@ -328,24 +297,11 @@ def maximal_j_connected_sets(neighbors, j: int) -> list[tuple[int, ...]]:
             found.add(vertices)
             return
         cut_orig = {vs[c] for c in cut}
-        remaining = [i for i in range(len(vs)) if i not in cut]
-        rem_set = set(remaining)
-        comp_adj = [sub[i] & rem_set if i in rem_set else set() for i in range(len(vs))]
-        comp_seen = set(cut)
-        for start in remaining:
-            if start in comp_seen:
-                continue
-            comp = set()
-            queue = deque([start])
-            comp_seen.add(start)
-            while queue:
-                v = queue.popleft()
-                comp.add(v)
-                for u in comp_adj[v]:
-                    if u not in comp_seen:
-                        comp_seen.add(u)
-                        queue.append(u)
-            rec(frozenset({vs[v] for v in comp} | cut_orig))
+        cut_set = set(cut)
+        rest = [set() if i in cut_set else sub[i] - cut_set for i in range(len(vs))]
+        for comp in connected_components(rest):
+            if comp[0] not in cut_set:
+                rec(frozenset({vs[v] for v in comp} | cut_orig))
 
     rec(frozenset(range(n)))
     candidates = sorted(found, key=lambda s: tuple(sorted(s)))

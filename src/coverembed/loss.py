@@ -242,52 +242,6 @@ class MdsPairFamily:
         return float(self.e_form_at(a).value(0.0)) * a
 
 
-class PiecewisePairFamily:
-    """Strength-piecewise-constant (c, e) forms, for hand-built families in tests."""
-
-    def __init__(self, breaks, c_forms, e_forms):
-        if not (len(breaks) + 1 == len(c_forms) == len(e_forms)):
-            raise ValidationError("need one form per strength interval")
-        self.breaks = tuple(float(b) for b in breaks)
-        self.c_forms = tuple(c_forms)
-        self.e_forms = tuple(e_forms)
-
-    def critical_strengths(self) -> tuple[float, ...]:
-        return self.breaks
-
-    def _piece(self, a: float) -> int:
-        idx = 0
-        for b in self.breaks:
-            if a > b:
-                idx += 1
-        return idx
-
-    def c_form_at(self, a: float) -> Form:
-        return self.c_forms[self._piece(a)]
-
-    def e_form_at(self, a: float) -> Form:
-        return self.e_forms[self._piece(a)]
-
-    def flatten_exact(self) -> tuple[Form, Form]:
-        edges = (0.0,) + self.breaks + (1.0,)
-        ca = cb = ea = eb = 0.0
-        for t in range(len(edges) - 1):
-            width = edges[t + 1] - edges[t]
-            a1, b1 = self.c_forms[t].as_affine_x2()
-            a2, b2 = self.e_forms[t].as_affine_x2()
-            ca += width * a1
-            cb += width * b1
-            ea += width * a2
-            eb += width * b2
-        return Form("affine_x2", a=ca, b=cb), Form("affine_x2", a=ea, b=eb)
-
-    def sup_abs_c(self, radius: float) -> float:
-        return max(f.abs_sup(radius) for f in self.c_forms)
-
-    def sup_abs_e(self) -> float:
-        return max(f.abs_sup(0.0) for f in self.e_forms)
-
-
 @dataclass(frozen=True)
 class FuzzyLossFamily:
     """Map from strength a in (0, 1] to a LossObject, with finitely many breaks."""
@@ -309,24 +263,6 @@ class FuzzyLossFamily:
             for key, fam in self.pairs.items()
         }
         return LossObject(self.n, terms)
-
-    def to_json(self) -> dict:
-        entries = []
-        for (i, j), fam in sorted(self.pairs.items()):
-            if isinstance(fam, MdsPairFamily):
-                entries.append({"i": i, "j": j, "family": "mds", "w": fam.w})
-            else:
-                entries.append(
-                    {
-                        "i": i,
-                        "j": j,
-                        "family": "piecewise",
-                        "breaks": list(fam.breaks),
-                        "c": [f.to_json() for f in fam.c_forms],
-                        "e": [f.to_json() for f in fam.e_forms],
-                    }
-                )
-        return {"n": self.n, "pairs": entries}
 
 
 def mds_fuzzy_family(

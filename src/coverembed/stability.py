@@ -82,11 +82,9 @@ def interleaving_distance(h1: HierarchicalCover, h2: HierarchicalCover) -> Inter
     """
     if h1.n != h2.n:
         raise ValidationError(f"ground set mismatch: {h1.n} vs {h2.n}")
-    diffs = {0.0}
-    for s in h1.scales:
-        for t in h2.scales:
-            diffs.add(abs(s - t))
-    candidates = sorted(diffs)
+    candidates = np.unique(
+        np.append(np.abs(np.subtract.outer(h1.scales, h2.scales)), 0.0)
+    ).tolist()
     failures: list[tuple[float, float]] = []
     # refinement results per direction, shared by every bisection step
     memo12: dict[tuple[int, int], bool] = {}

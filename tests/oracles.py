@@ -2,12 +2,16 @@
 
 Everything here enumerates: components by flood fill over explicit edge
 lists, cliques and k-connected sets by subset enumeration, path costs by
-walking every simple path. Exponential, fine for n <= 7.
+walking every simple path. Exponential, fine for n <= 7. Hand-built loss
+families for tests live here too.
 """
 
 from itertools import combinations, permutations
 
 import numpy as np
+
+from coverembed import ValidationError
+from coverembed.loss import Form
 
 
 def threshold_edges(d, delta):
@@ -236,3 +240,71 @@ def oracle_membership(h):
                     w[i, j] = float(np.exp(-scale))
                     break
     return w
+
+
+class PiecewisePairFamily:
+    """Strength-piecewise-constant (c, e) forms, for hand-built loss families."""
+
+    def __init__(self, breaks, c_forms, e_forms):
+        if not (len(breaks) + 1 == len(c_forms) == len(e_forms)):
+            raise ValidationError("need one form per strength interval")
+        self.breaks = tuple(float(b) for b in breaks)
+        self.c_forms = tuple(c_forms)
+        self.e_forms = tuple(e_forms)
+
+    def critical_strengths(self) -> tuple[float, ...]:
+        return self.breaks
+
+    def _piece(self, a: float) -> int:
+        idx = 0
+        for b in self.breaks:
+            if a > b:
+                idx += 1
+        return idx
+
+    def c_form_at(self, a: float) -> Form:
+        return self.c_forms[self._piece(a)]
+
+    def e_form_at(self, a: float) -> Form:
+        return self.e_forms[self._piece(a)]
+
+    def flatten_exact(self) -> tuple[Form, Form]:
+        edges = (0.0,) + self.breaks + (1.0,)
+        ca = cb = ea = eb = 0.0
+        for t in range(len(edges) - 1):
+            width = edges[t + 1] - edges[t]
+            a1, b1 = self.c_forms[t].as_affine_x2()
+            a2, b2 = self.e_forms[t].as_affine_x2()
+            ca += width * a1
+            cb += width * b1
+            ea += width * a2
+            eb += width * b2
+        return Form("affine_x2", a=ca, b=cb), Form("affine_x2", a=ea, b=eb)
+
+    def sup_abs_c(self, radius: float) -> float:
+        return max(f.abs_sup(radius) for f in self.c_forms)
+
+    def sup_abs_e(self) -> float:
+        return max(f.abs_sup(0.0) for f in self.e_forms)
+
+
+def reference_threshold_hierarchy(d, blocks_of):
+    """Threshold scan at 0 and at every distinct finite off-diagonal value of d.
+
+    The scan every functor ran before single linkage moved to its merge
+    heights: one graph per value, blocks from `blocks_of(n, edges)` (for
+    example `oracle_components` or `oracle_max_cliques`), stopping at the
+    first single block.
+    """
+    from coverembed.covers import build_hierarchy, make_cover
+
+    n = d.shape[0]
+    vals = np.unique(d[~np.eye(n, dtype=bool)])
+    vals = vals[np.isfinite(vals)]
+    staged = []
+    for delta in [0.0] + [float(v) for v in vals if v > 0]:
+        blocks = blocks_of(n, threshold_edges(d, delta))
+        staged.append((delta, make_cover(n, blocks, validate=False)))
+        if len(blocks) == 1:
+            break
+    return build_hierarchy(n, staged)

@@ -19,7 +19,8 @@ from coverembed import (
 )
 from coverembed.algorithms import connectivity_radius, stage_membership, stage_targets
 from coverembed.graphs import bottleneck_matrix, hop_bounded_minimax
-from coverembed.loss import pairwise_distances
+from coverembed.loss import mds_stress_problem, pairwise_distances
+from coverembed.optimize import minimize
 
 from oracles import oracle_minimax_path, random_euclidean, random_space
 
@@ -247,6 +248,20 @@ def test_kpath_large_k_matches_sls():
     a = k_path_scaling(space, 5, 2)
     b = single_linkage_scaling(space, 2)
     assert np.array_equal(a.coords, b.coords)
+
+
+def test_kpath_is_stress_on_k_hop_minimax_targets():
+    rng = np.random.default_rng(27)
+    labelled = from_matrix(
+        [[0, 0, 1, 1], [0, 0, 1, 2], [1, 1, 0, 1], [1, 2, 1, 0]], labels=list("abcd")
+    )
+    config = OptimizerConfig(max_iters=200)
+    for space in (CHAIN, labelled, random_space(rng, n=6)):
+        for k in (1, 2, space.n):
+            got = k_path_scaling(space, k, 2, config)
+            want = minimize(mds_stress_problem(hop_bounded_minimax(space.d, k), 2), config)
+            assert np.array_equal(got.coords, want.embedding.coords)
+            assert got.labels == space.labels
 
 
 def test_kvertex_k1_matches_sls():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from coverembed import ValidationError, maximal_linkage, membership_matrix
 from coverembed.cli import build_hash, dispatch, flatten_check_report
 from coverembed.fileio import (
     read_distance_csv,
@@ -195,6 +196,54 @@ def test_config_file_precedence(dist_csv, tmp_path):
     assert read_embedding_csv(out2).coords.shape == (3, 1)
 
 
+def test_config_file_loses_to_a_flag_at_its_default(dist_csv, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=3\nmax-iters=50\n")
+    out = tmp_path / "emb.csv"
+    # --m 2 is the default value, and still spelled out on the command line
+    assert dispatch([
+        "embed", "--algo", "mmds", "--m", "2", "--in", str(dist_csv),
+        "--out", str(out), "--config", str(cfg),
+    ]) == 0
+    assert read_embedding_csv(out).coords.shape == (3, 2)
+    assert read_json(str(out) + ".manifest.json")["config"]["max_iters"] == 50
+
+
+def test_config_file_key_that_names_no_option_exits_one(dist_csv, tmp_path, capsys):
+    out = tmp_path / "emb.csv"
+    for text in ("maxiters=5\n", "out=elsewhere.csv\nfunctor=sl\n"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert dispatch([
+            "embed", "--algo", "mmds", "--in", str(dist_csv),
+            "--out", str(out), "--config", str(cfg),
+        ]) == 1
+        assert "no option of 'embed'" in capsys.readouterr().err
+        assert not out.exists()
+    # a known key with a value its option cannot parse is a validation error too
+    cfg.write_text("m=three\n")
+    assert dispatch([
+        "embed", "--algo", "mmds", "--in", str(dist_csv),
+        "--out", str(out), "--config", str(cfg),
+    ]) == 1
+
+
+def test_stability_takes_the_common_io_flags(dist_csv, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_iters=20\n")
+    out = tmp_path / "stab.json"
+    manifest = tmp_path / "stab.manifest.json"
+    assert dispatch([
+        "stability", "--algo", "sls", "--x", str(dist_csv), "--y", str(dist_csv),
+        "--out", str(out), "--manifest", str(manifest), "--threads", "2",
+        "--config", str(cfg), "--json-errors",
+    ]) == 0
+    config = read_json(manifest)["config"]
+    assert config["max_iters"] == 20
+    assert config["threads"] == 2
+    assert config["input_kind"] == "dist"
+
+
 def test_numerical_failure_exits_two(tmp_path):
     # astronomically large targets overflow the stress at any start point
     huge = tmp_path / "huge.csv"
@@ -258,3 +307,29 @@ def test_seventeen_digit_round_trip(tmp_path):
     write_distance_csv(path, space)
     again = read_distance_csv(path)
     assert np.array_equal(again.d, space.d)
+
+
+def test_flatten_check_membership_is_the_maximal_linkage_entry():
+    # zero distances, ties, and two pairs whose exp(-d) underflows to 0
+    d = np.array([
+        [0.0, 0.0, 1.0, 800.0],
+        [0.0, 0.0, 2.5, 2.5],
+        [1.0, 2.5, 0.0, 746.0],
+        [800.0, 2.5, 746.0, 0.0],
+    ])
+    rng = np.random.default_rng(3)
+    spaces = [from_matrix(d), from_points_euclidean(rng.normal(size=(5, 2)))]
+    for space in spaces:
+        w = membership_matrix(maximal_linkage(space)).w
+        for i in range(space.n):
+            for j in range(space.n):
+                if i == j:
+                    continue
+                if w[i, j] == 0.0:
+                    with pytest.raises(ValidationError, match="membership 0"):
+                        flatten_check_report(space, i, j)
+                    report = flatten_check_report(space, i, j, a_min=1e-3)
+                    assert report["membership"] == 1e-3 and report["truncated"]
+                else:
+                    assert flatten_check_report(space, i, j)["membership"] == w[i, j]
+    assert membership_matrix(maximal_linkage(spaces[0])).w[0, 3] == 0.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverembed import (
     DisconnectedError,
@@ -20,11 +22,15 @@ from coverembed import (
     vl_k_linkage,
 )
 
+from coverembed.covers import hierarchy_to_json
+
 from oracles import (
+    oracle_components,
     oracle_max_cliques,
     oracle_maximal_j_connected,
     oracle_minimax_path,
     random_space,
+    reference_threshold_hierarchy,
     threshold_edges,
 )
 
@@ -329,3 +335,82 @@ def test_uniform_shift_moves_covers_rigidly():
         h_shift = build(shifted)
         for delta in list(h.scales) + [max(h.scales) + 1.0]:
             assert cover_at(h_shift, delta + eps) == cover_at(h, delta)
+
+
+# -- every functor against the scan over every distinct distance ---------------------
+
+
+def _minimax_oracle_matrix(d, hops):
+    n = d.shape[0]
+    return np.array(
+        [[oracle_minimax_path(d, i, j, max_hops=hops) for j in range(n)] for i in range(n)]
+    )
+
+
+def _reference_cases(space, delta):
+    """(name, functor hierarchy, reference hierarchy) for all six functors."""
+    n, d = space.n, space.d
+    cases = [
+        ("sl", single_linkage(space), reference_threshold_hierarchy(d, oracle_components)),
+        ("ml", maximal_linkage(space), reference_threshold_hierarchy(d, oracle_max_cliques)),
+    ]
+    for k in sorted({1, 2, n}):
+        lk_dist = _minimax_oracle_matrix(d, max(1, k - 1))
+        cases.append(
+            (f"lk{k}", l_k_linkage(space, k),
+             reference_threshold_hierarchy(lk_dist, oracle_max_cliques))
+        )
+        cases.append(
+            (f"vlk{k}", vl_k_linkage(space, k),
+             reference_threshold_hierarchy(
+                 d, lambda n_, edges: oracle_maximal_j_connected(n_, edges, min(n, k))
+             ))
+        )
+    geo = geodesic_metric(space, delta, disconnected="cap")
+    cases.append(
+        ("iso", iso_cluster(space, delta, disconnected="cap"),
+         reference_threshold_hierarchy(geo.d, oracle_max_cliques))
+    )
+    if n >= 2:
+        w = fuzzy_union_membership(space).w
+        with np.errstate(divide="ignore"):
+            fuzzy_dist = -np.log(w)
+        np.fill_diagonal(fuzzy_dist, 0.0)
+        fuzzy_dist = np.maximum(fuzzy_dist, 0.0)
+        cases.append(
+            ("fuzzy", fuzzy_simplex(space)[0],
+             reference_threshold_hierarchy(fuzzy_dist, oracle_max_cliques))
+        )
+    return cases
+
+
+@st.composite
+def tie_heavy_spaces(draw):
+    """1-7 points with integer distances in 0..3: ties and zero distances throughout."""
+    n = draw(st.integers(1, 7))
+    upper = draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    return from_matrix(d + d.T)
+
+
+@settings(max_examples=80, deadline=None)
+@given(space=tie_heavy_spaces(), delta=st.integers(0, 3))
+@example(space=from_matrix([[0.0]]), delta=0)
+@example(space=from_matrix([[0.0, 0.0], [0.0, 0.0]]), delta=0)
+@example(space=from_matrix([[0.0, 2.0], [2.0, 0.0]]), delta=1)
+@example(space=from_matrix(np.zeros((5, 5))), delta=0)
+@example(space=from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]]), delta=3)
+def test_every_functor_equals_the_scan_over_every_distinct_value(space, delta):
+    for name, got, want in _reference_cases(space, float(delta)):
+        assert hierarchy_to_json(got) == hierarchy_to_json(want), name
+
+
+def test_every_functor_equals_the_scan_on_random_distances():
+    rng = np.random.default_rng(26)
+    for n in (3, 5, 6):
+        space = random_space(rng, n=n)
+        delta = float(np.median(space.d))
+        for name, got, want in _reference_cases(space, delta):
+            assert hierarchy_to_json(got) == hierarchy_to_json(want), name

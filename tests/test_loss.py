@@ -23,13 +23,13 @@ from coverembed.loss import (
     Form,
     FuzzyLossFamily,
     LossObject,
-    PiecewisePairFamily,
     ZERO_FORM,
     family_leq,
     form_from_json,
     loss_object_from_json,
     pairwise_distances,
 )
+from oracles import PiecewisePairFamily
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
