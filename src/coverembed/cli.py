@@ -36,9 +36,9 @@ from .fileio import (
     write_trace_csv,
 )
 from .functors import cluster_hierarchy
-from .loss import QuadratureSettings, flatten, mds_fuzzy_family
+from .loss import MdsPairFamily, QuadratureSettings, flatten, mds_fuzzy_family
 from .metric import PseudometricSpace
-from .optimize import OptimizerConfig
+from .optimize import Embedding, OptimizerConfig
 from .stability import check_interleaving_bound, check_loss_transfer, interleaving_distance
 
 ALGO_TABLE = {
@@ -178,7 +178,7 @@ def cmd_interleave(args):
             {
                 "epsilon_star": report.epsilon_star,
                 "candidates": list(report.candidates),
-                "failures": [list(f) for f in report.failures],
+                "witness": list(report.witness),
             },
         )
         outputs = [args.out]
@@ -246,34 +246,21 @@ def cmd_bench_dna(args):
         repetitions=args.reps,
         seed=args.seed,
     )
-    progress = None
-    if args.verbose:
-        def progress(rep, spec, acc):
+    outputs = [args.out]
+    labels = tuple(f"list{i // cfg.list_len}_step{i % cfg.list_len}"
+                   for i in range(cfg.n_lists * cfg.list_len))
+
+    def progress(rep, spec, acc, result):
+        if args.verbose:
             print(f"  rep {rep}: {spec.cluster}/{spec.loss} m={spec.m} acc={acc:.3f}",
                   file=sys.stderr)
+        if args.embeddings_out and rep == 0:
+            path = f"{args.embeddings_out}_{spec.cluster}_{spec.loss}_m{spec.m}.csv"
+            write_embedding_csv(path, Embedding(result.embedding.coords, labels))
+            outputs.append(path)
+
     result = run_bench(cfg, progress=progress)
     write_bench_csv(args.out, result)
-    outputs = [args.out]
-    if args.embeddings_out:
-        from .dna import generate
-        from .optimize import minimize
-        from .algorithms import build_problem
-
-        dataset = generate(cfg, cfg.repetition_seeds()[0])
-        space = dataset.space()
-        for spec in cfg.pipelines:
-            problem = build_problem(space, spec)
-            res = minimize(problem, spec.optimizer)
-            labels = tuple(
-                f"list{i // cfg.list_len}_step{i % cfg.list_len}"
-                for i in range(space.n)
-            )
-            from .optimize import Embedding
-
-            emb = Embedding(res.embedding.coords, labels)
-            path = f"{args.embeddings_out}_{spec.cluster}_{spec.loss}_m{spec.m}.csv"
-            write_embedding_csv(path, emb)
-            outputs.append(path)
     _write_manifest(args, "bench-dna", [], outputs)
     for row in result.rows:
         print(
@@ -304,6 +291,22 @@ def cmd_flatten_check(args):
     return 0
 
 
+def _flattens_finitely(w: float) -> bool:
+    """True when the flattened stress loss of membership w is finite on the report grid.
+
+    The grid is [0, max(2 * target, 1)] with target = -log w. False for w = 0
+    and for w below about exp(-695), where the loss at the grid's end
+    overflows; past about exp(-702.5) the flattened coefficients themselves
+    are infinite, and in between the quadrature check can crash in QUADPACK.
+    """
+    if not 0.0 < w <= 1.0:
+        return False
+    c, e = MdsPairFamily(w).flatten_exact()
+    x_end = max(-2.0 * math.log(w), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(c.value(x_end) + e.value(x_end)))
+
+
 def flatten_check_report(space: PseudometricSpace, i: int, j: int,
                          a_min: float | None = None, rel_tol: float = 1e-8) -> dict:
     """Quadrature-vs-target report for one pair's flattened stress family.
@@ -311,7 +314,9 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
     Uses the maximal-linkage membership (w = exp(-d)). The flattened pairwise
     loss is grid-minimized over the embedded distance; the argmin lands at 0
     rather than at the target -log w, and the report states the residual
-    rather than hiding it.
+    rather than hiding it. A membership whose flattened loss is not finite on
+    the grid (w = 0, or a distance above about 695) is rejected unless a_min
+    replaces it.
     """
     if space.n == 1:
         return {
@@ -328,11 +333,13 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
     # maximal linkage joins a pair exactly at its distance
     wij = float(np.exp(-float(space.d[min(i, j), max(i, j)])))
     truncated = False
-    if wij == 0.0:
+    if not _flattens_finitely(wij):
         if a_min is None:
             raise ValidationError(
                 f"pair ({i}, {j}) has membership 0; pass --a-min to truncate"
             )
+        if not _flattens_finitely(a_min):
+            raise ValidationError(f"--a-min {a_min!r} has no finite flattened loss")
         wij = a_min
         truncated = True
     pair_w = np.array([[1.0, wij], [wij, 1.0]])

@@ -178,7 +178,8 @@ def run_bench(cfg: BenchConfig, progress=None) -> BenchResult:
 
     The classical initialization is computed once per distinct target matrix
     per repetition, for the largest embedding dimension that shares it; each
-    pipeline takes its leading m columns.
+    pipeline takes its leading m columns. `progress(rep, spec, accuracy,
+    result)`, when given, sees each scored `MinimizeResult`.
     """
     t_start = time.perf_counter()
     per_pipeline: list[list[float]] = [[] for _ in cfg.pipelines]
@@ -205,7 +206,7 @@ def run_bench(cfg: BenchConfig, progress=None) -> BenchResult:
             per_pipeline[idx].append(acc.value)
             tie_counts[idx] += len(acc.tie_lists)
             if progress is not None:
-                progress(rep, spec, acc.value)
+                progress(rep, spec, acc.value, result)
     rows = []
     for spec, accs, ties in zip(cfg.pipelines, per_pipeline, tie_counts):
         arr = np.array(accs)

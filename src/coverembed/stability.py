@@ -2,17 +2,17 @@
 
 Interleavings are restricted to identity point maps on a shared ground set:
 two step functions are eps-interleaved when each cover at scale delta refines
-the other's cover at delta + eps, in both directions. Because both sides are
-step functions, the least such eps lies in the finite set of pairwise scale
-differences, and refinement only needs checking at interval breakpoints.
+the other's cover at delta + eps, in both directions. Both sides must coarsen
+(`validate_coarsening`), so cover i of one side refines cover j of the other
+for every j from some least j(i) on, and j(i) never decreases in i. Cover i
+is in effect from its scale s_i, so it needs the shift t_{j(i)} - s_i: a
+difference of stored scales, never a rounded s_i + eps.
 
 Cost of `interleaving_distance` on hierarchies with S1 and S2 critical scales:
-the candidate set holds at most |S1|*|S2| + 1 values, bisection over it takes
-O(log(|S1|*|S2|)) steps, and each step checks O(|S1| + |S2|) breakpoints per
-direction. A breakpoint maps to a pair (cover i of one side, cover j of the
-other), and each pair's `refines` test runs at most once per direction and
-call: later steps look it up. A `refines` test costs one bitmask AND per pair
-of blocks.
+`validate_coarsening` on both, then one scan per direction in which i walks
+one side and j only advances over the other, so at most |S1| + |S2| `refines`
+tests per direction. A `refines` test costs one bitmask AND per pair of
+blocks.
 """
 
 from __future__ import annotations
@@ -25,90 +25,48 @@ import numpy as np
 from .algorithms import PipelineSpec, run_pipeline, stage_membership
 from .covers import HierarchicalCover, refines
 from .errors import ValidationError
+from .loss import MdsPairFamily, pairwise_distances
 from .metric import PseudometricSpace, isometry_epsilon
-from .loss import pairwise_distances
 
 
 @dataclass(frozen=True)
 class InterleavingReport:
     epsilon_star: float
-    candidates: tuple[float, ...]
-    failures: tuple[tuple[float, float], ...]  # (candidate eps, scale where refinement failed)
+    candidates: tuple[float, ...]  # required shift per cover, in scan order
+    # (side, i, j): cover i of h1 (side 0) or h2 (side 1) first refines cover j
+    # of the other at the shift that attains eps*; j is None when eps* is inf
+    witness: tuple[int, int, int | None]
 
     def __float__(self):
         return self.epsilon_star
 
 
-def _refinement_failure(
-    ha: HierarchicalCover,
-    hb: HierarchicalCover,
-    eps: float,
-    memo: dict[tuple[int, int], bool],
-) -> float | None:
-    """First scale where ha(delta) fails to refine hb(delta + eps), else None.
-
-    Checkpoints are the breakpoints of either side; the shifted side is
-    evaluated at its exact stored scales so a rounded delta + eps cannot land
-    one ulp below a cover change. Evaluating ha one ulp early is harmless: an
-    even finer cover refines everything the intended one refines. Each
-    checkpoint maps to cover indices (i, j) the way `cover_at` does, and
-    `memo[(i, j)]` caches whether ha.covers[i] refines hb.covers[j].
-    """
-    checkpoints = [(s, s + eps) for s in ha.scales]
-    checkpoints += [(t - eps, t) for t in hb.scales if t - eps > 0]
-    checkpoints.append((0.0, eps))
-    checkpoints.sort()
-    fine = np.searchsorted(
-        np.asarray(ha.scales), [max(delta, 0.0) for delta, _ in checkpoints], side="right"
-    ) - 1
-    coarse = np.searchsorted(
-        np.asarray(hb.scales), [shifted for _, shifted in checkpoints], side="right"
-    ) - 1
-    for (delta, _), i, j in zip(checkpoints, fine.tolist(), coarse.tolist()):
-        ok = memo.get((i, j))
-        if ok is None:
-            ok = memo[i, j] = refines(ha.covers[i], hb.covers[j])
-        if not ok:
-            return delta
-    return None
-
-
 def interleaving_distance(h1: HierarchicalCover, h2: HierarchicalCover) -> InterleavingReport:
     """Least eps such that the two step functions are mutually eps-shifted refinements.
 
-    Searched over the complete candidate set {0} u {|s - t|} of scale
-    differences (monotone in eps, so bisection applies); inf when even the
-    largest candidate fails.
+    The largest required shift t_{j(i)} - s_i over the covers of both sides,
+    and 0 at least; inf when some cover refines no cover of the other side.
+    Raises ValidationError when the ground sets differ or either side does
+    not coarsen.
     """
     if h1.n != h2.n:
         raise ValidationError(f"ground set mismatch: {h1.n} vs {h2.n}")
-    candidates = np.unique(
-        np.append(np.abs(np.subtract.outer(h1.scales, h2.scales)), 0.0)
-    ).tolist()
-    failures: list[tuple[float, float]] = []
-    # refinement results per direction, shared by every bisection step
-    memo12: dict[tuple[int, int], bool] = {}
-    memo21: dict[tuple[int, int], bool] = {}
-    lo, hi = 0, len(candidates) - 1
-    best: float | None = None
-    # bisection over the sorted candidates: interleaving is monotone in eps
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        eps = candidates[mid]
-        witness = _refinement_failure(h1, h2, eps, memo12)
-        if witness is None:
-            witness = _refinement_failure(h2, h1, eps, memo21)
-        if witness is None:
-            best = eps
-            hi = mid - 1
-        else:
-            failures.append((eps, witness))
-            lo = mid + 1
-    return InterleavingReport(
-        epsilon_star=best if best is not None else math.inf,
-        candidates=tuple(candidates),
-        failures=tuple(sorted(failures)),
-    )
+    h1.validate_coarsening()
+    h2.validate_coarsening()
+    shifts: list[float] = []
+    pairs: list[tuple[int, int, int]] = []
+    for side, (ha, hb) in enumerate(((h1, h2), (h2, h1))):
+        j = 0
+        for i, (s, cover) in enumerate(zip(ha.scales, ha.covers)):
+            # cover i - 1 refines cover i, so nothing before j(i - 1) can serve
+            while j < len(hb.covers) and not refines(cover, hb.covers[j]):
+                j += 1
+            if j == len(hb.covers):
+                return InterleavingReport(math.inf, tuple(shifts), (side, i, None))
+            shifts.append(hb.scales[j] - s)
+            pairs.append((side, i, j))
+    best = max(range(len(shifts)), key=shifts.__getitem__)
+    return InterleavingReport(max(0.0, shifts[best]), tuple(shifts), pairs[best])
 
 
 @dataclass(frozen=True)
@@ -202,9 +160,9 @@ def check_loss_transfer(
         if positive.size == 0:
             raise ValidationError("no co-clustering strength to certify against")
         w_min = min(w_min, float(positive.min()))
-    # family suprema are attained at strength 1: |c| <= (2/w - 1) x^2, |e| <= -2 log(w)/w
-    k_c = 2.0 * (2.0 / w_min - 1.0) * r * r
-    k_e = 2.0 * abs(2.0 * math.log(w_min) / w_min)
+    family = MdsPairFamily(w_min)
+    k_c = 2.0 * family.sup_abs_c(r)
+    k_e = 2.0 * family.sup_abs_e()
     n = x.n
     bound = loss_base + k_c * n * n * (1.0 - math.exp(-eps))
     passed = loss_cross <= bound + rel_slack * max(1.0, abs(bound))

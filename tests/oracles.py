@@ -122,29 +122,25 @@ def oracle_maximal_j_connected(n, edges, j):
     return sorted(maximal)
 
 
-def exhaustive_interleaving_epsilon(h1, h2):
-    """Reference interleaving distance: scan every candidate shift in order.
+def exact_interleaving_epsilon(h1, h2):
+    """Reference interleaving distance in exact rational arithmetic.
 
-    Like the fast path, the shifted side is evaluated at its exact stored
-    scales (a rounded delta + eps must not land one ulp below a breakpoint).
+    For each cover i of either side, the least j whose cover on the other side
+    it refines (by set containment, searching every j) gives the required
+    shift Fraction(t_j) - Fraction(s_i); eps* is the largest, 0 at least, and
+    inf when some cover refines none. Returned as the nearest float.
     """
     import math
+    from fractions import Fraction
 
-    from coverembed import cover_at, refines
-
-    candidates = sorted({0.0} | {abs(s - t) for s in h1.scales for t in h2.scales})
-    for eps in candidates:
-        ok = True
-        for ha, hb in ((h1, h2), (h2, h1)):
-            checkpoints = [(s, s + eps) for s in ha.scales]
-            checkpoints += [(t - eps, t) for t in hb.scales if t - eps > 0]
-            checkpoints.append((0.0, eps))
-            for delta, shifted in checkpoints:
-                if not refines(cover_at(ha, max(delta, 0.0)), cover_at(hb, shifted)):
-                    ok = False
-        if ok:
-            return eps
-    return math.inf
+    shifts = [Fraction(0)]
+    for ha, hb in ((h1, h2), (h2, h1)):
+        for s, fine in zip(ha.scales, ha.covers):
+            js = [j for j, coarse in enumerate(hb.covers) if oracle_refines(fine, coarse)]
+            if not js:
+                return math.inf
+            shifts.append(Fraction(hb.scales[min(js)]) - Fraction(s))
+    return float(max(shifts))
 
 
 def random_space(rng, n=6, low=0.2, high=2.0):
@@ -180,50 +176,6 @@ def oracle_refines(fine, coarse):
     """Every block of `fine` is a subset of some block of `coarse`, by set containment."""
     return all(
         any(set(b) <= set(c) for c in coarse.blocks) for b in fine.blocks
-    )
-
-
-def reference_interleaving_report(h1, h2):
-    """Bisection over the candidate shifts with set-based refinement at every checkpoint.
-
-    The search `interleaving_distance` ran before it cached refinement tests:
-    same candidates, same bisection order and witnesses, each checkpoint
-    evaluated afresh through `cover_at` and `oracle_refines`.
-    """
-    import math
-
-    from coverembed import cover_at
-    from coverembed.stability import InterleavingReport
-
-    def refinement_failure(ha, hb, eps):
-        checkpoints = [(s, s + eps) for s in ha.scales]
-        checkpoints += [(t - eps, t) for t in hb.scales if t - eps > 0]
-        checkpoints.append((0.0, eps))
-        for delta, shifted in sorted(checkpoints):
-            if not oracle_refines(cover_at(ha, max(delta, 0.0)), cover_at(hb, shifted)):
-                return delta
-        return None
-
-    candidates = sorted({0.0} | {abs(s - t) for s in h1.scales for t in h2.scales})
-    failures = []
-    lo, hi = 0, len(candidates) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        eps = candidates[mid]
-        witness = refinement_failure(h1, h2, eps)
-        if witness is None:
-            witness = refinement_failure(h2, h1, eps)
-        if witness is None:
-            best = eps
-            hi = mid - 1
-        else:
-            failures.append((eps, witness))
-            lo = mid + 1
-    return InterleavingReport(
-        epsilon_star=best if best is not None else math.inf,
-        candidates=tuple(candidates),
-        failures=tuple(sorted(failures)),
     )
 
 

@@ -66,8 +66,15 @@ def test_cluster_and_interleave_round_trip(dist_csv, tmp_path, capsys):
     capsys.readouterr()
     assert dispatch(["interleave", "--a", str(h1), "--b", str(h1)]) == 0
     assert capsys.readouterr().out.strip() == "0"
-    assert dispatch(["interleave", "--a", str(h1), "--b", str(h2)]) == 0
+    out = tmp_path / "interleave.json"
+    assert dispatch(["interleave", "--a", str(h1), "--b", str(h2), "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    # SL's single block forms at 2, ML's at 3; every other cover needs no shift
+    assert read_json(out) == {
+        "epsilon_star": 1.0,
+        "candidates": [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0],
+        "witness": [0, 2, 3],
+    }
 
 
 def test_cluster_kvertex_needs_k(dist_csv, tmp_path):
@@ -113,6 +120,35 @@ def test_bench_dna_tiny(tmp_path, capsys):
     assert emb.labels[0] == "list0_step0"
 
 
+def test_bench_dna_embeddings_out_are_the_scored_embeddings(tmp_path, monkeypatch):
+    import coverembed.cli as cli
+
+    scored = {}
+    real_run_bench = cli.run_bench
+
+    def recording_run_bench(cfg, progress=None):
+        def record(rep, spec, acc, result):
+            if rep == 0:
+                scored[spec.cluster, spec.m] = result.embedding.coords.copy()
+            progress(rep, spec, acc, result)
+
+        return real_run_bench(cfg, progress=record)
+
+    monkeypatch.setattr(cli, "run_bench", recording_run_bench)
+    code = dispatch([
+        "bench-dna", "--n", "5", "--m-steps", "4", "--len", "60", "--subs", "4",
+        "--dim", "2,5", "--algos", "mmds,sls", "--reps", "2", "--seed", "11",
+        "--max-iters", "60", "--out", str(tmp_path / "table.csv"),
+        "--embeddings-out", str(tmp_path / "emb"),
+    ])
+    assert code == 0
+    assert sorted(scored) == [("ml", 2), ("ml", 5), ("sl", 2), ("sl", 5)]
+    for (cluster, m), coords in scored.items():
+        emb = read_embedding_csv(tmp_path / f"emb_{cluster}_mds_m{m}.csv")
+        assert np.array_equal(emb.coords, coords)
+        assert emb.labels[-1] == "list4_step3"
+
+
 def test_flatten_check_values(dist_csv, tmp_path):
     out = tmp_path / "fc.json"
     code = dispatch([
@@ -144,6 +180,30 @@ def test_flatten_check_untruncated_for_positive_membership():
     assert not report["truncated"]
     with pytest.raises(Exception):
         flatten_check_report(from_matrix(CHAIN), 0, 5)
+
+
+def test_flatten_check_rejects_a_membership_whose_flattened_loss_overflows(tmp_path, capsys):
+    # at d = 745, w = exp(-d) = 5e-324 is subnormal and 1/w overflows, so the
+    # flattened coefficients are infinite; at d = 700 they are finite but the
+    # loss overflows on the report grid
+    for d in (700.0, 745.0):
+        with pytest.raises(ValidationError, match="membership 0; pass --a-min"):
+            flatten_check_report(from_matrix([[0, d], [d, 0]]), 0, 1)
+    near = flatten_check_report(from_matrix([[0, 690.0], [690.0, 0]]), 0, 1)
+    assert math.isfinite(near["value_at_target"]) and not near["truncated"]
+    path = tmp_path / "far.csv"
+    write_distance_csv(path, from_matrix([[0, 745.0], [745.0, 0]]))
+    out = tmp_path / "fc.json"
+    argv = ["flatten-check", "--in", str(path), "--pair", "0", "1", "--out", str(out)]
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    assert "membership 0; pass --a-min to truncate" in capsys.readouterr().err
+    assert not out.exists()
+    assert dispatch(argv + ["--a-min", "5e-324"]) == 1
+    assert dispatch(argv + ["--a-min", "1e-3"]) == 0
+    report = read_json(out)
+    assert report["truncated"] and report["membership"] == 1e-3
+    assert math.isfinite(report["grid_min_value"]) and math.isfinite(report["value_at_target"])
 
 
 def test_rerun_reproduces_bit_identical(dist_csv, tmp_path):

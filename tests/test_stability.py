@@ -14,27 +14,45 @@ from coverembed import (
     maximal_linkage,
     single_linkage,
 )
-from coverembed.covers import HierarchicalCover, make_cover
-from coverembed.functors import cluster_hierarchy
+from coverembed.covers import HierarchicalCover, make_cover, refines
+from coverembed.functors import cluster_hierarchy, fuzzy_simplex
 
-from oracles import exhaustive_interleaving_epsilon as exhaustive_epsilon
-from oracles import perturbed, random_space, reference_interleaving_report
+from oracles import exact_interleaving_epsilon, perturbed, random_space
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
 
+def _exact_report(h1, h2):
+    """interleaving_distance(h1, h2), checked against the exact oracle and its own witness."""
+    report = interleaving_distance(h1, h2)
+    assert report.epsilon_star == exact_interleaving_epsilon(h1, h2)
+    side, i, j = report.witness
+    ha, hb = (h1, h2) if side == 0 else (h2, h1)
+    if j is None:
+        assert math.isinf(report.epsilon_star)
+        assert not any(refines(ha.covers[i], c) for c in hb.covers)
+    else:
+        assert len(report.candidates) == len(h1.scales) + len(h2.scales)
+        assert report.epsilon_star == max((0.0, *report.candidates))
+        assert report.epsilon_star == max(0.0, hb.scales[j] - ha.scales[i])
+        assert refines(ha.covers[i], hb.covers[j])
+        assert j == 0 or not refines(ha.covers[i], hb.covers[j - 1])
+    return report
+
+
 def test_interleaving_identity():
     h = single_linkage(CHAIN)
-    assert interleaving_distance(h, h).epsilon_star == 0.0
+    assert _exact_report(h, h).epsilon_star == 0.0
 
 
 def test_interleaving_two_point_spaces():
     a = single_linkage(from_matrix([[0, 1], [1, 0]]))
     b = single_linkage(from_matrix([[0, 2], [2, 0]]))
-    report = interleaving_distance(a, b)
+    report = _exact_report(a, b)
     assert report.epsilon_star == 1.0
-    # the largest failing candidate below eps* was evaluated and witnessed
-    assert any(eps < 1.0 for eps, _ in report.failures)
+    # a's pair {0, 1} forms at 1 and first fits in a block of b at 2
+    assert report.witness == (0, 1, 1)
+    assert report.candidates == (0.0, 1.0, 0.0, -1.0)
 
 
 def test_interleaving_of_shifted_functor_output():
@@ -43,7 +61,7 @@ def test_interleaving_of_shifted_functor_output():
         space = random_space(rng, n=5, low=0.5, high=2.0)
         gaps = np.diff(np.unique(space.d))
         eps = float(min(0.3, gaps[gaps > 0].min() * 0.9)) if (gaps > 0).any() else 0.1
-        report = interleaving_distance(build(space), build(space.shifted(eps)))
+        report = _exact_report(build(space), build(space.shifted(eps)))
         assert report.epsilon_star == pytest.approx(eps, abs=1e-12)
 
 
@@ -52,7 +70,7 @@ def test_interleaving_matches_exhaustive_oracle():
     for _ in range(10):
         h1 = single_linkage(random_space(rng, n=5))
         h2 = maximal_linkage(random_space(rng, n=5))
-        assert interleaving_distance(h1, h2).epsilon_star == exhaustive_epsilon(h1, h2)
+        _exact_report(h1, h2)
 
 
 def _rounded(space, decimals=1):
@@ -70,26 +88,23 @@ def test_interleaving_report_matches_reference_search():
         for stage, kwargs in params.items():
             hx, hy, hz = (cluster_hierarchy(s, stage, **kwargs) for s in (x, y, z))
             # two calls in a row on different pairs, then a repeat of the first
-            first = interleaving_distance(hx, hy)
-            assert first == reference_interleaving_report(hx, hy)
-            assert interleaving_distance(hz, hx) == reference_interleaving_report(hz, hx)
+            first = _exact_report(hx, hy)
+            _exact_report(hz, hx)
             assert interleaving_distance(hx, hy) == first
-            itself = interleaving_distance(hx, hx)
-            assert itself == reference_interleaving_report(hx, hx)
-            assert itself.epsilon_star == 0.0
+            assert _exact_report(hx, hx).epsilon_star == 0.0
 
 
 def test_interleaving_report_matches_reference_small_and_infinite():
     one = single_linkage(from_matrix([[0.0]]))
-    assert interleaving_distance(one, one) == reference_interleaving_report(one, one)
+    assert _exact_report(one, one).epsilon_star == 0.0
     a = single_linkage(from_matrix([[0, 1], [1, 0]]))
     b = maximal_linkage(from_matrix([[0, 2], [2, 0]]))
-    assert interleaving_distance(a, b) == reference_interleaving_report(a, b)
+    assert _exact_report(a, b).epsilon_star == 1.0
     h = maximal_linkage(CHAIN)
     truncated = HierarchicalCover(3, h.scales[:2], h.covers[:2])
-    report = interleaving_distance(h, truncated)
+    report = _exact_report(h, truncated)
     assert math.isinf(report.epsilon_star)
-    assert report == reference_interleaving_report(h, truncated)
+    assert report.witness == (0, 2, None)
 
 
 def test_interleaving_symmetry_and_triangle():
@@ -100,11 +115,11 @@ def test_interleaving_symmetry_and_triangle():
             maximal_linkage(random_space(rng, n=5)),
             single_linkage(random_space(rng, n=5)),
         ]
-        d01 = interleaving_distance(hs[0], hs[1]).epsilon_star
-        d10 = interleaving_distance(hs[1], hs[0]).epsilon_star
+        d01 = _exact_report(hs[0], hs[1]).epsilon_star
+        d10 = _exact_report(hs[1], hs[0]).epsilon_star
         assert d01 == d10
-        d02 = interleaving_distance(hs[0], hs[2]).epsilon_star
-        d12 = interleaving_distance(hs[1], hs[2]).epsilon_star
+        d02 = _exact_report(hs[0], hs[2]).epsilon_star
+        d12 = _exact_report(hs[1], hs[2]).epsilon_star
         assert d02 <= d01 + d12 + 1e-12
 
 
@@ -113,8 +128,8 @@ def test_interleaving_invariant_under_joint_relabeling():
     x = random_space(rng, n=6)
     y = perturbed(rng, x, 0.2)
     perm = rng.permutation(6)
-    base = interleaving_distance(single_linkage(x), single_linkage(y)).epsilon_star
-    moved = interleaving_distance(
+    base = _exact_report(single_linkage(x), single_linkage(y)).epsilon_star
+    moved = _exact_report(
         single_linkage(x.permuted(perm)), single_linkage(y.permuted(perm))
     ).epsilon_star
     assert base == moved
@@ -123,8 +138,47 @@ def test_interleaving_invariant_under_joint_relabeling():
 def test_interleaving_infinite_when_never_refining():
     h1 = single_linkage(CHAIN)  # eventually one block
     frozen = HierarchicalCover(3, (0.0,), (make_cover(3, [[0], [1], [2]]),))
-    report = interleaving_distance(h1, frozen)
+    report = _exact_report(h1, frozen)
     assert math.isinf(report.epsilon_star)
+    assert report.witness == (0, 1, None)
+    assert report.candidates == (0.0,)
+
+
+def test_interleaving_exact_where_a_rounded_shift_falls_short():
+    # fuzzy covers of 5 points and a noisy copy: eps* = t - s with t =
+    # 0.12453252429237253 and s = 0.05072340642254656, but s + eps* rounds to
+    # 0.12453252429237252, one ulp below t, so testing refinement at s + eps
+    # rejects the exact shift
+    rng = np.random.default_rng(1)
+    for trial in range(5):
+        n = int(rng.integers(2, 16))
+        pts = rng.normal(size=(n, 2))
+        if trial % 3 == 0:
+            pts = np.round(pts, 1)
+        noise = rng.normal(scale=0.05, size=pts.shape)
+    assert n == 5
+    h1 = fuzzy_simplex(from_points_euclidean(pts))[0]
+    h2 = fuzzy_simplex(from_points_euclidean(pts + noise))[0]
+    report = _exact_report(h1, h2)
+    assert report.epsilon_star == 0.07380911786982597
+    side, i, j = report.witness
+    s = (h1, h2)[side].scales[i]
+    t = (h2, h1)[side].scales[j]
+    assert (s, t) == (0.05072340642254656, 0.12453252429237253)
+    assert s + report.epsilon_star < t
+
+
+def test_interleaving_rejects_a_hierarchy_that_does_not_coarsen():
+    # {0, 1} at scale 1 splits again at scale 2
+    split = HierarchicalCover(3, (0.0, 1.0, 2.0), (
+        make_cover(3, [[0], [1], [2]]),
+        make_cover(3, [[0, 1], [2]]),
+        make_cover(3, [[0], [1, 2]]),
+    ))
+    good = single_linkage(CHAIN)
+    for h1, h2 in ((split, good), (good, split)):
+        with pytest.raises(ValidationError, match="does not refine"):
+            interleaving_distance(h1, h2)
 
 
 def test_interleaving_ground_set_mismatch():
@@ -138,6 +192,7 @@ def test_shift_bound_trivial_and_uniform():
     x = CHAIN
     assert check_interleaving_bound(single_linkage, x, x).epsilon_star == 0.0
     rep = check_interleaving_bound(single_linkage, x, x.shifted(0.5))
+    assert rep.interleaving == _exact_report(single_linkage(x), single_linkage(x.shifted(0.5)))
     assert rep.epsilon == pytest.approx(0.5)
     assert rep.epsilon_star == pytest.approx(0.5)
     assert rep.passed
@@ -149,6 +204,7 @@ def test_shift_bound_random_perturbations():
         x = random_space(rng, n=6)
         y = perturbed(rng, x, 0.1)
         rep = check_interleaving_bound(maximal_linkage, x, y)
+        assert rep.interleaving == _exact_report(maximal_linkage(x), maximal_linkage(y))
         assert rep.passed
 
 
