@@ -1,25 +1,28 @@
 """Command-line interface: embed, cluster, interleave, stability, bench-dna,
 flatten-check, rerun.
 
-Every run writes a manifest next to its primary output recording the resolved
-configuration, input digests, and seeds; `rerun` re-executes a manifest and
+Every run is one argv: `--config FILE` expands into options before parsing.
+Each run writes a manifest next to its primary output recording that argv, the
+resolved configuration, input digests, and seeds; `rerun` replays the argv and
 reproduces the outputs byte for byte. All numeric text is printed with 17
-significant digits. The --threads flag caps internal parallelism; the current
-implementation computes sequentially regardless, so results never depend on it.
+significant digits. --threads is accepted and recorded but changes nothing:
+every computation is sequential.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .algorithms import PipelineSpec, run_pipeline
+from .algorithms import PipelineSpec, connectivity_radius, run_pipeline
 from .covers import MembershipMatrix
 from .dna import BenchConfig, run_bench
 from .errors import NumericalError, ValidationError
@@ -63,6 +66,11 @@ def build_hash() -> str:
 
 
 class CliParser(argparse.ArgumentParser):
+    """Takes options by exact name only, so `rerun` finds every output option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ValidationError(message)
 
@@ -99,7 +107,8 @@ def _spec_from_args(args) -> PipelineSpec:
     )
 
 
-def _manifest(args, subcommand, inputs, outputs, extra=None):
+def _write_manifest(args, subcommand, inputs, outputs, extra=None):
+    """Write the run's manifest, by default next to its first output."""
     entry = {
         "tool": "coverembed",
         "version": __version__,
@@ -108,23 +117,15 @@ def _manifest(args, subcommand, inputs, outputs, extra=None):
         "config": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("func", "manifest")
-            and not k.startswith("_")
+            if k not in ("func", "manifest", "argv", "config")
             and isinstance(v, (str, int, float, bool, type(None), list, tuple))
         },
+        "argv": args.argv,
         "inputs": {str(p): sha256_file(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
+        **(extra or {}),
     }
-    if extra:
-        entry.update(extra)
-    return entry
-
-
-def _write_manifest(args, subcommand, inputs, outputs, extra=None):
-    path = args.manifest or (str(outputs[0]) + ".manifest.json" if outputs else None)
-    if path:
-        write_json(path, _manifest(args, subcommand, inputs, outputs, extra))
-    return path
+    write_json(args.manifest or str(outputs[0]) + ".manifest.json", entry)
 
 
 def cmd_embed(args):
@@ -166,23 +167,26 @@ def cmd_cluster(args):
     return 0
 
 
+def _finite_or_null(x: float) -> float | None:
+    """JSON has no infinity: an infinite value is written as null."""
+    return x if math.isfinite(x) else None
+
+
 def cmd_interleave(args):
     h1 = read_hierarchy_json(args.a)
     h2 = read_hierarchy_json(args.b)
     report = interleaving_distance(h1, h2)
     print(fmt(report.epsilon_star))
-    outputs = []
     if args.out:
         write_json(
             args.out,
             {
-                "epsilon_star": report.epsilon_star,
+                "epsilon_star": _finite_or_null(report.epsilon_star),
                 "candidates": list(report.candidates),
                 "witness": list(report.witness),
             },
         )
-        outputs = [args.out]
-        _write_manifest(args, "interleave", [args.a, args.b], outputs)
+        _write_manifest(args, "interleave", [args.a, args.b], [args.out])
     return 0
 
 
@@ -190,6 +194,9 @@ def cmd_stability(args):
     x = read_space(args.x, args.input_kind)
     y = read_space(args.y, args.input_kind)
     spec = _spec_from_args(args)
+    if spec.cluster == "iso" and spec.delta is None:
+        # one delta for both spaces, at which both threshold graphs are connected
+        spec = replace(spec, delta=max(connectivity_radius(x), connectivity_radius(y)))
 
     def stage(space):
         return cluster_hierarchy(space, spec.cluster, k=spec.k, delta=spec.delta,
@@ -199,7 +206,7 @@ def cmd_stability(args):
     payload = {
         "epsilon": shift.epsilon,
         "interleaving": {
-            "epsilon_star": shift.epsilon_star,
+            "epsilon_star": _finite_or_null(shift.epsilon_star),
             "passed": shift.passed,
         },
     }
@@ -335,8 +342,12 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
     truncated = False
     if not _flattens_finitely(wij):
         if a_min is None:
+            reason = "" if wij == 0.0 else (
+                f"membership {fmt(wij)}, whose flattened loss is not finite on the "
+                "grid, so it counts as "
+            )
             raise ValidationError(
-                f"pair ({i}, {j}) has membership 0; pass --a-min to truncate"
+                f"pair ({i}, {j}) has {reason}membership 0; pass --a-min to truncate"
             )
         if not _flattens_finitely(a_min):
             raise ValidationError(f"--a-min {a_min!r} has no finite flattened loss")
@@ -375,45 +386,23 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
     }
 
 
+OUTPUT_OPTIONS = ("--out", "--embeddings-out", "--manifest", "--trace-out")
+
+
 def cmd_rerun(args):
     manifest = read_json(args.manifest_path)
-    sub = manifest["subcommand"]
-    config = manifest["config"]
-    argv = [sub]
-    store = {a.dest: a for a in _subparser(make_parser(), sub)._actions}
-    for key, value in config.items():
-        if key in ("json_errors",):
-            continue
-        action = store.get(key)
-        if action is None or value is None or not action.option_strings:
-            continue
-        flag = action.option_strings[-1]
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif isinstance(value, (list, tuple)):
-            argv.append(flag)
-            argv.extend(str(v) for v in value)
-        else:
-            argv.append(flag)
-            argv.append(str(value))
+    if "argv" not in manifest:
+        raise ValidationError(f"{args.manifest_path}: manifest has no 'argv' to replay")
+    argv = list(manifest["argv"])
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rewritten = []
-        skip = False
         for idx, token in enumerate(argv):
-            if skip:
-                skip = False
-                if token.startswith("-"):
-                    rewritten.append(token)
-                    continue
-                rewritten.append(str(out_dir / Path(token).name))
-                continue
-            if token in ("--out", "--embeddings-out", "--manifest", "--trace-out"):
-                skip = True
-            rewritten.append(token)
-        argv = rewritten
+            option, eq, path = token.partition("=")
+            if option in OUTPUT_OPTIONS and eq:
+                argv[idx] = f"{option}={out_dir / Path(path).name}"
+            elif option in OUTPUT_OPTIONS and idx + 1 < len(argv):
+                argv[idx + 1] = str(out_dir / Path(argv[idx + 1]).name)
     if args.threads is not None:
         argv += ["--threads", str(args.threads)]
     return dispatch(argv)
@@ -428,7 +417,7 @@ def _common_io(p, infile=True):
         )
     p.add_argument("--manifest", default=None, help="manifest path override")
     p.add_argument("--threads", type=int, default=1,
-                   help="parallelism cap (results never depend on it)")
+                   help="recorded; changes nothing (every computation is sequential)")
     p.add_argument("--json-errors", action="store_true", dest="json_errors")
     p.add_argument("--config", default=None, help="key=value config file")
 
@@ -516,64 +505,67 @@ def make_parser() -> CliParser:
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_rerun)
 
+    parser.subcommands = sub.choices
     return parser
 
 
-def _subparser(parser, subcommand):
-    return parser._subparsers._group_actions[0].choices[subcommand]
+def _expand_config(argv: list[str], subcommands) -> list[str]:
+    """argv with each `--config FILE` replaced by the options the file sets.
 
-
-def _apply_config_file(args, argv):
-    """Fill options from the key=value file named by --config.
-
-    An option spelled out on the command line wins over the file; a key that
-    names no option of the subcommand is an error.
+    A `key=value` line becomes `--key value` (`_` in the key read as `-`); a
+    flag takes `true` (present) or `false` (absent). The file's options go
+    right after the subcommand, so an option on the command line, parsed
+    later, wins over the file.
     """
-    overrides = {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+    at = next((i for i, token in enumerate(argv) if not token.startswith("-")), 0)
+    parser = subcommands.get(argv[at]) if argv else None
+    if parser is None or "--config" not in parser._option_string_actions:
+        return argv
+    options = parser._option_string_actions
+    rest, files = [], []
+    tokens = iter(argv[at + 1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option == "--config":
+            files.append(value if eq else next(tokens, ""))
+        else:
+            rest.append(token)
+    expanded, unknown = [], []
+    for path in files:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+        for line in lines:
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
                 raise ValidationError(f"config line without '=': {line!r}")
-            key, value = line.split("=", 1)
-            overrides[key.strip().replace("-", "_")] = value.strip()
-    parser = make_parser()
-    options = {
-        a.dest: a for a in _subparser(parser, args.subcommand)._actions if a.option_strings
-    }
-    unknown = sorted(set(overrides) - set(options))
+            option = "--" + key.replace("_", "-")
+            action = options.get(option)
+            if action is None or action.dest == "config":
+                unknown.append(key)
+            elif action.nargs != 0:
+                expanded += [option, *(value.split() if action.nargs else [value])]
+            elif value in ("true", "false"):
+                expanded += [option] if value == "true" else []
+            else:
+                raise ValidationError(f"config key {key!r} is a flag: want true or false")
     if unknown:
         raise ValidationError(
-            f"config keys name no option of {args.subcommand!r}: {', '.join(unknown)}"
+            f"config keys name no option of {argv[at]!r}: {', '.join(sorted(unknown))}"
         )
-    # parsed again without defaults, the namespace holds only the given options
-    for action in options.values():
-        action.default = argparse.SUPPRESS
-    given = vars(parser.parse_args(argv))
-    for key, raw in overrides.items():
-        if key in given:
-            continue
-        try:
-            setattr(args, key, (options[key].type or str)(raw))
-        except ValueError as exc:
-            raise ValidationError(f"config key {key!r}: {exc}") from exc
-    return args
+    return argv[: at + 1] + expanded + rest
 
 
 def dispatch(argv) -> int:
     """Parse and execute; exit codes: 0 ok, 1 validation error, 2 numerical failure."""
     parser = make_parser()
+    argv = list(argv)
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args = _apply_config_file(args, argv)
+        argv = _expand_config(argv, parser.subcommands)
+        args = parser.parse_args(argv, argparse.Namespace(argv=argv))
         return args.func(args)
-    except ValidationError as exc:
-        _report_error("validation", exc, argv)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         _report_error("validation", exc, argv)
         return 1
     except NumericalError as exc:
@@ -583,8 +575,6 @@ def dispatch(argv) -> int:
 
 def _report_error(kind, exc, argv):
     if "--json-errors" in argv:
-        import json
-
         print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
     else:
         print(f"coverembed: {kind} error: {exc}", file=sys.stderr)

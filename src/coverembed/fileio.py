@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .covers import HierarchicalCover, hierarchy_from_json, hierarchy_to_json
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .metric import PseudometricSpace, from_matrix, from_points_euclidean, from_sequences_hamming
 from .optimize import Embedding
 
@@ -130,9 +130,13 @@ def write_trace_csv(path, trace):
 
 
 def write_json(path, obj):
+    """Strict JSON: a NaN or infinity raises NumericalError and writes nothing."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):

@@ -4,14 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from coverembed import ValidationError, maximal_linkage, membership_matrix
+from coverembed import (
+    HierarchicalCover,
+    NumericalError,
+    ValidationError,
+    maximal_linkage,
+    membership_matrix,
+)
+from coverembed.algorithms import connectivity_radius
 from coverembed.cli import build_hash, dispatch, flatten_check_report
 from coverembed.fileio import (
+    fmt,
     read_distance_csv,
     read_embedding_csv,
     read_hierarchy_json,
     read_json,
     write_distance_csv,
+    write_hierarchy_json,
+    write_json,
 )
 from coverembed.metric import from_matrix, from_points_euclidean
 
@@ -393,3 +403,203 @@ def test_flatten_check_membership_is_the_maximal_linkage_entry():
                 else:
                     assert flatten_check_report(space, i, j)["membership"] == w[i, j]
     assert membership_matrix(maximal_linkage(spaces[0])).w[0, 3] == 0.0
+
+
+BENCH_TINY = ["--n", "3", "--m-steps", "3", "--len", "30", "--subs", "3",
+              "--reps", "1", "--seed", "1", "--max-iters", "30"]
+
+
+def test_config_flag_false_leaves_verbose_off_and_replays(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("verbose=false\njson_errors=false\n")
+    argv = ["bench-dna", *BENCH_TINY, "--out", str(out), "--config", str(cfg)]
+    assert dispatch(argv) == 0
+    assert "rep 0" not in capsys.readouterr().err
+    manifest = read_json(str(out) + ".manifest.json")
+    assert manifest["config"]["verbose"] is False
+    assert "--verbose" not in manifest["argv"] and "--config" not in manifest["argv"]
+    assert dispatch(["rerun", str(out) + ".manifest.json",
+                     "--out-dir", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "bench.csv").read_bytes() == out.read_bytes()
+    cfg.write_text("verbose=true\n")
+    assert dispatch(argv) == 0
+    assert "rep 0" in capsys.readouterr().err
+    for value in ("yes", "False", "1", ""):
+        cfg.write_text(f"verbose={value}\n")
+        assert dispatch(argv) == 1
+        assert "want true or false" in capsys.readouterr().err
+
+
+def test_rerun_replays_after_the_config_file_is_deleted(dist_csv, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=3\nmax_iters=40\n")
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--algo", "mmds", "--in", str(dist_csv),
+                     "--out", str(out), "--config", str(cfg)]) == 0
+    cfg.unlink()
+    assert dispatch(["rerun", str(out) + ".manifest.json",
+                     "--out-dir", str(tmp_path / "again")]) == 0
+    assert read_json(str(out) + ".manifest.json")["argv"] == [
+        "embed", "--m", "3", "--max-iters", "40", "--algo", "mmds",
+        "--in", str(dist_csv), "--out", str(out),
+    ]
+    again = tmp_path / "again" / "emb.csv"
+    assert again.read_bytes() == out.read_bytes()
+    assert read_embedding_csv(again).coords.shape == (3, 3)
+
+
+def test_json_errors_from_a_config_file_gives_a_json_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0,1\n2,0\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("json_errors=true\n")
+    assert dispatch(["embed", "--algo", "mmds", "--in", str(bad),
+                     "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "validation"
+
+
+def test_config_keys_are_option_names(dist_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"in={dist_csv}\nalgo=mmds\nm=1\n")
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--out", str(out), "--config", str(cfg)]) == 0
+    assert read_embedding_csv(out).coords.shape == (3, 1)
+    cfg.write_text("len=20\npair=0 2\n")
+    bench = tmp_path / "bench.csv"
+    assert dispatch(["bench-dna", *BENCH_TINY, "--out", str(bench), "--config", str(cfg)]) == 1
+    assert "no option of 'bench-dna': pair" in capsys.readouterr().err
+    cfg.write_text("len=20\n")
+    assert dispatch(["bench-dna", *BENCH_TINY, "--out", str(bench), "--config", str(cfg)]) == 0
+    # the command line's --len 30 wins over the file
+    assert read_json(str(bench) + ".manifest.json")["config"]["length"] == 30
+    without_len = BENCH_TINY[:4] + BENCH_TINY[6:]
+    assert dispatch(["bench-dna", *without_len,
+                     "--out", str(bench), "--config", str(cfg)]) == 0
+    assert read_json(str(bench) + ".manifest.json")["config"]["length"] == 20
+    # a key is an option name, not the name it is stored under
+    for text in ("length=20\n", f"infile={dist_csv}\n"):
+        cfg.write_text(text)
+        assert dispatch(["bench-dna", *BENCH_TINY, "--out", str(bench),
+                         "--config", str(cfg)]) == 1
+        assert "no option of 'bench-dna'" in capsys.readouterr().err
+    cfg.write_text("pair=0 2\n")
+    fc = tmp_path / "fc.json"
+    assert dispatch(["flatten-check", "--in", str(dist_csv), "--out", str(fc),
+                     f"--config={cfg}"]) == 0
+    assert read_json(fc)["pair"] == [0, 2]
+
+
+def test_rerun_redirects_every_output_spelling_under_out_dir(dist_csv, tmp_path):
+    out = tmp_path / "emb.csv"
+    trace = tmp_path / "trace.csv"
+    manifest = tmp_path / "run.json"
+    assert dispatch(["embed", "--algo", "sls", "--in", str(dist_csv), f"--out={out}",
+                     "--trace-out", str(trace), f"--manifest={manifest}"]) == 0
+    written = {path: path.read_bytes() for path in (out, trace)}
+    for path in (out, trace):
+        path.write_text("original\n")
+    again = tmp_path / "again"
+    assert dispatch(["rerun", str(manifest), "--out-dir", str(again)]) == 0
+    for path, data in written.items():
+        assert (again / path.name).read_bytes() == data
+        assert path.read_text() == "original\n"
+    argv = read_json(again / "run.json")["argv"]
+    assert f"--out={again / 'emb.csv'}" in argv and str(again / "trace.csv") in argv
+
+
+def test_an_abbreviated_option_exits_one(dist_csv, tmp_path):
+    trace = tmp_path / "trace.csv"
+    assert dispatch(["embed", "--algo", "sls", "--in", str(dist_csv),
+                     "--out", str(tmp_path / "emb.csv"), "--trac", str(trace)]) == 1
+    assert not trace.exists()
+
+
+def test_rerun_of_a_manifest_without_argv_exits_one(dist_csv, tmp_path, capsys):
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--algo", "mmds", "--in", str(dist_csv), "--out", str(out)]) == 0
+    manifest = read_json(str(out) + ".manifest.json")
+    del manifest["argv"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert dispatch(["rerun", str(old), "--out-dir", str(tmp_path / "again")]) == 1
+    assert "no 'argv'" in capsys.readouterr().err
+    assert not (tmp_path / "again" / "emb.csv").exists()
+
+
+def test_rerun_of_interleave_is_byte_identical(dist_csv, tmp_path):
+    h1 = tmp_path / "h1.json"
+    h2 = tmp_path / "h2.json"
+    assert dispatch(["cluster", "--functor", "sl", "--in", str(dist_csv), "--out", str(h1)]) == 0
+    assert dispatch(["cluster", "--functor", "ml", "--in", str(dist_csv), "--out", str(h2)]) == 0
+    out = tmp_path / "il.json"
+    assert dispatch(["interleave", "--a", str(h1), "--b", str(h2), "--out", str(out)]) == 0
+    for threads in ("1", "4"):
+        again = tmp_path / f"again{threads}"
+        assert dispatch(["rerun", str(out) + ".manifest.json", "--out-dir", str(again),
+                         "--threads", threads]) == 0
+        assert (again / "il.json").read_bytes() == out.read_bytes()
+
+
+def test_stability_isomap_defaults_delta_to_the_larger_connectivity_radius(tmp_path):
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(0, 2, size=(6, 2))
+    x, y = from_points_euclidean(pts), from_points_euclidean(pts + rng.uniform(-0.1, 0.1, (6, 2)))
+    assert connectivity_radius(x) != connectivity_radius(y)
+    paths = []
+    for name, space in (("x.csv", x), ("y.csv", y)):
+        paths += [tmp_path / name]
+        write_distance_csv(paths[-1], space)
+    argv = ["stability", "--algo", "isomap", "--x", str(paths[0]), "--y", str(paths[1])]
+    delta = max(connectivity_radius(x), connectivity_radius(y))
+    assert dispatch(argv + ["--out", str(tmp_path / "default.json")]) == 0
+    assert dispatch(argv + ["--out", str(tmp_path / "explicit.json"),
+                            "--delta", fmt(delta)]) == 0
+    default = (tmp_path / "default.json").read_bytes()
+    assert default == (tmp_path / "explicit.json").read_bytes()
+    assert "loss_transfer" in json.loads(default)
+
+
+def _no_constants(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def test_interleave_writes_an_infinite_epsilon_star_as_null(tmp_path, capsys):
+    h = maximal_linkage(from_matrix(CHAIN))
+    paths = [tmp_path / "ml.json", tmp_path / "head.json"]
+    write_hierarchy_json(paths[0], h)
+    write_hierarchy_json(paths[1], HierarchicalCover(3, h.scales[:2], h.covers[:2]))
+    out = tmp_path / "il.json"
+    capsys.readouterr()
+    assert dispatch(["interleave", "--a", str(paths[0]), "--b", str(paths[1]),
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out.strip() == "inf"
+    report = json.loads(out.read_text(), parse_constant=_no_constants)
+    assert report["epsilon_star"] is None and report["witness"][2] is None
+    manifest = str(out) + ".manifest.json"
+    json.loads(open(manifest).read(), parse_constant=_no_constants)
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    for value in (math.inf, -math.inf, math.nan):
+        path = tmp_path / "x.json"
+        with pytest.raises(NumericalError, match="not JSON compliant"):
+            write_json(path, {"a": [1.0, value]})
+        assert not path.exists()
+    write_json(path, {"a": [1.0, None]})
+    assert json.loads(path.read_text(), parse_constant=_no_constants) == {"a": [1.0, None]}
+
+
+def test_flatten_check_names_a_positive_membership_it_rejects(tmp_path, capsys):
+    path = tmp_path / "far.csv"
+    write_distance_csv(path, from_matrix([[0, 700.0], [700.0, 0]]))
+    capsys.readouterr()
+    assert dispatch(["flatten-check", "--in", str(path), "--pair", "0", "1"]) == 1
+    err = capsys.readouterr().err
+    assert (f"pair (0, 1) has membership {fmt(math.exp(-700.0))}, whose flattened loss "
+            "is not finite on the grid, so it counts as membership 0; pass --a-min") in err
+    with pytest.raises(ValidationError) as exc:
+        flatten_check_report(from_matrix([[0, 800.0], [800.0, 0]]), 0, 1)
+    assert str(exc.value) == "pair (0, 1) has membership 0; pass --a-min to truncate"
