@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covers import MembershipMatrix, membership_matrix, target_distances
+from .covers import MembershipMatrix, target_distances
 from .errors import ValidationError
-from .functors import fuzzy_union_membership, geodesic_metric, vl_k_linkage
-from .graphs import bottleneck_matrix, geodesic_matrix, hop_bounded_minimax, prim_mst
-from .loss import StressProblem, fce_problem, mds_stress_problem
+from .functors import check_stage, first_cooccurrence, fuzzy_union_membership
+from .functors import connectivity_radius  # noqa: F401 (re-exported)
+from .loss import StressProblem, check_policy, fce_problem, mds_stress_problem
 from .metric import PseudometricSpace
 from .optimize import Embedding, MinimizeResult, OptimizerConfig, minimize
 
@@ -35,18 +35,12 @@ class PipelineSpec:
     delta: float | None = None
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     policy: str = "cap"
-    cap_factor: float = 3.0
-    fce_clamp: float = 1e-6
 
     def __post_init__(self):
-        from .functors import CLUSTER_STAGES
-
-        if self.cluster not in CLUSTER_STAGES:
-            raise ValidationError(f"unknown clustering stage {self.cluster!r}")
+        check_stage(self.cluster, self.k, self.delta)
         if self.loss not in LOSS_STAGES:
             raise ValidationError(f"unknown loss stage {self.loss!r}")
-        if self.cluster in ("lk", "vlk") and (self.k is None or self.k < 1):
-            raise ValidationError(f"stage {self.cluster!r} needs k >= 1")
+        check_policy(self.policy)
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {self.m}")
 
@@ -63,48 +57,35 @@ class PipelineReport:
     trace: tuple[tuple[int, float, float, float], ...]
 
 
-def connectivity_radius(space: PseudometricSpace) -> float:
-    """Smallest threshold at which the threshold graph is connected (MST max edge)."""
-    edges = prim_mst(space.d)
-    return max((w for w, _, _ in edges), default=0.0)
-
-
 def stage_targets(space: PseudometricSpace, spec: PipelineSpec) -> np.ndarray:
-    """Target distances -log(membership) of the clustering stage, closed form.
+    """Target distances of the clustering stage: `functors.first_cooccurrence`.
 
-    Maximal linkage reproduces the input distances exactly; single linkage
-    gives minimax path costs; the remaining stages derive their targets from
-    graph structure as documented on each named pipeline.
+    `iso` pairs in different components stay inf, so the loss's target policy
+    caps or drops them and counts them; "strict" raises DisconnectedError.
     """
-    d = space.d
-    if spec.cluster == "ml":
-        return d.copy()
-    if spec.cluster == "sl":
-        return bottleneck_matrix(d)
-    if spec.cluster == "lk":
-        return hop_bounded_minimax(d, max(1, spec.k - 1))
-    if spec.cluster == "vlk":
-        return target_distances(membership_matrix(vl_k_linkage(space, spec.k)))
-    if spec.cluster == "iso":
-        delta = spec.delta if spec.delta is not None else connectivity_radius(space)
-        if spec.policy == "strict":
-            return geodesic_metric(space, delta, disconnected="error").d.copy()
-        # leave disconnected pairs infinite so the loss policy counts the caps
-        return geodesic_matrix(space.d, delta)
+    disconnected = "error" if spec.policy == "strict" else None
+    return first_cooccurrence(space, spec.cluster, spec.k, spec.delta, disconnected)
+
+
+def build_stage(
+    space: PseudometricSpace, spec: PipelineSpec
+) -> tuple[np.ndarray, MembershipMatrix]:
+    """Target distances and membership matrix of the clustering stage, from one build.
+
+    `fuzzy` keeps its union membership; other stages take exp(-targets).
+    """
     if spec.cluster == "fuzzy":
         w = fuzzy_union_membership(space)
-        return target_distances(w)
-    raise ValidationError(f"unknown clustering stage {spec.cluster!r}")
+        return target_distances(w), w
+    targets = stage_targets(space, spec)
+    w = np.exp(-targets)
+    np.fill_diagonal(w, 1.0)
+    return targets, MembershipMatrix(w)
 
 
 def stage_membership(space: PseudometricSpace, spec: PipelineSpec) -> MembershipMatrix:
     """Membership matrix of the clustering stage (exp of minus the targets)."""
-    if spec.cluster == "fuzzy":
-        return fuzzy_union_membership(space)
-    targets = stage_targets(space, spec)
-    w = np.exp(-targets)
-    np.fill_diagonal(w, 1.0)
-    return MembershipMatrix(w)
+    return build_stage(space, spec)[1]
 
 
 def _summarize_targets(t: np.ndarray, capped: int) -> dict[str, float]:
@@ -122,9 +103,8 @@ def _summarize_targets(t: np.ndarray, capped: int) -> dict[str, float]:
 def build_problem(space: PseudometricSpace, spec: PipelineSpec):
     if spec.loss == "mds":
         targets = stage_targets(space, spec)
-        return mds_stress_problem(targets, spec.m, policy=spec.policy, cap_factor=spec.cap_factor)
-    w = stage_membership(space, spec)
-    return fce_problem(w, spec.m, clamp=spec.fce_clamp)
+        return mds_stress_problem(targets, spec.m, policy=spec.policy)
+    return fce_problem(stage_membership(space, spec), spec.m)
 
 
 def run_pipeline(spec: PipelineSpec, space: PseudometricSpace) -> tuple[Embedding, PipelineReport]:
@@ -182,18 +162,17 @@ def isomap(
     m: int = 2,
     optimizer: OptimizerConfig = OptimizerConfig(),
     policy: str = "strict",
-    cap_factor: float = 3.0,
 ) -> Embedding:
     """Stress minimization against geodesic (shortest-path) distances.
 
-    delta_cap defaults to the smallest threshold connecting the graph.
-    When the geodesic metric does not embed isometrically in R^m (a closed
-    loop in R^1, for example), the stress minimum folds the loop rather than
-    unrolling it.
+    delta_cap defaults to the smallest threshold connecting the graph. Pairs
+    in different components raise DisconnectedError (policy "strict"), are
+    dropped ("drop") or take 3 times the largest finite geodesic ("cap",
+    `covers.cap_disconnected`). When the geodesic metric does not embed
+    isometrically in R^m (a closed loop in R^1, for example), the stress
+    minimum folds the loop rather than unrolling it.
     """
-    spec = PipelineSpec(
-        "iso", "mds", m, delta=delta_cap, optimizer=optimizer, policy=policy, cap_factor=cap_factor
-    )
+    spec = PipelineSpec("iso", "mds", m, delta=delta_cap, optimizer=optimizer, policy=policy)
     return _run(spec, space)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import PipelineSpec, connectivity_radius, run_pipeline
+from .algorithms import PipelineSpec, run_pipeline
 from .covers import MembershipMatrix
 from .dna import BenchConfig, run_bench
 from .errors import NumericalError, ValidationError
@@ -38,8 +38,8 @@ from .fileio import (
     write_json,
     write_trace_csv,
 )
-from .functors import cluster_hierarchy
-from .loss import MdsPairFamily, QuadratureSettings, flatten, mds_fuzzy_family
+from .functors import CLUSTER_STAGES, cluster_hierarchy, connectivity_radius
+from .loss import TARGET_POLICIES, MdsPairFamily, QuadratureSettings, flatten, mds_fuzzy_family
 from .metric import PseudometricSpace
 from .optimize import Embedding, OptimizerConfig
 from .stability import check_interleaving_bound, check_loss_transfer, interleaving_distance
@@ -76,34 +76,26 @@ class CliParser(argparse.ArgumentParser):
 
 
 def _spec_from_args(args) -> PipelineSpec:
-    optimizer = OptimizerConfig(
-        max_iters=args.max_iters, seed=args.seed, init=args.init
-    )
+    optimizer = OptimizerConfig(max_iters=args.max_iters, seed=args.seed, init=args.init)
+    k = args.k
     if args.pipeline:
         fields = dict(part.split("=", 1) for part in args.pipeline.split(","))
         cluster = fields.pop("cluster", None)
         loss = fields.pop("loss", "mds")
         if cluster is None or fields:
-            raise ValidationError(
-                "--pipeline wants 'cluster=STAGE,loss=STAGE'"
-            )
-        return PipelineSpec(
-            cluster, loss, args.m, k=args.k, delta=args.delta,
-            optimizer=optimizer, policy=args.policy,
-        )
-    if args.algo is None:
+            raise ValidationError("--pipeline wants 'cluster=STAGE,loss=STAGE'")
+    elif args.algo is None:
         raise ValidationError("need --algo or --pipeline")
-    if args.algo not in ALGO_TABLE:
-        raise ValidationError(f"unknown algorithm {args.algo!r}")
-    cluster, loss, k_rule = ALGO_TABLE[args.algo]
-    k = None
-    if k_rule is not None:
-        if args.k is None:
+    else:  # argparse's choices keep --algo in ALGO_TABLE
+        cluster, loss, k_rule = ALGO_TABLE[args.algo]
+        if k_rule is None:
+            k = None
+        elif args.k is None:
             raise ValidationError(f"algorithm {args.algo!r} needs --k")
-        k = args.k + 1 if k_rule == "hops" else args.k
+        elif k_rule == "hops":
+            k = args.k + 1
     return PipelineSpec(
-        cluster, loss, args.m, k=k, delta=args.delta,
-        optimizer=optimizer, policy=args.policy,
+        cluster, loss, args.m, k=k, delta=args.delta, optimizer=optimizer, policy=args.policy
     )
 
 
@@ -430,7 +422,7 @@ def _algo_flags(p):
     p.add_argument("--m", type=int, default=2, help="embedding dimension")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--policy", choices=("strict", "cap", "drop"), default="cap")
+    p.add_argument("--policy", choices=TARGET_POLICIES, default="cap")
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init", choices=("classical", "random"), default="classical")
@@ -450,7 +442,7 @@ def make_parser() -> CliParser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("cluster", help="write a hierarchical cover as JSON")
-    p.add_argument("--functor", required=True, choices=("sl", "ml", "lk", "vlk", "iso", "fuzzy"))
+    p.add_argument("--functor", required=True, choices=CLUSTER_STAGES)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--policy", choices=("strict", "cap"), default="strict")

@@ -214,6 +214,13 @@ def target_distances(m: MembershipMatrix) -> np.ndarray:
     return d
 
 
+def cap_disconnected(t: np.ndarray) -> np.ndarray:
+    """`t` with each inf entry set to 3 times its largest finite entry: the one cap
+    rule for pairs that never share a block, of every "cap" policy."""
+    finite = np.isfinite(t)
+    return np.where(finite, t, 3.0 * t[finite].max(initial=0.0))
+
+
 def cover_to_json(cover: Cover) -> dict:
     return {"n": cover.n, "blocks": [list(b) for b in cover.blocks]}
 

@@ -1,24 +1,27 @@
-"""Hierarchical overlapping clustering constructors.
+"""Hierarchical overlapping clustering constructors: the one stage table.
 
-Each constructor maps a pseudometric space to a HierarchicalCover through one
-threshold scan: at every distinct finite value delta of a first-co-occurrence
-matrix, the blocks of the graph whose edges are the pairs at matrix entry
-<= delta (edges take effect exactly at their value). The six constructors
-differ only in the matrix scanned and in how graph structure becomes blocks:
+A clustering stage is described by its first-co-occurrence matrix, the least
+scale at which each pair of points shares a block (`first_cooccurrence`);
+`check_stage` is the one check of a stage's parameters (k, delta). Each
+stage's hierarchy is one threshold scan: at every distinct finite value delta
+of the scanned matrix, the blocks of the graph whose edges are the pairs at
+matrix entry <= delta (edges take effect exactly at their value):
 
-  single_linkage   bottleneck matrix       connected components
-  maximal_linkage  d                       maximal cliques
-  l_k_linkage      hop-bounded minimax     maximal cliques
-  vl_k_linkage     d                       maximal k-vertex-connected subgraphs
-  iso_cluster      geodesic metric         maximal cliques
-  fuzzy_simplex    -log fuzzy membership   maximal cliques
+  sl     single_linkage   bottleneck matrix       connected components
+  ml     maximal_linkage  d                       maximal cliques
+  lk     l_k_linkage      hop-bounded minimax     maximal cliques
+  vlk    vl_k_linkage     d                       maximal k-vertex-connected subgraphs
+  iso    iso_cluster      geodesic metric         maximal cliques
+  fuzzy  fuzzy_simplex    -log fuzzy membership   maximal cliques
 
-Single linkage scans the bottleneck matrix, whose distinct values are the
-n-1 merge heights of the minimum spanning tree, so it builds at most n
-threshold graphs instead of one per distinct distance.
+Except for `vlk`, the scanned matrix is the first-co-occurrence matrix. The
+bottleneck matrix's distinct values are the n-1 merge heights of the minimum
+spanning tree, so `sl` builds at most n threshold graphs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,7 +29,9 @@ from .covers import (
     HierarchicalCover,
     MembershipMatrix,
     build_hierarchy,
+    cap_disconnected,
     make_cover,
+    membership_matrix,
     target_distances,
 )
 from .errors import DisconnectedError, ValidationError
@@ -38,9 +43,27 @@ from .graphs import (
     hop_bounded_minimax,
     max_cliques,
     maximal_j_connected_sets,
+    prim_mst,
     threshold_neighbors,
 )
 from .metric import PseudometricSpace
+
+CLUSTER_STAGES = ("sl", "ml", "lk", "vlk", "iso", "fuzzy")
+
+
+def check_stage(stage: str, k: int | None = None, delta: float | None = None) -> None:
+    """The one parameter check of every clustering entry point (ValidationError)."""
+    if stage not in CLUSTER_STAGES:
+        raise ValidationError(f"unknown clustering stage {stage!r}")
+    if stage in ("lk", "vlk") and (k is None or k < 1):
+        raise ValidationError(f"stage {stage!r} needs parameter k >= 1, got {k!r}")
+    if delta is not None and not (math.isfinite(delta) and delta >= 0):
+        raise ValidationError(f"delta must be finite and nonnegative, got {delta!r}")
+
+
+def connectivity_radius(space: PseudometricSpace) -> float:
+    """Smallest threshold at which the threshold graph is connected (MST max edge)."""
+    return max((w for w, _, _ in prim_mst(space.d)), default=0.0)
 
 
 def _threshold_hierarchy(dist: np.ndarray, blocks_of=max_cliques) -> HierarchicalCover:
@@ -60,6 +83,66 @@ def _threshold_hierarchy(dist: np.ndarray, blocks_of=max_cliques) -> Hierarchica
     return build_hierarchy(n, staged)
 
 
+def cluster_hierarchy(
+    space: PseudometricSpace,
+    stage: str,
+    k: int | None = None,
+    delta: float | None = None,
+    disconnected: str = "error",
+) -> HierarchicalCover:
+    """The hierarchical cover of a clustering stage, by name.
+
+    Every stage but `vlk` scans its first-co-occurrence matrix, so its
+    membership matrix is exp(-first_cooccurrence). `iso` without delta takes
+    the connectivity radius; `disconnected` is its policy for pairs in
+    different components: "error" raises, "cap" applies `cap_disconnected`.
+    """
+    if stage == "vlk":
+        check_stage(stage, k, delta)
+        j = min(space.n, k)
+        return _threshold_hierarchy(space.d, lambda nb: maximal_j_connected_sets(nb, j))
+    d = first_cooccurrence(space, stage, k, delta, disconnected)
+    return _threshold_hierarchy(d, connected_components if stage == "sl" else max_cliques)
+
+
+def first_cooccurrence(
+    space: PseudometricSpace,
+    stage: str,
+    k: int | None = None,
+    delta: float | None = None,
+    disconnected: str | None = "error",
+) -> np.ndarray:
+    """The stage's first-co-occurrence matrix, inf for pairs that never share a block.
+
+    Parameters are those of `cluster_hierarchy`; `disconnected` None leaves
+    `iso` pairs in different components inf.
+    """
+    check_stage(stage, k, delta)
+    if stage == "sl":
+        return bottleneck_matrix(space.d)
+    if stage == "ml":
+        return space.d.copy()
+    if stage == "lk":
+        return hop_bounded_minimax(space.d, max(1, k - 1))
+    if stage == "vlk":
+        return target_distances(membership_matrix(cluster_hierarchy(space, stage, k)))
+    if stage == "fuzzy":
+        return target_distances(fuzzy_union_membership(space))
+    # iso: the geodesic metric of the threshold graph at delta
+    if disconnected not in ("error", "cap", None):
+        raise ValidationError(f"unknown disconnection policy {disconnected!r}")
+    delta = connectivity_radius(space) if delta is None else delta
+    g = geodesic_matrix(space.d, delta)
+    if disconnected is None or np.isfinite(g).all():
+        return g
+    if disconnected == "cap":
+        return cap_disconnected(g)
+    comps = components_of_inf(g)
+    raise DisconnectedError(
+        f"threshold graph at {delta!r} has {len(comps)} components: {comps}", components=comps
+    )
+
+
 def single_linkage(space: PseudometricSpace) -> HierarchicalCover:
     """Blocks at scale delta are the connected components of the threshold graph.
 
@@ -67,12 +150,12 @@ def single_linkage(space: PseudometricSpace) -> HierarchicalCover:
     n-1 merge heights of the minimum spanning tree, not every distinct
     distance.
     """
-    return _threshold_hierarchy(bottleneck_matrix(space.d), connected_components)
+    return cluster_hierarchy(space, "sl")
 
 
 def maximal_linkage(space: PseudometricSpace) -> HierarchicalCover:
     """Blocks at scale delta are the maximal cliques of the threshold graph."""
-    return _threshold_hierarchy(space.d)
+    return cluster_hierarchy(space, "ml")
 
 
 def l_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
@@ -83,9 +166,7 @@ def l_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
     and k >= n reproduces single linkage. This is the one k convention of the
     library: `PipelineSpec.k` and `k_path_scaling` translate to it.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    return _threshold_hierarchy(hop_bounded_minimax(space.d, max(1, k - 1)))
+    return cluster_hierarchy(space, "lk", k=k)
 
 
 def vl_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
@@ -95,56 +176,31 @@ def vl_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
     k-vertex-connected for every k, so k >= n reproduces maximal linkage and
     k = 1 reproduces single linkage.
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    j = min(space.n, k)
-    return _threshold_hierarchy(
-        space.d, lambda neighbors: maximal_j_connected_sets(neighbors, j)
-    )
+    return cluster_hierarchy(space, "vlk", k=k)
 
 
 def geodesic_metric(
-    space: PseudometricSpace,
-    delta_cap: float,
-    disconnected: str = "error",
-    cap_factor: float = 3.0,
+    space: PseudometricSpace, delta_cap: float | None, disconnected: str = "error"
 ) -> PseudometricSpace:
-    """Shortest-path metric of the weighted threshold graph at delta_cap.
+    """Shortest-path metric of the weighted threshold graph at delta_cap: the `iso`
+    stage's first-co-occurrence matrix (delta_cap None: the connectivity radius).
 
-    Pairs in different components either raise (policy "error") or are capped
-    at cap_factor times the largest finite geodesic (policy "cap").
+    Pairs in different components either raise (policy "error") or take the
+    cap rule `cap_disconnected`, 3 times the largest finite geodesic ("cap").
     """
-    if delta_cap < 0:
-        raise ValidationError(f"delta_cap must be nonnegative, got {delta_cap!r}")
-    if disconnected not in ("error", "cap"):
-        raise ValidationError(f"unknown disconnection policy {disconnected!r}")
-    g = geodesic_matrix(space.d, delta_cap)
-    if not np.isfinite(g).all():
-        if disconnected == "error":
-            comps = components_of_inf(g)
-            raise DisconnectedError(
-                f"threshold graph at {delta_cap!r} has {len(comps)} components: "
-                f"{comps}",
-                components=comps,
-            )
-        finite_max = g[np.isfinite(g)].max()
-        g = np.where(np.isfinite(g), g, cap_factor * finite_max)
-        np.fill_diagonal(g, 0.0)
+    g = first_cooccurrence(space, "iso", delta=delta_cap, disconnected=disconnected)
     return PseudometricSpace(g, space.labels)
 
 
 def iso_cluster(
-    space: PseudometricSpace,
-    delta_cap: float,
-    disconnected: str = "error",
-    cap_factor: float = 3.0,
+    space: PseudometricSpace, delta_cap: float | None, disconnected: str = "error"
 ) -> HierarchicalCover:
     """Maximal linkage over the geodesic metric at delta_cap.
 
     The membership matrix is then exp(-geodesic distance), so a stress loss
     over its target distances is the IsoMap objective.
     """
-    return _threshold_hierarchy(geodesic_metric(space, delta_cap, disconnected, cap_factor).d)
+    return cluster_hierarchy(space, "iso", delta=delta_cap, disconnected=disconnected)
 
 
 def fuzzy_union_membership(space: PseudometricSpace) -> MembershipMatrix:
@@ -174,36 +230,3 @@ def fuzzy_simplex(space: PseudometricSpace) -> tuple[HierarchicalCover, Membersh
     """
     membership = fuzzy_union_membership(space)
     return _threshold_hierarchy(target_distances(membership)), membership
-
-
-CLUSTER_STAGES = ("sl", "ml", "lk", "vlk", "iso", "fuzzy")
-
-
-def cluster_hierarchy(
-    space: PseudometricSpace,
-    stage: str,
-    k: int | None = None,
-    delta: float | None = None,
-    disconnected: str = "error",
-    cap_factor: float = 3.0,
-) -> HierarchicalCover:
-    """Dispatch a clustering stage by name (the CLI `cluster` entry point)."""
-    if stage == "sl":
-        return single_linkage(space)
-    if stage == "ml":
-        return maximal_linkage(space)
-    if stage == "lk":
-        if k is None:
-            raise ValidationError("stage 'lk' needs parameter k")
-        return l_k_linkage(space, k)
-    if stage == "vlk":
-        if k is None:
-            raise ValidationError("stage 'vlk' needs parameter k")
-        return vl_k_linkage(space, k)
-    if stage == "iso":
-        if delta is None:
-            raise ValidationError("stage 'iso' needs parameter delta")
-        return iso_cluster(space, delta, disconnected, cap_factor)
-    if stage == "fuzzy":
-        return fuzzy_simplex(space)[0]
-    raise ValidationError(f"unknown clustering stage {stage!r}")

@@ -18,10 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .covers import HierarchicalCover, MembershipMatrix, membership_matrix
+from .covers import (
+    HierarchicalCover,
+    MembershipMatrix,
+    cap_disconnected,
+    membership_matrix,
+    target_distances,
+)
 from .errors import ValidationError
 
 FCE_CLAMP_DEFAULT = 1e-6
+TARGET_POLICIES = ("strict", "cap", "drop")
 
 
 # -- parametric scalar forms ---------------------------------------------------
@@ -106,17 +113,6 @@ class Form:
 ZERO_FORM = Form("zero")
 
 
-def form_from_json(obj) -> Form:
-    return Form(
-        kind=obj["kind"],
-        a=float(obj.get("a", 0.0)),
-        b=float(obj.get("b", 0.0)),
-        lin=float(obj.get("lin", 0.0)),
-        bar=float(obj.get("bar", 0.0)),
-        clamp=float(obj.get("clamp", FCE_CLAMP_DEFAULT)),
-    )
-
-
 def _form_leq(f: Form, g: Form, xs: np.ndarray) -> bool:
     """f <= g on the sampled range; exact endpoint test for polynomial forms."""
     if f.is_polynomial() and g.is_polynomial():
@@ -140,23 +136,6 @@ class LossObject:
     def pair(self, i: int, j: int) -> tuple[Form, Form]:
         key = (min(i, j), max(i, j))
         return self.terms.get(key, (ZERO_FORM, ZERO_FORM))
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [
-                {"i": i, "j": j, "c": c.to_json(), "e": e.to_json()}
-                for (i, j), (c, e) in sorted(self.terms.items())
-            ],
-        }
-
-
-def loss_object_from_json(obj) -> LossObject:
-    terms = {
-        (int(t["i"]), int(t["j"])): (form_from_json(t["c"]), form_from_json(t["e"]))
-        for t in obj["terms"]
-    }
-    return LossObject(int(obj["n"]), terms)
 
 
 @dataclass(frozen=True)
@@ -449,7 +428,14 @@ def pairwise_distances(a: np.ndarray) -> np.ndarray:
     return d
 
 
-def _apply_target_policy(targets: np.ndarray, policy: str, cap_factor: float):
+def check_policy(policy: str) -> None:
+    """Reject a target policy other than "strict", "cap" or "drop"."""
+    if policy not in TARGET_POLICIES:
+        raise ValidationError(f"unknown target policy {policy!r}")
+
+
+def _apply_target_policy(targets: np.ndarray, policy: str):
+    check_policy(policy)
     t = np.array(targets, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValidationError(f"target matrix must be square, got {t.shape}")
@@ -470,16 +456,11 @@ def _apply_target_policy(targets: np.ndarray, policy: str, cap_factor: float):
                 f"infinite target at ({i}, {j}); choose policy 'cap' or 'drop'"
             )
         if policy == "cap":
-            finite = t[np.isfinite(t)]
-            cap = cap_factor * (finite.max() if finite.size else 1.0)
-            t[infinite] = cap
+            t = cap_disconnected(t)
             capped = int(infinite.sum() // 2)
-        elif policy == "drop":
+        else:
             weights[infinite] = 0.0
             t[infinite] = 0.0
-            capped = 0
-        else:
-            raise ValidationError(f"unknown target policy {policy!r}")
     return t, weights, capped
 
 
@@ -492,8 +473,8 @@ class StressProblem:
 
     kind = "stress"
 
-    def __init__(self, targets, m: int, policy: str = "strict", cap_factor: float = 3.0):
-        t, weights, capped = _apply_target_policy(targets, policy, cap_factor)
+    def __init__(self, targets, m: int, policy: str = "strict"):
+        t, weights, capped = _apply_target_policy(targets, policy)
         self.targets = t
         self.weights = weights
         self.capped_pairs = capped
@@ -532,6 +513,7 @@ class CrossEntropyProblem:
     def __init__(self, w: MembershipMatrix, m: int, clamp: float = FCE_CLAMP_DEFAULT):
         if not 0.0 < clamp < 0.5:
             raise ValidationError(f"clamp must lie in (0, 0.5), got {clamp!r}")
+        self.membership = w
         self.w = w.w
         self.n = w.n
         self.m = int(m)
@@ -570,22 +552,12 @@ class CrossEntropyProblem:
         return 2.0 * (coeff.sum(axis=1)[:, None] * a - coeff @ a)
 
     def init_targets(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            t = -np.log(self.w)
-        np.fill_diagonal(t, 0.0)
-        if not np.isfinite(t).all():
-            finite = t[np.isfinite(t)]
-            cap = 3.0 * (float(finite.max()) if finite.size else 1.0)
-            t = np.where(np.isfinite(t), t, cap)
-            np.fill_diagonal(t, 0.0)
-        return t
+        return cap_disconnected(target_distances(self.membership))
 
 
-def mds_stress_problem(
-    targets, m: int, policy: str = "strict", cap_factor: float = 3.0
-) -> StressProblem:
+def mds_stress_problem(targets, m: int, policy: str = "strict") -> StressProblem:
     """Stress problem over derived target distances (possibly with inf entries)."""
-    return StressProblem(targets, m, policy, cap_factor)
+    return StressProblem(targets, m, policy)
 
 
 def fce_problem(

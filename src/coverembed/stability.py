@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import PipelineSpec, run_pipeline, stage_membership
+from .algorithms import PipelineSpec, build_stage
 from .covers import HierarchicalCover, refines
 from .errors import ValidationError
-from .loss import MdsPairFamily, pairwise_distances
+from .loss import MdsPairFamily, mds_stress_problem, pairwise_distances
 from .metric import PseudometricSpace, isometry_epsilon
+from .optimize import minimize
 
 
 @dataclass(frozen=True)
@@ -122,40 +123,34 @@ def check_loss_transfer(
 ) -> StabilityReport:
     """Certified loss-transfer bound for a stress-family pipeline on eps-isometric inputs.
 
-    Optimizes both spaces, evaluates X's objective at Y's embedding, and
-    checks it against the X-optimum plus K_c * n^2 * (1 - exp(-eps)), where
-    K_c is twice the exact supremum of the family's contractive term over
-    strengths and over distances in [0, radius]. The expansive term of a
-    stress family is constant in the distance, so the tighter bound (no K_e
-    term) applies; K_e is still certified and reported.
+    Builds each space's clustering stage once, optimizes both spaces,
+    evaluates X's objective at Y's embedding, and checks it against the
+    X-optimum plus K_c * n^2 * (1 - exp(-eps)), where K_c is twice the exact
+    supremum of the family's contractive term over strengths and over
+    distances in [0, radius]. The expansive term of a stress family is
+    constant in the distance, so the tighter bound (no K_e term) applies; K_e
+    is still certified and reported.
     """
     if spec.loss != "mds":
         raise ValidationError("the loss-transfer checker needs a stress-family pipeline")
     if x.n != y.n:
         raise ValidationError(f"size mismatch: {x.n} vs {y.n}")
     eps = isometry_epsilon(x, y)
-    emb_x, _ = run_pipeline(spec, x)
-    emb_y, _ = run_pipeline(spec, y)
-    from .algorithms import build_problem
-
-    problem_x = build_problem(x, spec)
-    loss_base = problem_x.loss(emb_x.coords)
-    loss_cross = problem_x.loss(emb_y.coords)
+    stages = [build_stage(space, spec) for space in (x, y)]
+    problems = [mds_stress_problem(t, spec.m, policy=spec.policy) for t, _ in stages]
+    emb_x, emb_y = (minimize(p, spec.optimizer).embedding.coords for p in problems)
+    loss_base = problems[0].loss(emb_x)
+    loss_cross = problems[0].loss(emb_y)
     if radius is None:
-        r = float(
-            max(
-                pairwise_distances(emb_x.coords).max(initial=0.0),
-                pairwise_distances(emb_y.coords).max(initial=0.0),
-            )
-        ) * 1.1
+        r = float(max(pairwise_distances(e).max(initial=0.0) for e in (emb_x, emb_y))) * 1.1
     else:
         r = float(radius)
     if r <= 0:
         raise ValidationError(f"evaluation radius must be positive, got {r!r}")
+    n = x.n
     w_min = 1.0
-    for space in (x, y):
-        w = stage_membership(space, spec).w
-        off = w[~np.eye(w.shape[0], dtype=bool)]
+    for _, membership in stages:
+        off = membership.w[~np.eye(n, dtype=bool)]
         positive = off[off > 0]
         if positive.size == 0:
             raise ValidationError("no co-clustering strength to certify against")
@@ -163,7 +158,6 @@ def check_loss_transfer(
     family = MdsPairFamily(w_min)
     k_c = 2.0 * family.sup_abs_c(r)
     k_e = 2.0 * family.sup_abs_e()
-    n = x.n
     bound = loss_base + k_c * n * n * (1.0 - math.exp(-eps))
     passed = loss_cross <= bound + rel_slack * max(1.0, abs(bound))
     return StabilityReport(

@@ -3,7 +3,7 @@
 Everything here enumerates: components by flood fill over explicit edge
 lists, cliques and k-connected sets by subset enumeration, path costs by
 walking every simple path. Exponential, fine for n <= 7. Hand-built loss
-families for tests live here too.
+families and the JSON round trip of loss objects for tests live here too.
 """
 
 from itertools import combinations, permutations
@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from coverembed import ValidationError
-from coverembed.loss import Form
+from coverembed.loss import FCE_CLAMP_DEFAULT, Form, LossObject
 
 
 def threshold_edges(d, delta):
@@ -260,3 +260,32 @@ def reference_threshold_hierarchy(d, blocks_of):
         if len(blocks) == 1:
             break
     return build_hierarchy(n, staged)
+
+
+def form_from_json(obj) -> Form:
+    return Form(
+        kind=obj["kind"],
+        a=float(obj.get("a", 0.0)),
+        b=float(obj.get("b", 0.0)),
+        lin=float(obj.get("lin", 0.0)),
+        bar=float(obj.get("bar", 0.0)),
+        clamp=float(obj.get("clamp", FCE_CLAMP_DEFAULT)),
+    )
+
+
+def loss_object_to_json(obj: LossObject) -> dict:
+    return {
+        "n": obj.n,
+        "terms": [
+            {"i": i, "j": j, "c": c.to_json(), "e": e.to_json()}
+            for (i, j), (c, e) in sorted(obj.terms.items())
+        ],
+    }
+
+
+def loss_object_from_json(obj) -> LossObject:
+    terms = {
+        (int(t["i"]), int(t["j"])): (form_from_json(t["c"]), form_from_json(t["e"]))
+        for t in obj["terms"]
+    }
+    return LossObject(int(obj["n"]), terms)

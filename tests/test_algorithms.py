@@ -369,3 +369,20 @@ def test_stage_membership_consistency():
         w = stage_membership(space, s).w
         t = stage_targets(space, s)
         assert np.allclose(w, np.exp(-t), atol=1e-12)
+
+
+def test_unknown_target_policy_is_rejected_up_front():
+    with pytest.raises(ValidationError, match="target policy"):
+        PipelineSpec("ml", policy="typo")
+    # finite targets never reach the infinite-entry branch, and still fail
+    with pytest.raises(ValidationError, match="target policy"):
+        mds_stress_problem(CHAIN.d, 1, policy="typo")
+
+
+def test_bad_delta_is_rejected_for_every_stage():
+    for delta in (-1.0, float("nan"), float("inf"), -float("inf")):
+        for cluster in ("iso", "ml"):
+            with pytest.raises(ValidationError, match="delta"):
+                PipelineSpec(cluster, delta=delta)
+        with pytest.raises(ValidationError, match="delta"):
+            isomap(CHAIN, delta_cap=delta, m=1)

@@ -603,3 +603,23 @@ def test_flatten_check_names_a_positive_membership_it_rejects(tmp_path, capsys):
     with pytest.raises(ValidationError) as exc:
         flatten_check_report(from_matrix([[0, 800.0], [800.0, 0]]), 0, 1)
     assert str(exc.value) == "pair (0, 1) has membership 0; pass --a-min to truncate"
+
+
+def test_embed_rejects_a_negative_delta_before_writing(dist_csv, tmp_path):
+    out = tmp_path / "emb.csv"
+    code = dispatch([
+        "embed", "--algo", "isomap", "--delta", "-1",
+        "--in", str(dist_csv), "--out", str(out),
+    ])
+    assert code == 1
+    assert list(tmp_path.iterdir()) == [dist_csv]
+
+
+def test_cluster_rejects_a_nan_delta_before_writing(dist_csv, tmp_path):
+    out = tmp_path / "h.json"
+    code = dispatch([
+        "cluster", "--functor", "iso", "--delta", "nan", "--policy", "cap",
+        "--in", str(dist_csv), "--out", str(out),
+    ])
+    assert code == 1
+    assert list(tmp_path.iterdir()) == [dist_csv]

@@ -22,7 +22,10 @@ from coverembed import (
     vl_k_linkage,
 )
 
-from coverembed.covers import hierarchy_to_json
+from coverembed.algorithms import PipelineSpec, connectivity_radius, stage_targets
+from coverembed.covers import hierarchy_to_json, target_distances
+from coverembed.functors import cluster_hierarchy
+from coverembed.loss import mds_stress_problem
 
 from oracles import (
     oracle_components,
@@ -414,3 +417,52 @@ def test_every_functor_equals_the_scan_on_random_distances():
         delta = float(np.median(space.d))
         for name, got, want in _reference_cases(space, delta):
             assert hierarchy_to_json(got) == hierarchy_to_json(want), name
+
+
+# -- the two routes: hierarchy memberships and stage targets --------------------------
+
+
+def _scanned_stage_cases(space):
+    """(stage, parameters) of the five stages whose hierarchy scans their targets;
+    iso at delta below, at and above the connectivity radius, capping across components."""
+    n = space.n
+    cases = [("sl", {}), ("ml", {})]
+    cases += [("lk", {"k": k}) for k in sorted({1, 2, 3, n})]
+    if n >= 2:
+        cases.append(("fuzzy", {}))
+    r = connectivity_radius(space)
+    cases += [("iso", {"delta": delta}) for delta in sorted({r / 2, r, r + 1.0})]
+    return cases
+
+
+def _assert_routes_agree(space):
+    for stage, params in _scanned_stage_cases(space):
+        h = cluster_hierarchy(space, stage, disconnected="cap", **params)
+        # the stress targets the pipeline embeds, after its "cap" policy
+        targets = stage_targets(space, PipelineSpec(stage, **params))
+        capped = mds_stress_problem(targets, 1, policy="cap").targets
+        want = np.exp(-capped)
+        np.fill_diagonal(want, 1.0)
+        assert np.array_equal(membership_matrix(h).w, want), (stage, params)
+    for k in sorted({1, 2, 3, space.n}):
+        want = target_distances(membership_matrix(vl_k_linkage(space, k)))
+        assert np.array_equal(stage_targets(space, PipelineSpec("vlk", k=k)), want), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=tie_heavy_spaces())
+@example(space=from_matrix([[0.0]]))
+@example(space=from_matrix([[0.0, 0.0], [0.0, 0.0]]))
+@example(space=from_matrix([[0.0, 2.0], [2.0, 0.0]]))
+@example(space=from_matrix([[0, 1, 3, 3], [1, 0, 3, 3], [3, 3, 0, 1], [3, 3, 1, 0]]))
+def test_hierarchy_memberships_equal_exp_of_stage_targets_on_ties(space):
+    _assert_routes_agree(space)
+
+
+def test_hierarchy_memberships_equal_exp_of_stage_targets_on_random_spaces():
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 3, 5, 7):
+        _assert_routes_agree(random_space(rng, n=n))
+        points = rng.normal(size=(n, 2))
+        points[n // 2:] += 8.0  # two far groups: iso below the radius caps pairs
+        _assert_routes_agree(from_points_euclidean(points))

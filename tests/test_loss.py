@@ -25,11 +25,9 @@ from coverembed.loss import (
     LossObject,
     ZERO_FORM,
     family_leq,
-    form_from_json,
-    loss_object_from_json,
     pairwise_distances,
 )
-from oracles import PiecewisePairFamily
+from oracles import PiecewisePairFamily, form_from_json, loss_object_from_json, loss_object_to_json
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -314,7 +312,7 @@ def test_loss_leq_false_for_crossing_curves():
 def test_loss_object_json_round_trip():
     w = membership_matrix(maximal_linkage(CHAIN))
     flat = flatten(mds_fuzzy_family(w))
-    again = loss_object_from_json(flat.to_json())
+    again = loss_object_from_json(loss_object_to_json(flat))
     assert again == flat
 
 

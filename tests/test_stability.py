@@ -262,3 +262,35 @@ def test_loss_transfer_random_pairs():
         for cluster in ("ml", "sl"):
             rep = check_loss_transfer(PipelineSpec(cluster, "mds", 2), x, y)
             assert rep.passed
+
+
+def test_loss_transfer_builds_each_space_stage_once(monkeypatch):
+    """One build of the clustering stage per space, counted where the stage is computed."""
+    import coverembed.algorithms as algorithms
+    import coverembed.functors as functors
+
+    rng = np.random.default_rng(14)
+    x = random_space(rng, n=6, low=0.5, high=2.0)
+    y = perturbed(rng, x, 0.1)
+    cases = (
+        (PipelineSpec("sl", "mds", 2), [(functors, "bottleneck_matrix")]),
+        (PipelineSpec("lk", "mds", 2, k=2), [(functors, "hop_bounded_minimax")]),
+        (PipelineSpec("iso", "mds", 2), [(functors, "geodesic_matrix")]),
+        (
+            PipelineSpec("fuzzy", "mds", 2),
+            [(functors, "fuzzy_union_membership"), (algorithms, "fuzzy_union_membership")],
+        ),
+    )
+    for spec, counted_at in cases:
+        built = []
+        with monkeypatch.context() as patch:
+            for module, name in counted_at:
+
+                def counted(arg, *rest, _original=getattr(module, name)):
+                    # the first argument is the space or its distance matrix
+                    built.append("x" if arg is x or arg is x.d else "y")
+                    return _original(arg, *rest)
+
+                patch.setattr(module, name, counted)
+            assert check_loss_transfer(spec, x, y).passed
+        assert sorted(built) == ["x", "y"], spec.cluster
