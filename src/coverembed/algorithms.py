@@ -88,14 +88,27 @@ def stage_membership(space: PseudometricSpace, spec: PipelineSpec) -> Membership
     return build_stage(space, spec)[1]
 
 
-def _summarize_targets(t: np.ndarray, capped: int) -> dict[str, float]:
-    off = t[~np.eye(t.shape[0], dtype=bool)]
-    finite = off[np.isfinite(off)]
+def _summarize_targets(problem) -> dict[str, float]:
+    """The targets the loss fits, and the stage's pairs at inf before the policy.
+
+    Capped pairs count with their capped value; dropped pairs are left out.
+    The fce loss fits memberships, and its targets are the capped -log w of
+    its classical-MDS initialization.
+    """
+    off = ~np.eye(problem.n, dtype=bool)
+    if isinstance(problem, StressProblem):
+        t, fit = problem.targets, problem.weights > 0  # weight 0: diagonal, dropped
+        capped = problem.capped_pairs
+        infinite = capped + int((off & ~fit).sum()) // 2
+    else:
+        t, fit = problem.init_targets(), off
+        capped = infinite = int((~np.isfinite(target_distances(problem.membership))).sum()) // 2
+    values = t[fit]
     return {
-        "min": float(finite.min()) if finite.size else 0.0,
-        "max": float(finite.max()) if finite.size else 0.0,
-        "mean": float(finite.mean()) if finite.size else 0.0,
-        "infinite_pairs": float(int((~np.isfinite(off)).sum() // 2)),
+        "min": float(values.min()) if values.size else 0.0,
+        "max": float(values.max()) if values.size else 0.0,
+        "mean": float(values.mean()) if values.size else 0.0,
+        "infinite_pairs": float(infinite),
         "capped_pairs": float(capped),
     }
 
@@ -113,10 +126,7 @@ def run_pipeline(spec: PipelineSpec, space: PseudometricSpace) -> tuple[Embeddin
     t0 = time.perf_counter()
     problem = build_problem(space, spec)
     timings["targets"] = time.perf_counter() - t0
-    if isinstance(problem, StressProblem):
-        summary = _summarize_targets(problem.targets, problem.capped_pairs)
-    else:
-        summary = _summarize_targets(problem.init_targets(), 0)
+    summary = _summarize_targets(problem)
     t0 = time.perf_counter()
     result: MinimizeResult = minimize(problem, spec.optimizer)
     timings["optimize"] = time.perf_counter() - t0

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -203,18 +203,7 @@ def cmd_stability(args):
         },
     }
     if spec.loss == "mds":
-        transfer = check_loss_transfer(spec, x, y)
-        payload["loss_transfer"] = {
-            "epsilon": transfer.epsilon,
-            "k_c": transfer.k_c,
-            "k_e": transfer.k_e,
-            "radius": transfer.radius,
-            "loss_cross": transfer.loss_cross,
-            "loss_base": transfer.loss_base,
-            "bound": transfer.bound,
-            "passed": transfer.passed,
-            "constant_e": transfer.constant_e,
-        }
+        payload["loss_transfer"] = asdict(check_loss_transfer(spec, x, y))
     write_json(args.out, payload)
     _write_manifest(args, "stability", [args.x, args.y], [args.out])
     verdicts = [payload["interleaving"]["passed"]]

@@ -64,27 +64,6 @@ class Form:
             return self.lin * x - self.bar * np.log1p(-v) + self.b
         raise ValidationError(f"unknown form kind {self.kind!r}")
 
-    def abs_sup(self, radius: float) -> float:
-        """Exact sup of |value| over [0, radius]."""
-        if radius < 0:
-            raise ValidationError("interval radius must be nonnegative")
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "const":
-            return abs(self.b)
-        if self.kind in ("quad", "affine_x2"):
-            # monotone in x^2, so the endpoints dominate
-            return max(abs(float(self.value(0.0))), abs(float(self.value(radius))))
-        if self.kind == "log_barrier":
-            candidates = [0.0, radius]
-            # stationary point of lin*x - bar*log(1 - e^-x)
-            if self.lin > 0 and self.bar > 0:
-                xstar = math.log((self.lin + self.bar) / self.lin)
-                if 0 < xstar < radius:
-                    candidates.append(xstar)
-            return max(abs(float(self.value(x))) for x in candidates)
-        raise ValidationError(f"unknown form kind {self.kind!r}")
-
     def is_polynomial(self) -> bool:
         return self.kind in ("zero", "const", "quad", "affine_x2")
 
@@ -428,6 +407,19 @@ def pairwise_distances(a: np.ndarray) -> np.ndarray:
     return d
 
 
+def _pair_gradient(a: np.ndarray, delta: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Gradient of a sum of pair terms whose derivative in delta_ij is slope_ij.
+
+    Row i is sum_j (slope_ij / delta_ij) (a_i - a_j); coincident pairs
+    contribute zero (the stable subgradient choice). The product runs in
+    einsum's own loop, not BLAS, so its bytes do not depend on the BLAS
+    thread count.
+    """
+    coeff = np.divide(slope, delta, out=np.zeros_like(slope), where=delta > 0)
+    at = np.ascontiguousarray(a.T)
+    return coeff.sum(axis=1)[:, None] * a - np.einsum("ij,kj->ik", coeff, at)
+
+
 def check_policy(policy: str) -> None:
     """Reject a target policy other than "strict", "cap" or "drop"."""
     if policy not in TARGET_POLICIES:
@@ -467,8 +459,8 @@ def _apply_target_policy(targets: np.ndarray, policy: str):
 class StressProblem:
     """Pairwise squared-difference loss against fixed target distances.
 
-    The total sums over ordered pairs i != j. Coincident points contribute a
-    zero gradient direction for their pair (the stable subgradient choice).
+    The total sums over ordered pairs i != j. `loss` and `grad` take the
+    distance matrix of `a` when the caller already has it.
     """
 
     kind = "stress"
@@ -483,19 +475,20 @@ class StressProblem:
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {m}")
 
-    def loss(self, a: np.ndarray) -> float:
-        delta = pairwise_distances(a)
+    def loss(self, a: np.ndarray, delta: np.ndarray | None = None) -> float:
+        if delta is None:
+            delta = pairwise_distances(a)
         resid = self.weights * (self.targets - delta)
         with np.errstate(over="ignore"):  # inf is caught by the optimizer
             return float((resid * resid).sum())
 
-    def grad(self, a: np.ndarray) -> np.ndarray:
-        delta = pairwise_distances(a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coeff = np.where(delta > 0, (delta - self.targets) / delta, 0.0)
-        coeff *= self.weights
-        # sum_j coeff_ij (A_i - A_j) = rowsum_i A_i - (coeff A)_i
-        return 4.0 * (coeff.sum(axis=1)[:, None] * a - coeff @ a)
+    def grad(self, a: np.ndarray, delta: np.ndarray | None = None) -> np.ndarray:
+        if delta is None:
+            delta = pairwise_distances(a)
+        # each unordered pair appears twice in the total: 2 x d(resid^2)
+        slope = 4.0 * (delta - self.targets)
+        slope *= self.weights
+        return _pair_gradient(a, delta, slope)
 
     def init_targets(self) -> np.ndarray:
         return self.targets
@@ -506,6 +499,8 @@ class CrossEntropyProblem:
 
     The low-dimensional membership v = exp(-distance) is clamped to
     [clamp, 1 - clamp] so the loss and gradient stay finite at distance 0.
+    `loss` and `grad` take the distance matrix of `a` when the caller already
+    has it.
     """
 
     kind = "fce"
@@ -525,8 +520,9 @@ class CrossEntropyProblem:
     def _v(self, delta: np.ndarray) -> np.ndarray:
         return np.clip(np.exp(-delta), self.clamp, 1.0 - self.clamp)
 
-    def loss(self, a: np.ndarray) -> float:
-        delta = pairwise_distances(a)
+    def loss(self, a: np.ndarray, delta: np.ndarray | None = None) -> float:
+        if delta is None:
+            delta = pairwise_distances(a)
         v = self._v(delta)
         w = self.w
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -539,17 +535,16 @@ class CrossEntropyProblem:
         total = np.where(self._mask, attract + repel, 0.0)
         return float(total.sum())
 
-    def grad(self, a: np.ndarray) -> np.ndarray:
-        delta = pairwise_distances(a)
+    def grad(self, a: np.ndarray, delta: np.ndarray | None = None) -> np.ndarray:
+        if delta is None:
+            delta = pairwise_distances(a)
         raw_v = np.exp(-delta)
         clamped = (raw_v <= self.clamp) | (raw_v >= 1.0 - self.clamp)
-        v = self._v(delta)
-        # d(loss)/d(delta) = (w/v - (1-w)/(1-v)) * v  where v is active
-        dldd = np.where(clamped, 0.0, self.w - (1.0 - self.w) * v / (1.0 - v))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coeff = np.where(delta > 0, dldd / delta, 0.0)
-        coeff = np.where(self._mask, coeff, 0.0)
-        return 2.0 * (coeff.sum(axis=1)[:, None] * a - coeff @ a)
+        v = np.clip(raw_v, self.clamp, 1.0 - self.clamp)
+        # d(loss)/d(delta) = (w/v - (1-w)/(1-v)) * v where v is active, twice
+        # because each unordered pair appears twice in the total
+        slope = np.where(clamped, 0.0, 2.0 * (self.w - (1.0 - self.w) * v / (1.0 - v)))
+        return _pair_gradient(a, delta, slope)
 
     def init_targets(self) -> np.ndarray:
         return cap_disconnected(target_distances(self.membership))

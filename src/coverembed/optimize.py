@@ -1,12 +1,10 @@
 """Embedding optimization: classical-MDS initialization and deterministic descent.
 
-The initialization needs only the top m eigenpairs. Up to HOUSEHOLDER_MAX_N
-points they come from a Householder tridiagonalization written without BLAS
-calls, so they do not depend on the BLAS thread count; larger matrices go to
-LAPACK `eigh`, whose eigenvectors can. The descent is full-batch gradient
-descent with backtracking line search; its gradient multiplies n x n by n x m
-matrices through BLAS, which for large n can also round differently from one
-BLAS thread count to another.
+The initialization needs only the top m eigenpairs, which come from a
+Householder tridiagonalization written without BLAS calls. The descent is
+full-batch gradient descent with backtracking line search over losses whose
+gradients are assembled without BLAS calls too, so no result depends on the
+BLAS thread count, at any n.
 """
 
 from __future__ import annotations
@@ -18,6 +16,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ValidationError
+from .loss import pairwise_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +85,6 @@ def double_centered_gram(targets: np.ndarray) -> np.ndarray:
     return (b + b.T) / 2.0
 
 
-# Largest n solved by the thread-free Householder path. Its O(n^3) work runs
-# as n elementwise numpy passes, which at n = 1000 costs seconds where LAPACK
-# takes a fifth of one, so larger matrices go to LAPACK.
-HOUSEHOLDER_MAX_N = 256
-
-
 def _householder_tridiagonal(a: np.ndarray):
     """Reduce the symmetric matrix a, in place, to tridiagonal T = Q^T a Q.
 
@@ -140,13 +133,10 @@ def _apply_reflectors(reflectors, z: np.ndarray) -> np.ndarray:
 def top_eigenpairs(matrix: np.ndarray, m: int):
     """The top min(m, n) eigenpairs of a symmetric matrix, by descending eigenvalue.
 
-    Up to HOUSEHOLDER_MAX_N points: Householder tridiagonalization, then the
-    top eigenpairs of the tridiagonal matrix (LAPACK bisection and inverse
-    iteration on O(n) data, `scipy.linalg.eigh_tridiagonal`), transformed
-    back. Nothing there runs on the BLAS thread pool, so the bytes do not
-    depend on the BLAS thread count. Beyond that size, `np.linalg.eigh`,
-    whose eigenvectors can differ in the last bits from one BLAS thread
-    count to another.
+    Householder tridiagonalization, then the top eigenpairs of the
+    tridiagonal matrix (LAPACK bisection and inverse iteration on O(n) data,
+    `scipy.linalg.eigh_tridiagonal`), transformed back. Nothing there runs on
+    the BLAS thread pool, so the bytes do not depend on the BLAS thread count.
 
     Equal eigenvalues keep the solver's order (stable sort). Each vector's
     largest-magnitude entry is made positive. When the m-th eigenvalue equals
@@ -166,12 +156,9 @@ def top_eigenpairs(matrix: np.ndarray, m: int):
     a = (a + a.T) / 2.0
     n = a.shape[0]
     take = min(m, n)
-    if n > HOUSEHOLDER_MAX_N:
-        evals, evecs = np.linalg.eigh(a)
-    else:
-        diag, off, reflectors = _householder_tridiagonal(a)
-        evals, z = eigh_tridiagonal(diag, off, select="i", select_range=(n - take, n - 1))
-        evecs = _apply_reflectors(reflectors, z)
+    diag, off, reflectors = _householder_tridiagonal(a)
+    evals, z = eigh_tridiagonal(diag, off, select="i", select_range=(n - take, n - 1))
+    evecs = _apply_reflectors(reflectors, z)
     order = np.argsort(-evals, kind="stable")[:take]
     evals = evals[order]
     evecs = evecs[:, order]
@@ -188,10 +175,9 @@ def classical_mds_init(targets: np.ndarray, m: int) -> Embedding:
     Double centering followed by the top-m eigenpairs (`top_eigenpairs`),
     scaled by the square root of the (clipped) eigenvalues. Exact for targets
     realizable in m dimensions, up to rotation and translation. The bytes do
-    not depend on the BLAS thread count up to HOUSEHOLDER_MAX_N points; above
-    that LAPACK `eigh` decides them. When the m-th and (m+1)-th eigenvalues
-    are equal, the coordinates for that eigenvalue use a deterministic
-    orthonormal set inside its eigenspace.
+    not depend on the BLAS thread count. When the m-th and (m+1)-th
+    eigenvalues are equal, the coordinates for that eigenvalue use a
+    deterministic orthonormal set inside its eigenspace.
     """
     t = np.asarray(targets, dtype=float)
     if not np.isfinite(t).all():
@@ -232,15 +218,18 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
     """Full-batch gradient descent with backtracking halving line search.
 
     Accepted steps never increase the loss; the carried step doubles before
-    each line search so the step size adapts in both directions. Deterministic
-    for fixed config and inputs.
+    each line search so the step size adapts in both directions. Each trial
+    point's distance matrix is computed once and handed to `problem.loss`,
+    and the accepted point's also to `problem.grad`. Deterministic for fixed
+    config and inputs.
     """
     a = initial_coords(problem, cfg)
-    f = problem.loss(a)
+    delta = pairwise_distances(a)
+    f = problem.loss(a, delta)
     if not np.isfinite(f):
         raise NumericalError(f"loss at initialization is {f!r}", trace=[])
     step = cfg.step0
-    g = problem.grad(a)
+    g = problem.grad(a, delta)
     gnorm = float(np.abs(g).max(initial=0.0))
     trace = [(0, f, step, gnorm)]
     recent = [f]
@@ -255,7 +244,8 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
         step = step * 2.0
         while True:
             candidate = a - step * g
-            f_new = problem.loss(candidate)
+            candidate_delta = pairwise_distances(candidate)
+            f_new = problem.loss(candidate, candidate_delta)
             if np.isfinite(f_new) and f_new <= f:
                 break
             step *= 0.5
@@ -265,7 +255,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
             exit_reason = "step_underflow"
             break
         a, f = candidate, f_new
-        g = problem.grad(a)
+        g = problem.grad(a, candidate_delta)
         gnorm = float(np.abs(g).max(initial=0.0))
         trace.append((it, f, step, gnorm))
         recent.append(f)
@@ -297,8 +287,6 @@ def grad_check(problem, coords: np.ndarray, step: float = 1e-5) -> GradCheckResu
     excluded from the comparison (and reported).
     """
     a = np.array(coords, dtype=float)
-    from .loss import pairwise_distances
-
     delta = pairwise_distances(a)
     np.fill_diagonal(delta, np.inf)
     kink_rows = sorted(set(np.argwhere(delta < 10 * step).ravel().tolist()))

@@ -3,9 +3,11 @@
 Everything here enumerates: components by flood fill over explicit edge
 lists, cliques and k-connected sets by subset enumeration, path costs by
 walking every simple path. Exponential, fine for n <= 7. Hand-built loss
-families and the JSON round trip of loss objects for tests live here too.
+families, the exact interval sup of a form and the JSON round trip of loss
+objects for tests live here too.
 """
 
+import math
 from itertools import combinations, permutations
 
 import numpy as np
@@ -194,6 +196,28 @@ def oracle_membership(h):
     return w
 
 
+def form_abs_sup(form: Form, radius: float) -> float:
+    """Exact sup of |form.value| over [0, radius]."""
+    if radius < 0:
+        raise ValidationError("interval radius must be nonnegative")
+    if form.kind == "zero":
+        return 0.0
+    if form.kind == "const":
+        return abs(form.b)
+    if form.kind in ("quad", "affine_x2"):
+        # monotone in x^2, so the endpoints dominate
+        return max(abs(float(form.value(0.0))), abs(float(form.value(radius))))
+    if form.kind == "log_barrier":
+        candidates = [0.0, radius]
+        # stationary point of lin*x - bar*log(1 - e^-x)
+        if form.lin > 0 and form.bar > 0:
+            xstar = math.log((form.lin + form.bar) / form.lin)
+            if 0 < xstar < radius:
+                candidates.append(xstar)
+        return max(abs(float(form.value(x))) for x in candidates)
+    raise ValidationError(f"unknown form kind {form.kind!r}")
+
+
 class PiecewisePairFamily:
     """Strength-piecewise-constant (c, e) forms, for hand-built loss families."""
 
@@ -234,10 +258,10 @@ class PiecewisePairFamily:
         return Form("affine_x2", a=ca, b=cb), Form("affine_x2", a=ea, b=eb)
 
     def sup_abs_c(self, radius: float) -> float:
-        return max(f.abs_sup(radius) for f in self.c_forms)
+        return max(form_abs_sup(f, radius) for f in self.c_forms)
 
     def sup_abs_e(self) -> float:
-        return max(f.abs_sup(0.0) for f in self.e_forms)
+        return max(form_abs_sup(f, 0.0) for f in self.e_forms)
 
 
 def reference_threshold_hierarchy(d, blocks_of):

@@ -127,6 +127,30 @@ def test_iso_pipeline_counts_capped_pairs():
         run_pipeline(spec("iso", m=1, delta=2.0, policy="strict"), space)
 
 
+def test_target_summary_counts_inf_pairs_before_the_policy():
+    # a unit square with its center, and a unit square 10 to the right
+    square = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    space = from_points_euclidean(square + [[0.5, 0.5]] + [[x + 10, y] for x, y in square])
+    geodesic = stage_targets(space, spec("iso", delta=1.5))
+    finite = geodesic[np.isfinite(geodesic) & ~np.eye(9, dtype=bool)]
+    assert finite.min() == pytest.approx(0.5**0.5, rel=1e-15)
+    summaries = {
+        (loss, policy): run_pipeline(spec("iso", loss, delta=1.5, policy=policy), space)[1]
+        .target_summary
+        for loss, policy in (("mds", "cap"), ("fce", "cap"), ("mds", "drop"))
+    }
+    for summary in summaries.values():
+        assert summary["infinite_pairs"] == 20.0  # 5 x 4 pairs across the groups
+        assert summary["min"] == finite.min()
+    for key in (("mds", "cap"), ("fce", "cap")):
+        assert summaries[key]["capped_pairs"] == 20.0
+        assert summaries[key]["max"] == 3.0 * finite.max()
+    dropped = summaries[("mds", "drop")]
+    assert dropped["capped_pairs"] == 0.0
+    assert dropped["max"] == finite.max()
+    assert dropped["mean"] == pytest.approx(finite.mean(), rel=1e-15)
+
+
 def test_drop_policy_gradient_matches_finite_differences():
     from coverembed import grad_check
 

@@ -27,7 +27,13 @@ from coverembed.loss import (
     family_leq,
     pairwise_distances,
 )
-from oracles import PiecewisePairFamily, form_from_json, loss_object_from_json, loss_object_to_json
+from oracles import (
+    PiecewisePairFamily,
+    form_abs_sup,
+    form_from_json,
+    loss_object_from_json,
+    loss_object_to_json,
+)
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -42,11 +48,11 @@ def member(w):
 def test_form_values_and_sups():
     q = Form("quad", a=2.0)
     assert q.value(np.array(3.0)) == 18.0
-    assert q.abs_sup(3.0) == 18.0
+    assert form_abs_sup(q, 3.0) == 18.0
     aff = Form("affine_x2", a=-1.0, b=5.0)
-    assert aff.abs_sup(3.0) == 5.0  # |5 - 9| = 4 < 5
-    assert Form("const", b=-2.0).abs_sup(100.0) == 2.0
-    assert ZERO_FORM.abs_sup(10.0) == 0.0
+    assert form_abs_sup(aff, 3.0) == 5.0  # |5 - 9| = 4 < 5
+    assert form_abs_sup(Form("const", b=-2.0), 100.0) == 2.0
+    assert form_abs_sup(ZERO_FORM, 10.0) == 0.0
 
 
 def test_log_barrier_form_is_the_cross_entropy_pair_term():
@@ -59,7 +65,7 @@ def test_log_barrier_form_is_the_cross_entropy_pair_term():
     )
     # at x = 1 the memberships agree and the term vanishes
     assert float(f.value(np.array(1.0))) == pytest.approx(0.0, abs=1e-12)
-    assert f.abs_sup(5.0) >= 0.0
+    assert form_abs_sup(f, 5.0) >= 0.0
 
 
 def test_form_json_round_trip():
@@ -338,6 +344,28 @@ def test_gradients_match_finite_differences():
         res = grad_check(fce_problem(MembershipMatrix(w), m), a)
         worst = max(worst, res.max_rel_error)
     assert worst < 1e-5
+
+
+def test_loss_and_grad_take_the_callers_distances_bit_for_bit():
+    rng = np.random.default_rng(12)
+    d = rng.uniform(0.3, 2.0, size=(6, 6))
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0.0)
+    dropped = d.copy()
+    dropped[0, 4] = dropped[4, 0] = np.inf
+    w = np.exp(-d)
+    np.fill_diagonal(w, 1.0)
+    problems = (
+        mds_stress_problem(d, 2),
+        mds_stress_problem(dropped, 2, policy="drop"),
+        fce_problem(MembershipMatrix(w), 2),
+    )
+    a = rng.normal(size=(6, 2))
+    a[3] = a[1]  # a coincident pair
+    delta = pairwise_distances(a)
+    for prob in problems:
+        assert prob.loss(a, delta) == prob.loss(a)
+        assert np.array_equal(prob.grad(a, delta), prob.grad(a))
 
 
 def test_pairwise_distances_matches_direct_formula():

@@ -19,7 +19,7 @@ from coverembed import (
     minimize,
 )
 from coverembed.loss import pairwise_distances
-from coverembed.optimize import HOUSEHOLDER_MAX_N, random_init, top_eigenpairs
+from coverembed.optimize import random_init, top_eigenpairs
 
 
 def _lapack_top(s, m):
@@ -37,7 +37,7 @@ def test_top_eigenpairs_two_by_two():
 
 def test_top_eigenpairs_matches_lapack_on_random_symmetric():
     rng = np.random.default_rng(2)
-    for n in (3, 6, 12, 64, 256):
+    for n in (3, 6, 12, 64, 256, 400):
         s = rng.normal(size=(n, n))
         s = (s + s.T) / 2
         for m in sorted({1, min(3, n), min(5, n)}):
@@ -56,7 +56,7 @@ def test_top_eigenpairs_matches_lapack_on_random_symmetric():
 
 def test_top_eigenpairs_matches_lapack_across_the_cutoff():
     rng = np.random.default_rng(7)
-    for n in (HOUSEHOLDER_MAX_N, HOUSEHOLDER_MAX_N + 1):
+    for n in (256, 257):
         s = rng.normal(size=(n, n))
         s = (s + s.T) / 2
         evals, evecs = top_eigenpairs(s, 3)
@@ -66,11 +66,12 @@ def test_top_eigenpairs_matches_lapack_across_the_cutoff():
 
 
 def test_top_eigenpairs_degenerate_top_eigenvalue():
-    n = 8
-    spectrum = np.array([3.0, 3.0] + [1.0] * (n - 2))
     rng = np.random.default_rng(3)
-    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    for basis in (np.eye(n), rotation):
+    rotation8, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    rotation300, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+    for basis in (np.eye(8), rotation8, rotation300):
+        n = basis.shape[0]
+        spectrum = np.array([3.0, 3.0] + [1.0] * (n - 2))
         s = basis @ np.diag(spectrum) @ basis.T
         s = (s + s.T) / 2
         evals, evecs = top_eigenpairs(s, 2)
@@ -115,6 +116,24 @@ def test_top_eigenpairs_sign_convention():
             assert vecs[idx, col] > 0
 
 
+def _stdout_under_blas_threads(script: str, threads: str) -> str:
+    """stdout of `python -c script` with OpenBLAS and OpenMP at `threads` threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["OPENBLAS_NUM_THREADS"] = threads
+    env["OMP_NUM_THREADS"] = threads
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return done.stdout
+
+
 _CLASSICAL_BYTES = """
 import hashlib, sys
 import numpy as np
@@ -128,24 +147,47 @@ sys.stdout.write(hashlib.sha256(coords.tobytes()).hexdigest())
 
 
 def test_classical_init_bytes_do_not_depend_on_blas_threads():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ)
-        env["OPENBLAS_NUM_THREADS"] = threads
-        env["OMP_NUM_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-c", _CLASSICAL_BYTES],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-            check=True,
-        )
-        digests.append(done.stdout)
+    digests = [_stdout_under_blas_threads(_CLASSICAL_BYTES, t) for t in "12"]
     assert len(digests[0]) == 64
     assert digests[0] == digests[1]
+
+
+# Sizes at which OpenBLAS splits a matrix product or LAPACK `eigh` across threads,
+# so a path through either would change bytes with the thread count.
+_OPTIMIZER_BYTES = """
+import hashlib, tempfile
+from pathlib import Path
+import numpy as np
+from coverembed import (
+    MembershipMatrix, classical_mds_init, fce_problem, from_points_euclidean, mds_stress_problem,
+)
+from coverembed.cli import dispatch
+
+def digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+rng = np.random.default_rng(11)
+targets = from_points_euclidean(rng.normal(size=(400, 4))).d ** 0.75
+print("classical_mds_init n=400", digest(classical_mds_init(targets, 3).coords))
+for n, m in ((400, 7), (1000, 2)):
+    targets = from_points_euclidean(rng.normal(size=(n, 3))).d
+    grad = mds_stress_problem(targets, m).grad(rng.normal(size=(n, m)))
+    print(f"stress grad n={n} m={m}", digest(grad))
+w = MembershipMatrix(np.exp(-from_points_euclidean(rng.normal(size=(400, 3))).d))
+print("fce grad n=400 m=7", digest(fce_problem(w, 7).grad(rng.normal(size=(400, 7)))))
+with tempfile.TemporaryDirectory() as tmp:
+    points, out = Path(tmp, "points.csv"), Path(tmp, "emb.csv")
+    np.savetxt(points, rng.normal(size=(300, 3)), delimiter=",", fmt="%.17g")
+    code = dispatch(["embed", "--algo", "sls", "--input-kind", "points", "--max-iters", "100",
+                     "--in", str(points), "--out", str(out)])
+    print("embed sls n=300 exit", code, hashlib.sha256(out.read_bytes()).hexdigest())
+"""
+
+
+def test_optimizer_bytes_do_not_depend_on_blas_threads_above_256_points():
+    one, two = (_stdout_under_blas_threads(_OPTIMIZER_BYTES, t).splitlines() for t in "12")
+    assert len(one) == 6  # five digests and the embed command's summary line
+    assert one == two
 
 
 def test_classical_init_recovers_line_gaps():
@@ -214,7 +256,7 @@ def test_minimize_divergence_raises_with_trace():
     class Bomb:
         n, m = 2, 1
 
-        def loss(self, a):
+        def loss(self, a, delta=None):
             return float("nan")
 
         def grad(self, a):
@@ -226,6 +268,43 @@ def test_minimize_divergence_raises_with_trace():
     with pytest.raises(NumericalError) as err:
         minimize(Bomb())
     assert err.value.trace == []
+
+
+def test_minimize_computes_one_distance_matrix_per_loss_evaluation(monkeypatch):
+    import coverembed.loss
+    import coverembed.optimize
+
+    counts = {"distances": 0, "loss": 0, "grad": 0}
+
+    def counted_distances(a):
+        counts["distances"] += 1
+        return pairwise_distances(a)
+
+    class Counted:
+        def __init__(self, problem):
+            self.problem, self.n, self.m = problem, problem.n, problem.m
+
+        def loss(self, a, delta=None):
+            counts["loss"] += 1
+            return self.problem.loss(a, delta)
+
+        def grad(self, a, delta=None):
+            counts["grad"] += 1
+            return self.problem.grad(a, delta)
+
+        def init_targets(self):
+            return self.problem.init_targets()
+
+    for module in (coverembed.loss, coverembed.optimize):
+        monkeypatch.setattr(module, "pairwise_distances", counted_distances)
+    rng = np.random.default_rng(3)
+    d = rng.uniform(0.5, 2.0, size=(6, 6))
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0.0)
+    res = minimize(Counted(mds_stress_problem(d, 2)), OptimizerConfig(max_iters=50))
+    assert counts["grad"] == len(res.trace) > 10
+    assert counts["loss"] > counts["grad"]
+    assert counts["distances"] == counts["loss"]
 
 
 def test_random_init_range_and_determinism():
