@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from .covers import MembershipMatrix, target_distances
 from .errors import ValidationError
@@ -93,17 +94,18 @@ def _summarize_targets(problem) -> dict[str, float]:
 
     Capped pairs count with their capped value; dropped pairs are left out.
     The fce loss fits memberships, and its targets are the capped -log w of
-    its classical-MDS initialization.
+    its classical-MDS initialization. The counts read the condensed pair
+    data; min/max/mean read the n x n targets, whose row-major order fixes
+    the mean's rounding.
     """
-    off = ~np.eye(problem.n, dtype=bool)
     if isinstance(problem, StressProblem):
-        t, fit = problem.targets, problem.weights > 0  # weight 0: diagonal, dropped
+        fit = squareform(problem.weights) > 0  # weight 0: diagonal, dropped
         capped = problem.capped_pairs
-        infinite = capped + int((off & ~fit).sum()) // 2
+        infinite = capped + int((problem.weights == 0).sum())
     else:
-        t, fit = problem.init_targets(), off
-        capped = infinite = int((~np.isfinite(target_distances(problem.membership))).sum()) // 2
-    values = t[fit]
+        fit = ~np.eye(problem.n, dtype=bool)
+        capped = infinite = int((problem.w == 0).sum())
+    values = problem.init_targets()[fit]
     return {
         "min": float(values.min()) if values.size else 0.0,
         "max": float(values.max()) if values.size else 0.0,

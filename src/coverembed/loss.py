@@ -8,6 +8,12 @@ checker) are exact rather than sampled. The ordering on loss objects is
 A fuzzy loss family assigns a loss object to every strength a in (0, 1];
 flattening integrates c and e over a, in closed form for the parametric
 pieces and by adaptive quadrature for verification.
+
+The embedding problems keep their pair data condensed: one entry per
+unordered pair {i, j}, i < j, in the row-major order of the upper triangle
+(`pair_distances`, `scipy.spatial.distance.squareform`). Each loss is twice
+the sum over those pairs, which is the sum over ordered pairs i != j; each
+gradient expands its per-pair coefficients to n x n once.
 """
 
 from __future__ import annotations
@@ -17,13 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.spatial.distance import pdist, squareform
 
 from .covers import (
     HierarchicalCover,
     MembershipMatrix,
     cap_disconnected,
     membership_matrix,
-    target_distances,
 )
 from .errors import ValidationError
 
@@ -399,23 +405,26 @@ def sign_classification(
 # -- embedding problems -------------------------------------------------------------
 
 
-def pairwise_distances(a: np.ndarray) -> np.ndarray:
-    from scipy.spatial.distance import cdist
+def pair_distances(a: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of `a`, one per unordered pair.
 
-    d = cdist(a, a)
-    np.fill_diagonal(d, 0.0)
-    return d
+    Condensed layout: pair (i, j), i < j, in row-major order of the upper
+    triangle, as `scipy.spatial.distance.squareform` reads and writes it.
+    `pdist` runs its own loop, not BLAS.
+    """
+    return pdist(a)
 
 
 def _pair_gradient(a: np.ndarray, delta: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """Gradient of a sum of pair terms whose derivative in delta_ij is slope_ij.
 
-    Row i is sum_j (slope_ij / delta_ij) (a_i - a_j); coincident pairs
-    contribute zero (the stable subgradient choice). The product runs in
+    `delta` and `slope` are condensed. Row i is sum_j (slope_ij / delta_ij)
+    (a_i - a_j); coincident pairs contribute zero (the stable subgradient
+    choice). The coefficients are expanded to n x n once; the product runs in
     einsum's own loop, not BLAS, so its bytes do not depend on the BLAS
     thread count.
     """
-    coeff = np.divide(slope, delta, out=np.zeros_like(slope), where=delta > 0)
+    coeff = squareform(np.divide(slope, delta, out=np.zeros_like(slope), where=delta > 0))
     at = np.ascontiguousarray(a.T)
     return coeff.sum(axis=1)[:, None] * a - np.einsum("ij,kj->ik", coeff, at)
 
@@ -427,8 +436,9 @@ def check_policy(policy: str) -> None:
 
 
 def _apply_target_policy(targets: np.ndarray, policy: str):
+    """Condensed targets and weights of a square target matrix, after `policy`."""
     check_policy(policy)
-    t = np.array(targets, dtype=float)
+    t = np.asarray(targets, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValidationError(f"target matrix must be square, got {t.shape}")
     if not np.array_equal(t, t.T):
@@ -437,19 +447,17 @@ def _apply_target_policy(targets: np.ndarray, policy: str):
         raise ValidationError("target diagonal must be zero")
     if np.isnan(t).any() or (t < 0).any():
         raise ValidationError("targets must be nonnegative reals or +inf")
+    if policy == "strict" and not np.isfinite(t).all():
+        i, j = np.argwhere(~np.isfinite(t))[0]
+        raise ValidationError(f"infinite target at ({i}, {j}); choose policy 'cap' or 'drop'")
+    t = squareform(t, checks=False)
     weights = np.ones_like(t)
-    np.fill_diagonal(weights, 0.0)
     infinite = ~np.isfinite(t)
     capped = 0
     if infinite.any():
-        if policy == "strict":
-            i, j = np.argwhere(infinite)[0]
-            raise ValidationError(
-                f"infinite target at ({i}, {j}); choose policy 'cap' or 'drop'"
-            )
         if policy == "cap":
             t = cap_disconnected(t)
-            capped = int(infinite.sum() // 2)
+            capped = int(infinite.sum())
         else:
             weights[infinite] = 0.0
             t[infinite] = 0.0
@@ -459,8 +467,10 @@ def _apply_target_policy(targets: np.ndarray, policy: str):
 class StressProblem:
     """Pairwise squared-difference loss against fixed target distances.
 
-    The total sums over ordered pairs i != j. `loss` and `grad` take the
-    distance matrix of `a` when the caller already has it.
+    Targets and weights are condensed (see `pair_distances`). The total sums
+    over ordered pairs i != j, which is twice the sum over unordered pairs.
+    `loss` and `grad` take the condensed distances of `a` when the caller
+    already has them.
     """
 
     kind = "stress"
@@ -470,28 +480,30 @@ class StressProblem:
         self.targets = t
         self.weights = weights
         self.capped_pairs = capped
-        self.n = t.shape[0]
+        self.n = len(targets)
         self.m = int(m)
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {m}")
 
     def loss(self, a: np.ndarray, delta: np.ndarray | None = None) -> float:
         if delta is None:
-            delta = pairwise_distances(a)
-        resid = self.weights * (self.targets - delta)
+            delta = pair_distances(a)
+        resid = self.targets - delta
+        resid *= self.weights
         with np.errstate(over="ignore"):  # inf is caught by the optimizer
-            return float((resid * resid).sum())
+            resid *= resid
+            return 2.0 * float(resid.sum())
 
     def grad(self, a: np.ndarray, delta: np.ndarray | None = None) -> np.ndarray:
         if delta is None:
-            delta = pairwise_distances(a)
-        # each unordered pair appears twice in the total: 2 x d(resid^2)
+            delta = pair_distances(a)
+        # 2 x d(resid^2) per unordered pair, counted twice in the total
         slope = 4.0 * (delta - self.targets)
         slope *= self.weights
         return _pair_gradient(a, delta, slope)
 
     def init_targets(self) -> np.ndarray:
-        return self.targets
+        return squareform(self.targets)
 
 
 class CrossEntropyProblem:
@@ -499,8 +511,10 @@ class CrossEntropyProblem:
 
     The low-dimensional membership v = exp(-distance) is clamped to
     [clamp, 1 - clamp] so the loss and gradient stay finite at distance 0.
-    `loss` and `grad` take the distance matrix of `a` when the caller already
-    has it.
+    Memberships are condensed (see `pair_distances`), with log w and
+    log(1 - w) computed once; the total is twice the sum over unordered
+    pairs. `loss` and `grad` take the condensed distances of `a` when the
+    caller already has them.
     """
 
     kind = "fce"
@@ -508,46 +522,51 @@ class CrossEntropyProblem:
     def __init__(self, w: MembershipMatrix, m: int, clamp: float = FCE_CLAMP_DEFAULT):
         if not 0.0 < clamp < 0.5:
             raise ValidationError(f"clamp must lie in (0, 0.5), got {clamp!r}")
-        self.membership = w
-        self.w = w.w
         self.n = w.n
         self.m = int(m)
         self.clamp = float(clamp)
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {m}")
-        self._mask = ~np.eye(self.n, dtype=bool)
-
-    def _v(self, delta: np.ndarray) -> np.ndarray:
-        return np.clip(np.exp(-delta), self.clamp, 1.0 - self.clamp)
+        self.w = squareform(w.w, checks=False)
+        self._1mw = 1.0 - self.w
+        # a pair with w = 0 (w = 1) has no attracting (repelling) term: its
+        # log is masked to 0 and the term is 0 x finite = +0
+        self._log_w = np.log(np.where(self.w > 0, self.w, 1.0))
+        self._log_1mw = np.log(np.where(self.w < 1, self._1mw, 1.0))
 
     def loss(self, a: np.ndarray, delta: np.ndarray | None = None) -> float:
         if delta is None:
-            delta = pairwise_distances(a)
-        v = self._v(delta)
-        w = self.w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            attract = np.where(w > 0, w * (np.log(np.where(w > 0, w, 1.0)) - np.log(v)), 0.0)
-            repel = np.where(
-                w < 1,
-                (1 - w) * (np.log(np.where(w < 1, 1 - w, 1.0)) - np.log1p(-v)),
-                0.0,
-            )
-        total = np.where(self._mask, attract + repel, 0.0)
-        return float(total.sum())
+            delta = pair_distances(a)
+        # two pair-sized buffers: v, whose log feeds the attracting term, is
+        # then overwritten by the repelling term
+        v = np.negative(delta)
+        np.exp(v, out=v)
+        np.clip(v, self.clamp, 1.0 - self.clamp, out=v)
+        attract = np.log(v)
+        np.subtract(self._log_w, attract, out=attract)
+        attract *= self.w
+        np.negative(v, out=v)
+        np.log1p(v, out=v)
+        np.subtract(self._log_1mw, v, out=v)
+        v *= self._1mw
+        attract += v
+        return 2.0 * float(attract.sum())
 
     def grad(self, a: np.ndarray, delta: np.ndarray | None = None) -> np.ndarray:
         if delta is None:
-            delta = pairwise_distances(a)
+            delta = pair_distances(a)
         raw_v = np.exp(-delta)
         clamped = (raw_v <= self.clamp) | (raw_v >= 1.0 - self.clamp)
         v = np.clip(raw_v, self.clamp, 1.0 - self.clamp)
         # d(loss)/d(delta) = (w/v - (1-w)/(1-v)) * v where v is active, twice
         # because each unordered pair appears twice in the total
-        slope = np.where(clamped, 0.0, 2.0 * (self.w - (1.0 - self.w) * v / (1.0 - v)))
+        slope = np.where(clamped, 0.0, 2.0 * (self.w - self._1mw * v / (1.0 - v)))
         return _pair_gradient(a, delta, slope)
 
     def init_targets(self) -> np.ndarray:
-        return cap_disconnected(target_distances(self.membership))
+        """Capped -log w, the stage's target distances."""
+        with np.errstate(divide="ignore"):
+            return cap_disconnected(squareform(-np.log(self.w)))
 
 
 def mds_stress_problem(targets, m: int, policy: str = "strict") -> StressProblem:

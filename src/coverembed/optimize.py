@@ -4,7 +4,8 @@ The initialization needs only the top m eigenpairs, which come from a
 Householder tridiagonalization written without BLAS calls. The descent is
 full-batch gradient descent with backtracking line search over losses whose
 gradients are assembled without BLAS calls too, so no result depends on the
-BLAS thread count, at any n.
+BLAS thread count, at any n. Each trial point's distances are computed once,
+one per unordered pair (`loss.pair_distances`), and handed to the problem.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalError, ValidationError
-from .loss import pairwise_distances
+from .loss import pair_distances
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,12 +220,12 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
 
     Accepted steps never increase the loss; the carried step doubles before
     each line search so the step size adapts in both directions. Each trial
-    point's distance matrix is computed once and handed to `problem.loss`,
-    and the accepted point's also to `problem.grad`. Deterministic for fixed
-    config and inputs.
+    point's condensed pair distances are computed once and handed to
+    `problem.loss`, and the accepted point's also to `problem.grad`.
+    Deterministic for fixed config and inputs.
     """
     a = initial_coords(problem, cfg)
-    delta = pairwise_distances(a)
+    delta = pair_distances(a)
     f = problem.loss(a, delta)
     if not np.isfinite(f):
         raise NumericalError(f"loss at initialization is {f!r}", trace=[])
@@ -244,7 +245,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
         step = step * 2.0
         while True:
             candidate = a - step * g
-            candidate_delta = pairwise_distances(candidate)
+            candidate_delta = pair_distances(candidate)
             f_new = problem.loss(candidate, candidate_delta)
             if np.isfinite(f_new) and f_new <= f:
                 break
@@ -287,9 +288,9 @@ def grad_check(problem, coords: np.ndarray, step: float = 1e-5) -> GradCheckResu
     excluded from the comparison (and reported).
     """
     a = np.array(coords, dtype=float)
-    delta = pairwise_distances(a)
-    np.fill_diagonal(delta, np.inf)
-    kink_rows = sorted(set(np.argwhere(delta < 10 * step).ravel().tolist()))
+    first, second = np.triu_indices(a.shape[0], 1)  # the condensed pair order
+    close = pair_distances(a) < 10 * step
+    kink_rows = sorted(set(first[close].tolist()) | set(second[close].tolist()))
     analytic = problem.grad(a)
     numeric = np.zeros_like(a)
     for i in range(a.shape[0]):

@@ -25,7 +25,7 @@ import numpy as np
 from .algorithms import PipelineSpec, build_stage
 from .covers import HierarchicalCover, refines
 from .errors import ValidationError
-from .loss import MdsPairFamily, mds_stress_problem, pairwise_distances
+from .loss import MdsPairFamily, mds_stress_problem, pair_distances
 from .metric import PseudometricSpace, isometry_epsilon
 from .optimize import minimize
 
@@ -142,7 +142,7 @@ def check_loss_transfer(
     loss_base = problems[0].loss(emb_x)
     loss_cross = problems[0].loss(emb_y)
     if radius is None:
-        r = float(max(pairwise_distances(e).max(initial=0.0) for e in (emb_x, emb_y))) * 1.1
+        r = float(max(pair_distances(e).max(initial=0.0) for e in (emb_x, emb_y))) * 1.1
     else:
         r = float(radius)
     if r <= 0:

@@ -3,16 +3,19 @@
 Everything here enumerates: components by flood fill over explicit edge
 lists, cliques and k-connected sets by subset enumeration, path costs by
 walking every simple path. Exponential, fine for n <= 7. Hand-built loss
-families, the exact interval sup of a form and the JSON round trip of loss
-objects for tests live here too.
+families, the exact interval sup of a form, the JSON round trip of loss
+objects and the n x n embedding losses (every pair counted twice) for tests
+live here too.
 """
 
 import math
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from coverembed import ValidationError
+from coverembed.covers import cap_disconnected
 from coverembed.loss import FCE_CLAMP_DEFAULT, Form, LossObject
 
 
@@ -313,3 +316,78 @@ def loss_object_from_json(obj) -> LossObject:
         for t in obj["terms"]
     }
     return LossObject(int(obj["n"]), terms)
+
+
+# -- n x n embedding losses -------------------------------------------------------
+
+
+def pairwise_distances(a):
+    """The full n x n Euclidean distance matrix of the rows of `a`."""
+    d = cdist(a, a)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def reference_pair_gradient(a, delta, slope):
+    """Row i is sum_j (slope_ij / delta_ij)(a_i - a_j), from n x n matrices."""
+    coeff = np.divide(slope, delta, out=np.zeros_like(slope), where=delta > 0)
+    at = np.ascontiguousarray(a.T)
+    return coeff.sum(axis=1)[:, None] * a - np.einsum("ij,kj->ik", coeff, at)
+
+
+class ReferenceStress:
+    """Stress summed over the n x n matrix, every unordered pair twice."""
+
+    def __init__(self, targets, policy="strict"):
+        t = np.array(targets, dtype=float)
+        weights = np.ones_like(t)
+        np.fill_diagonal(weights, 0.0)
+        infinite = ~np.isfinite(t)
+        if infinite.any():
+            if policy == "strict":
+                raise ValidationError("infinite target")
+            if policy == "cap":
+                t = cap_disconnected(t)
+            else:
+                weights[infinite] = 0.0
+                t[infinite] = 0.0
+        self.targets, self.weights = t, weights
+
+    def loss(self, a):
+        resid = self.weights * (self.targets - pairwise_distances(a))
+        return float((resid * resid).sum())
+
+    def grad(self, a):
+        delta = pairwise_distances(a)
+        slope = 4.0 * (delta - self.targets)
+        slope *= self.weights
+        return reference_pair_gradient(a, delta, slope)
+
+
+class ReferenceCrossEntropy:
+    """Fuzzy cross-entropy summed over the n x n matrix, every unordered pair twice."""
+
+    def __init__(self, w, clamp=FCE_CLAMP_DEFAULT):
+        self.w = np.array(w, dtype=float)
+        self.clamp = clamp
+
+    def loss(self, a):
+        v = np.clip(np.exp(-pairwise_distances(a)), self.clamp, 1.0 - self.clamp)
+        w = self.w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            attract = np.where(w > 0, w * (np.log(np.where(w > 0, w, 1.0)) - np.log(v)), 0.0)
+            repel = np.where(
+                w < 1,
+                (1 - w) * (np.log(np.where(w < 1, 1 - w, 1.0)) - np.log1p(-v)),
+                0.0,
+            )
+        total = np.where(~np.eye(len(w), dtype=bool), attract + repel, 0.0)
+        return float(total.sum())
+
+    def grad(self, a):
+        delta = pairwise_distances(a)
+        raw_v = np.exp(-delta)
+        clamped = (raw_v <= self.clamp) | (raw_v >= 1.0 - self.clamp)
+        v = np.clip(raw_v, self.clamp, 1.0 - self.clamp)
+        slope = np.where(clamped, 0.0, 2.0 * (self.w - (1.0 - self.w) * v / (1.0 - v)))
+        return reference_pair_gradient(a, delta, slope)

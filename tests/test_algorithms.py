@@ -19,10 +19,10 @@ from coverembed import (
 )
 from coverembed.algorithms import connectivity_radius, stage_membership, stage_targets
 from coverembed.graphs import bottleneck_matrix, hop_bounded_minimax
-from coverembed.loss import mds_stress_problem, pairwise_distances
+from coverembed.loss import mds_stress_problem
 from coverembed.optimize import minimize
 
-from oracles import oracle_minimax_path, random_euclidean, random_space
+from oracles import oracle_minimax_path, pairwise_distances, random_euclidean, random_space
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 

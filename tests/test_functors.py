@@ -440,7 +440,7 @@ def _assert_routes_agree(space):
         h = cluster_hierarchy(space, stage, disconnected="cap", **params)
         # the stress targets the pipeline embeds, after its "cap" policy
         targets = stage_targets(space, PipelineSpec(stage, **params))
-        capped = mds_stress_problem(targets, 1, policy="cap").targets
+        capped = mds_stress_problem(targets, 1, policy="cap").init_targets()
         want = np.exp(-capped)
         np.fill_diagonal(want, 1.0)
         assert np.array_equal(membership_matrix(h).w, want), (stage, params)

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from coverembed import (
     GridSpec,
@@ -25,14 +27,18 @@ from coverembed.loss import (
     LossObject,
     ZERO_FORM,
     family_leq,
-    pairwise_distances,
+    pair_distances,
 )
+from coverembed.covers import cap_disconnected, target_distances
 from oracles import (
     PiecewisePairFamily,
+    ReferenceCrossEntropy,
+    ReferenceStress,
     form_abs_sup,
     form_from_json,
     loss_object_from_json,
     loss_object_to_json,
+    pairwise_distances,
 )
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
@@ -230,10 +236,10 @@ def test_stress_policies_for_infinite_targets():
         ]
     )
     capped = mds_stress_problem(t4, 1, policy="cap")
-    assert capped.targets[0, 2] == 3.0
+    assert capped.init_targets()[0, 2] == 3.0
     assert capped.capped_pairs == 4
     dropped = mds_stress_problem(t4, 1, policy="drop")
-    assert dropped.weights[0, 2] == 0.0
+    assert squareform(dropped.weights)[0, 2] == 0.0
     a = np.array([[0.0], [1.0], [10.0], [11.0]])
     assert dropped.loss(a) == pytest.approx(0.0)
 
@@ -362,7 +368,7 @@ def test_loss_and_grad_take_the_callers_distances_bit_for_bit():
     )
     a = rng.normal(size=(6, 2))
     a[3] = a[1]  # a coincident pair
-    delta = pairwise_distances(a)
+    delta = pair_distances(a)
     for prob in problems:
         assert prob.loss(a, delta) == prob.loss(a)
         assert np.array_equal(prob.grad(a, delta), prob.grad(a))
@@ -374,3 +380,84 @@ def test_pairwise_distances_matches_direct_formula():
     diff = a[:, None, :] - a[None, :, :]
     direct = np.sqrt((diff * diff).sum(-1))
     assert np.allclose(pairwise_distances(a), direct, atol=1e-12)
+
+
+def _pair_kernel_cases():
+    """(problem, n x n reference, coords) on the inputs the pair layout must survive."""
+    rng = np.random.default_rng(31)
+    cases = []
+
+    def add(targets, a, policy="strict"):
+        m = a.shape[1]
+        cases.append((mds_stress_problem(targets, m, policy), ReferenceStress(targets, policy), a))
+        if np.isfinite(targets).all():
+            w = np.exp(-targets)
+            np.fill_diagonal(w, 1.0)
+            cases.append((fce_problem(MembershipMatrix(w), m), ReferenceCrossEntropy(w), a))
+
+    for n, m in ((1, 2), (2, 1), (2, 3), (7, 2), (40, 3)):
+        add(pairwise_distances(rng.normal(size=(n, 4))), rng.normal(size=(n, m)))
+    add(np.zeros((2, 2)), np.zeros((2, 2)))  # n = 2, both points at one spot
+    # tie-heavy: integer targets and a grid embedding, many equal distances
+    grid = np.array([[i, j] for i in range(4) for j in range(4)], dtype=float)
+    add(np.round(pairwise_distances(rng.integers(0, 3, size=(16, 2)))), grid)
+    # coincident points, with zero targets among them
+    a = rng.normal(size=(9, 2))
+    a[5] = a[7] = a[2]
+    t = pairwise_distances(rng.integers(0, 2, size=(9, 3)))
+    add(t, a)
+    # disconnected targets under the drop and cap policies
+    t = pairwise_distances(rng.normal(size=(10, 3)))
+    t[:4, 4:] = t[4:, :4] = np.inf
+    for policy in ("drop", "cap"):
+        add(t, rng.normal(size=(10, 2)), policy)
+    # memberships w in {0, 1}, coincident points included
+    w = np.triu((rng.random((12, 12)) < 0.5).astype(float), 1)
+    w = w + w.T + np.eye(12)
+    a = rng.normal(size=(12, 2))
+    a[3] = a[0]
+    cases.append((fce_problem(MembershipMatrix(w), 2), ReferenceCrossEntropy(w), a))
+    return cases
+
+
+def test_pair_kernels_match_the_square_matrix_reference():
+    for prob, ref, a in _pair_kernel_cases():
+        delta = pair_distances(a)
+        assert np.array_equal(squareform(delta), pairwise_distances(a))
+        assert np.array_equal(prob.grad(a, delta), ref.grad(a))
+        want = ref.loss(a)
+        assert abs(prob.loss(a, delta) - want) <= 1e-12 * abs(want)
+        if prob.kind == "stress":
+            assert np.array_equal(prob.init_targets(), ref.targets)
+        else:
+            want_init = cap_disconnected(target_distances(MembershipMatrix(ref.w)))
+            assert np.array_equal(prob.init_targets(), want_init)
+
+
+def test_problems_hold_pair_data_and_loss_stays_below_one_square_matrix():
+    n = 400
+    rng = np.random.default_rng(33)
+    d = pairwise_distances(rng.normal(size=(n, 3)))
+    dropped = d.copy()
+    dropped[:50, 50:] = dropped[50:, :50] = np.inf
+    w = np.exp(-d)
+    a = rng.normal(size=(n, 2))
+    delta = pair_distances(a)
+    problems = (
+        mds_stress_problem(d, 2),
+        mds_stress_problem(dropped, 2, policy="drop"),
+        fce_problem(MembershipMatrix(w), 2),
+    )
+    for prob in problems:
+        for name, value in vars(prob).items():
+            assert isinstance(value, (int, float, str, np.ndarray)), name
+            if isinstance(value, np.ndarray):
+                assert value.shape == (n * (n - 1) // 2,), name
+        prob.loss(a, delta)
+        tracemalloc.start()
+        try:
+            prob.loss(a, delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * np.dtype(float).itemsize, (prob.kind, peak)

@@ -18,8 +18,9 @@ from coverembed import (
     mds_stress_problem,
     minimize,
 )
-from coverembed.loss import pairwise_distances
+from coverembed.loss import pair_distances
 from coverembed.optimize import random_init, top_eigenpairs
+from oracles import pairwise_distances
 
 
 def _lapack_top(s, m):
@@ -278,7 +279,7 @@ def test_minimize_computes_one_distance_matrix_per_loss_evaluation(monkeypatch):
 
     def counted_distances(a):
         counts["distances"] += 1
-        return pairwise_distances(a)
+        return pair_distances(a)
 
     class Counted:
         def __init__(self, problem):
@@ -296,7 +297,7 @@ def test_minimize_computes_one_distance_matrix_per_loss_evaluation(monkeypatch):
             return self.problem.init_targets()
 
     for module in (coverembed.loss, coverembed.optimize):
-        monkeypatch.setattr(module, "pairwise_distances", counted_distances)
+        monkeypatch.setattr(module, "pair_distances", counted_distances)
     rng = np.random.default_rng(3)
     d = rng.uniform(0.5, 2.0, size=(6, 6))
     d = (d + d.T) / 2
