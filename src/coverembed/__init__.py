@@ -34,15 +34,15 @@ from .functors import (
     vl_k_linkage,
 )
 from .loss import (
+    CrossEntropyProblem,
     FuzzyLossFamily,
     GridSpec,
     LossObject,
     QuadratureSettings,
-    fce_problem,
+    StressProblem,
     flatten,
     loss_leq,
     mds_fuzzy_family,
-    mds_stress_problem,
     sign_classification,
 )
 from .optimize import (

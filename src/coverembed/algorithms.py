@@ -18,7 +18,7 @@ from .covers import MembershipMatrix, target_distances
 from .errors import ValidationError
 from .functors import check_stage, first_cooccurrence, fuzzy_union_membership
 from .functors import connectivity_radius  # noqa: F401 (re-exported)
-from .loss import StressProblem, check_policy, fce_problem, mds_stress_problem
+from .loss import CrossEntropyProblem, StressProblem, check_policy
 from .metric import PseudometricSpace
 from .optimize import Embedding, MinimizeResult, OptimizerConfig, minimize
 
@@ -84,11 +84,6 @@ def build_stage(
     return targets, MembershipMatrix(w)
 
 
-def stage_membership(space: PseudometricSpace, spec: PipelineSpec) -> MembershipMatrix:
-    """Membership matrix of the clustering stage (exp of minus the targets)."""
-    return build_stage(space, spec)[1]
-
-
 def _summarize_targets(problem) -> dict[str, float]:
     """The targets the loss fits, and the stage's pairs at inf before the policy.
 
@@ -117,9 +112,8 @@ def _summarize_targets(problem) -> dict[str, float]:
 
 def build_problem(space: PseudometricSpace, spec: PipelineSpec):
     if spec.loss == "mds":
-        targets = stage_targets(space, spec)
-        return mds_stress_problem(targets, spec.m, policy=spec.policy)
-    return fce_problem(stage_membership(space, spec), spec.m)
+        return StressProblem(stage_targets(space, spec), spec.m, spec.policy)
+    return CrossEntropyProblem(build_stage(space, spec)[1], spec.m)
 
 
 def run_pipeline(spec: PipelineSpec, space: PseudometricSpace) -> tuple[Embedding, PipelineReport]:
@@ -146,15 +140,11 @@ def run_pipeline(spec: PipelineSpec, space: PseudometricSpace) -> tuple[Embeddin
     return embedding, report
 
 
-def _run(spec: PipelineSpec, space: PseudometricSpace) -> Embedding:
-    return run_pipeline(spec, space)[0]
-
-
 def metric_mds(
     space: PseudometricSpace, m: int, optimizer: OptimizerConfig = OptimizerConfig()
 ) -> Embedding:
     """Stress minimization against the input distances themselves."""
-    return _run(PipelineSpec("ml", "mds", m, optimizer=optimizer), space)
+    return run_pipeline(PipelineSpec("ml", "mds", m, optimizer=optimizer), space)[0]
 
 
 def single_linkage_scaling(
@@ -165,7 +155,7 @@ def single_linkage_scaling(
     Points connected through a chain of short steps embed close together even
     when their direct distance is large.
     """
-    return _run(PipelineSpec("sl", "mds", m, optimizer=optimizer), space)
+    return run_pipeline(PipelineSpec("sl", "mds", m, optimizer=optimizer), space)[0]
 
 
 def isomap(
@@ -185,7 +175,14 @@ def isomap(
     minimum folds the loop rather than unrolling it.
     """
     spec = PipelineSpec("iso", "mds", m, delta=delta_cap, optimizer=optimizer, policy=policy)
-    return _run(spec, space)
+    return run_pipeline(spec, space)[0]
+
+
+def path_points(hops: int) -> int:
+    """The `lk` stage's k for paths of at most `hops` edges: their points, hops + 1."""
+    if hops < 1:
+        raise ValidationError(f"k must be >= 1, got {hops}")
+    return hops + 1
 
 
 def k_path_scaling(
@@ -195,29 +192,28 @@ def k_path_scaling(
 
     Here k counts path edges (hops = k), so k=1 reproduces the metric MDS
     targets and k >= n-1 the single linkage targets; the pipeline's k counts
-    path points, hence k + 1.
+    path points (`path_points`).
     """
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    return _run(PipelineSpec("lk", "mds", m, k=k + 1, optimizer=optimizer), space)
+    spec = PipelineSpec("lk", "mds", m, k=path_points(k), optimizer=optimizer)
+    return run_pipeline(spec, space)[0]
 
 
 def k_vertex_scaling(
     space: PseudometricSpace, k: int, m: int, optimizer: OptimizerConfig = OptimizerConfig()
 ) -> Embedding:
     """Stress minimization against first-co-occurrence scales in k-connected subgraphs."""
-    return _run(PipelineSpec("vlk", "mds", m, k=k, optimizer=optimizer), space)
+    return run_pipeline(PipelineSpec("vlk", "mds", m, k=k, optimizer=optimizer), space)[0]
 
 
 def umap_simplified(
     space: PseudometricSpace, m: int, optimizer: OptimizerConfig = OptimizerConfig()
 ) -> Embedding:
     """Fuzzy cross-entropy over the locally rescaled membership matrix."""
-    return _run(PipelineSpec("fuzzy", "fce", m, optimizer=optimizer), space)
+    return run_pipeline(PipelineSpec("fuzzy", "fce", m, optimizer=optimizer), space)[0]
 
 
 def mds_fuzzy(
     space: PseudometricSpace, m: int, optimizer: OptimizerConfig = OptimizerConfig()
 ) -> Embedding:
     """Stress minimization against -log of the locally rescaled memberships."""
-    return _run(PipelineSpec("fuzzy", "mds", m, optimizer=optimizer), space)
+    return run_pipeline(PipelineSpec("fuzzy", "mds", m, optimizer=optimizer), space)[0]

@@ -5,8 +5,8 @@ Every run is one argv: `--config FILE` expands into options before parsing.
 Each run writes a manifest next to its primary output recording that argv, the
 resolved configuration, input digests, and seeds; `rerun` replays the argv and
 reproduces the outputs byte for byte. All numeric text is printed with 17
-significant digits. --threads is accepted and recorded but changes nothing:
-every computation is sequential.
+significant digits. Every computation is sequential, so the BLAS thread count
+never changes an output.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import PipelineSpec, run_pipeline
+from .algorithms import PipelineSpec, path_points, run_pipeline
 from .covers import MembershipMatrix
 from .dna import BenchConfig, run_bench
 from .errors import NumericalError, ValidationError
@@ -79,10 +79,10 @@ def _spec_from_args(args) -> PipelineSpec:
     optimizer = OptimizerConfig(max_iters=args.max_iters, seed=args.seed, init=args.init)
     k = args.k
     if args.pipeline:
-        fields = dict(part.split("=", 1) for part in args.pipeline.split(","))
-        cluster = fields.pop("cluster", None)
+        fields = dict(part.partition("=")[::2] for part in args.pipeline.split(","))
+        cluster = fields.pop("cluster", "")
         loss = fields.pop("loss", "mds")
-        if cluster is None or fields:
+        if not cluster or fields:
             raise ValidationError("--pipeline wants 'cluster=STAGE,loss=STAGE'")
     elif args.algo is None:
         raise ValidationError("need --algo or --pipeline")
@@ -93,7 +93,7 @@ def _spec_from_args(args) -> PipelineSpec:
         elif args.k is None:
             raise ValidationError(f"algorithm {args.algo!r} needs --k")
         elif k_rule == "hops":
-            k = args.k + 1
+            k = path_points(args.k)
     return PipelineSpec(
         cluster, loss, args.m, k=k, delta=args.delta, optimizer=optimizer, policy=args.policy
     )
@@ -215,12 +215,19 @@ def cmd_stability(args):
 
 
 def cmd_bench_dna(args):
-    dims = [int(v) for v in args.dim.split(",")]
+    try:
+        dims = [int(v) for v in args.dim.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--dim wants comma-separated integers, got {args.dim!r}") from exc
     algos = [a.strip() for a in args.algos.split(",")]
     optimizer = OptimizerConfig(max_iters=args.max_iters)
     pipelines = []
     for m in dims:
         for algo in algos:
+            if algo not in ALGO_TABLE:
+                raise ValidationError(
+                    f"--algos: unknown algorithm {algo!r}; choose from {', '.join(ALGO_TABLE)}"
+                )
             cluster, loss, k_rule = ALGO_TABLE[algo]
             if k_rule is not None:
                 raise ValidationError(f"benchmark does not take parametric algo {algo!r}")
@@ -384,8 +391,6 @@ def cmd_rerun(args):
                 argv[idx] = f"{option}={out_dir / Path(path).name}"
             elif option in OUTPUT_OPTIONS and idx + 1 < len(argv):
                 argv[idx + 1] = str(out_dir / Path(argv[idx + 1]).name)
-    if args.threads is not None:
-        argv += ["--threads", str(args.threads)]
     return dispatch(argv)
 
 
@@ -397,8 +402,6 @@ def _common_io(p, infile=True):
             help="how to read --in (distance CSV, point CSV, sequence lines)",
         )
     p.add_argument("--manifest", default=None, help="manifest path override")
-    p.add_argument("--threads", type=int, default=1,
-                   help="recorded; changes nothing (every computation is sequential)")
     p.add_argument("--json-errors", action="store_true", dest="json_errors")
     p.add_argument("--config", default=None, help="key=value config file")
 
@@ -483,7 +486,6 @@ def make_parser() -> CliParser:
     p = sub.add_parser("rerun", help="re-execute a run from its manifest")
     p.add_argument("manifest_path")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_rerun)
 
     parser.subcommands = sub.choices

@@ -127,7 +127,7 @@ class HierarchicalCover:
                 )
 
 
-def build_hierarchy(n: int, staged, validate: bool = False) -> HierarchicalCover:
+def build_hierarchy(n: int, staged) -> HierarchicalCover:
     """Assemble (scale, cover) pairs into a HierarchicalCover.
 
     Drops scales whose cover equals the previous one, so critical scales are
@@ -140,10 +140,7 @@ def build_hierarchy(n: int, staged, validate: bool = False) -> HierarchicalCover
             continue
         scales.append(float(scale))
         covers.append(cover)
-    h = HierarchicalCover(n, tuple(scales), tuple(covers))
-    if validate:
-        h.validate_coarsening()
-    return h
+    return HierarchicalCover(n, tuple(scales), tuple(covers))
 
 
 def cover_at(h: HierarchicalCover, delta: float) -> Cover:
@@ -177,33 +174,35 @@ class MembershipMatrix:
         return self.w.shape[0]
 
 
+def first_cooccurrence_scales(h: HierarchicalCover) -> np.ndarray:
+    """T[i,j] = the smallest scale of `h` at which i,j share a block, as stored.
+
+    Pairs that never share a block get inf; the diagonal is 0. A block
+    already in the previous scale's cover is skipped: every pair in it was
+    assigned at that scale or earlier.
+    """
+    n = h.n
+    t = np.full((n, n), np.inf)
+    np.fill_diagonal(t, 0.0)
+    previous: frozenset[tuple[int, ...]] = frozenset()
+    for scale, cover in zip(h.scales, h.covers):
+        for b in cover.blocks:
+            if b not in previous:
+                sub = np.ix_(b, b)
+                t[sub] = np.minimum(t[sub], scale)
+        if np.isfinite(t).all():
+            break
+        previous = frozenset(cover.blocks)
+    return t
+
+
 def membership_matrix(h: HierarchicalCover) -> MembershipMatrix:
     """W[i,j] = exp(-delta*) at the smallest scale delta* where i,j share a block.
 
     Pairs that never share a block get W = 0 (the sup over an empty strength
-    set); the diagonal is 1. A block already in the previous scale's cover is
-    skipped: every pair in it was assigned at that scale or earlier.
+    set); the diagonal is 1.
     """
-    n = h.n
-    w = np.zeros((n, n))
-    assigned = np.zeros((n, n), dtype=bool)
-    np.fill_diagonal(w, 1.0)
-    np.fill_diagonal(assigned, True)
-    previous: frozenset[tuple[int, ...]] = frozenset()
-    for scale, cover in zip(h.scales, h.covers):
-        strength = float(np.exp(-scale))
-        for b in cover.blocks:
-            if b in previous:
-                continue
-            sub = np.ix_(b, b)
-            fresh = ~assigned[sub]
-            if fresh.any():
-                w[sub] = np.where(fresh, strength, w[sub])
-                assigned[sub] = True
-        if assigned.all():
-            break
-        previous = frozenset(cover.blocks)
-    return MembershipMatrix(w)
+    return MembershipMatrix(np.exp(-first_cooccurrence_scales(h)))
 
 
 def target_distances(m: MembershipMatrix) -> np.ndarray:

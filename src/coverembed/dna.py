@@ -200,7 +200,7 @@ def run_bench(cfg: BenchConfig, progress=None) -> BenchResult:
                 coords = np.ascontiguousarray(init_cache[key][:, : spec.m])
                 optimizer = replace(spec.optimizer, init="given", init_coords=coords)
             else:
-                optimizer = spec.optimizer.with_seed(spec.optimizer.seed + rep)
+                optimizer = replace(spec.optimizer, seed=spec.optimizer.seed + rep)
             result = minimize(problem, optimizer)
             acc = accuracy(result.embedding, dataset)
             per_pipeline[idx].append(acc.value)

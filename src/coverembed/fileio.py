@@ -64,14 +64,6 @@ def read_distance_csv(path, strict: bool = False) -> PseudometricSpace:
     return from_matrix(matrix, strict=strict, labels=labels)
 
 
-def write_distance_csv(path, space: PseudometricSpace):
-    with open(path, "w", encoding="utf-8") as fh:
-        if space.labels is not None:
-            fh.write(",".join(space.labels) + "\n")
-        for row in space.d:
-            fh.write(",".join(fmt(x) for x in row) + "\n")
-
-
 def read_points_csv(path) -> PseudometricSpace:
     """One point per row; an optional leading label column is auto-detected."""
     rows = _parse_csv_rows(path)

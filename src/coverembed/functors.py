@@ -30,8 +30,8 @@ from .covers import (
     MembershipMatrix,
     build_hierarchy,
     cap_disconnected,
+    first_cooccurrence_scales,
     make_cover,
-    membership_matrix,
     target_distances,
 )
 from .errors import DisconnectedError, ValidationError
@@ -92,10 +92,11 @@ def cluster_hierarchy(
 ) -> HierarchicalCover:
     """The hierarchical cover of a clustering stage, by name.
 
-    Every stage but `vlk` scans its first-co-occurrence matrix, so its
-    membership matrix is exp(-first_cooccurrence). `iso` without delta takes
-    the connectivity radius; `disconnected` is its policy for pairs in
-    different components: "error" raises, "cap" applies `cap_disconnected`.
+    Every stage but `vlk` scans its first-co-occurrence matrix, and `vlk`'s
+    is read off its hierarchy, so every membership matrix is
+    exp(-first_cooccurrence). `iso` without delta takes the connectivity
+    radius; `disconnected` is its policy for pairs in different components:
+    "error" raises, "cap" applies `cap_disconnected`.
     """
     if stage == "vlk":
         check_stage(stage, k, delta)
@@ -125,7 +126,7 @@ def first_cooccurrence(
     if stage == "lk":
         return hop_bounded_minimax(space.d, max(1, k - 1))
     if stage == "vlk":
-        return target_distances(membership_matrix(cluster_hierarchy(space, stage, k)))
+        return first_cooccurrence_scales(cluster_hierarchy(space, stage, k))
     if stage == "fuzzy":
         return target_distances(fuzzy_union_membership(space))
     # iso: the geodesic metric of the threshold graph at delta
@@ -164,7 +165,8 @@ def l_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
     k counts the points of the connecting sequence, so the hop bound is
     max(1, k-1); k=1 collapses to the direct edge relation (maximal linkage)
     and k >= n reproduces single linkage. This is the one k convention of the
-    library: `PipelineSpec.k` and `k_path_scaling` translate to it.
+    library: `PipelineSpec.k` takes it, and `k_path_scaling` and the CLI's
+    `kpath` translate their hop bound to it with `algorithms.path_points`.
     """
     return cluster_hierarchy(space, "lk", k=k)
 

@@ -272,6 +272,11 @@ def family_leq(
 
 # -- flatten ---------------------------------------------------------------------
 
+# the quadrature path integrates t = -log a up to the pair's target + this margin
+QUADRATURE_TAIL_MARGIN = 20.0
+# embedded distances at which the quadrature path checks the closed-form c term
+QUADRATURE_X_PROBE = (0.0, 0.5, 1.0, 2.0)
+
 
 @dataclass(frozen=True)
 class QuadratureSettings:
@@ -279,8 +284,6 @@ class QuadratureSettings:
 
     method: str = "exact"  # "exact" | "quadrature"
     rel_tol: float = 1e-8
-    tail_margin: float = 20.0
-    x_probe: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)
 
 
 def flatten(family: FuzzyLossFamily, settings: QuadratureSettings = QuadratureSettings()) -> LossObject:
@@ -288,7 +291,7 @@ def flatten(family: FuzzyLossFamily, settings: QuadratureSettings = QuadratureSe
 
     The exact path integrates the parametric pieces in closed form. The
     quadrature path substitutes a = exp(-t), integrates t over [0, T] with T
-    = (largest finite target distance) + tail_margin, bounds the tail
+    = (the pair's target distance) + QUADRATURE_TAIL_MARGIN, bounds the tail
     analytically, and fits the result back onto the closed-form tags; it
     exists to verify the exact path and raises if the two disagree beyond the
     requested relative tolerance.
@@ -309,9 +312,9 @@ def flatten(family: FuzzyLossFamily, settings: QuadratureSettings = QuadratureSe
             terms[key] = (c_exact, e_exact)
             continue
         target = -math.log(fam.w)
-        t_max = target + settings.tail_margin
+        t_max = target + QUADRATURE_TAIL_MARGIN
         breaks = [target] if 0.0 < target < t_max else []
-        for x in settings.x_probe:
+        for x in QUADRATURE_X_PROBE:
             got, _ = quad(
                 fam.c_integrand_t,
                 0.0,
@@ -510,7 +513,8 @@ class CrossEntropyProblem:
     """Fuzzy cross-entropy between memberships and exp(-embedded distance).
 
     The low-dimensional membership v = exp(-distance) is clamped to
-    [clamp, 1 - clamp] so the loss and gradient stay finite at distance 0.
+    [FCE_CLAMP_DEFAULT, 1 - FCE_CLAMP_DEFAULT] so the loss and gradient stay
+    finite at distance 0.
     Memberships are condensed (see `pair_distances`), with log w and
     log(1 - w) computed once; the total is twice the sum over unordered
     pairs. `loss` and `grad` take the condensed distances of `a` when the
@@ -519,12 +523,9 @@ class CrossEntropyProblem:
 
     kind = "fce"
 
-    def __init__(self, w: MembershipMatrix, m: int, clamp: float = FCE_CLAMP_DEFAULT):
-        if not 0.0 < clamp < 0.5:
-            raise ValidationError(f"clamp must lie in (0, 0.5), got {clamp!r}")
+    def __init__(self, w: MembershipMatrix, m: int):
         self.n = w.n
         self.m = int(m)
-        self.clamp = float(clamp)
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {m}")
         self.w = squareform(w.w, checks=False)
@@ -541,7 +542,7 @@ class CrossEntropyProblem:
         # then overwritten by the repelling term
         v = np.negative(delta)
         np.exp(v, out=v)
-        np.clip(v, self.clamp, 1.0 - self.clamp, out=v)
+        np.clip(v, FCE_CLAMP_DEFAULT, 1.0 - FCE_CLAMP_DEFAULT, out=v)
         attract = np.log(v)
         np.subtract(self._log_w, attract, out=attract)
         attract *= self.w
@@ -556,8 +557,8 @@ class CrossEntropyProblem:
         if delta is None:
             delta = pair_distances(a)
         raw_v = np.exp(-delta)
-        clamped = (raw_v <= self.clamp) | (raw_v >= 1.0 - self.clamp)
-        v = np.clip(raw_v, self.clamp, 1.0 - self.clamp)
+        clamped = (raw_v <= FCE_CLAMP_DEFAULT) | (raw_v >= 1.0 - FCE_CLAMP_DEFAULT)
+        v = np.clip(raw_v, FCE_CLAMP_DEFAULT, 1.0 - FCE_CLAMP_DEFAULT)
         # d(loss)/d(delta) = (w/v - (1-w)/(1-v)) * v where v is active, twice
         # because each unordered pair appears twice in the total
         slope = np.where(clamped, 0.0, 2.0 * (self.w - self._1mw * v / (1.0 - v)))
@@ -568,14 +569,3 @@ class CrossEntropyProblem:
         with np.errstate(divide="ignore"):
             return cap_disconnected(squareform(-np.log(self.w)))
 
-
-def mds_stress_problem(targets, m: int, policy: str = "strict") -> StressProblem:
-    """Stress problem over derived target distances (possibly with inf entries)."""
-    return StressProblem(targets, m, policy)
-
-
-def fce_problem(
-    w: MembershipMatrix, m: int, clamp: float = FCE_CLAMP_DEFAULT
-) -> CrossEntropyProblem:
-    """Fuzzy cross-entropy problem over a membership matrix."""
-    return CrossEntropyProblem(w, m, clamp)

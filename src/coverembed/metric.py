@@ -35,17 +35,6 @@ class PseudometricSpace:
     def n(self) -> int:
         return self.d.shape[0]
 
-    def distance(self, i: int, j: int) -> float:
-        return float(self.d[i, j])
-
-    def permuted(self, perm) -> "PseudometricSpace":
-        """Space with points reordered so new index t is old index perm[t]."""
-        perm = np.asarray(perm, dtype=int)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[p] for p in perm)
-        return PseudometricSpace(self.d[np.ix_(perm, perm)].copy(), labels)
-
     def shifted(self, eps: float) -> "PseudometricSpace":
         """Space with every off-diagonal distance increased by eps >= 0."""
         if eps < 0:

@@ -11,7 +11,7 @@ one per unordered pair (`loss.pair_distances`), and handed to the problem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -61,9 +61,6 @@ class OptimizerConfig:
             raise ValidationError("initial step must be positive")
         if self.init not in ("classical", "random", "given"):
             raise ValidationError(f"unknown init mode {self.init!r}")
-
-    def with_seed(self, seed: int) -> "OptimizerConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 from .algorithms import PipelineSpec, build_stage
 from .covers import HierarchicalCover, refines
 from .errors import ValidationError
-from .loss import MdsPairFamily, mds_stress_problem, pair_distances
+from .loss import MdsPairFamily, StressProblem, pair_distances
 from .metric import PseudometricSpace, isometry_epsilon
 from .optimize import minimize
 
@@ -137,7 +137,7 @@ def check_loss_transfer(
         raise ValidationError(f"size mismatch: {x.n} vs {y.n}")
     eps = isometry_epsilon(x, y)
     stages = [build_stage(space, spec) for space in (x, y)]
-    problems = [mds_stress_problem(t, spec.m, policy=spec.policy) for t, _ in stages]
+    problems = [StressProblem(t, spec.m, spec.policy) for t, _ in stages]
     emb_x, emb_y = (minimize(p, spec.optimizer).embedding.coords for p in problems)
     loss_base = problems[0].loss(emb_x)
     loss_cross = problems[0].loss(emb_y)

@@ -4,8 +4,9 @@ Everything here enumerates: components by flood fill over explicit edge
 lists, cliques and k-connected sets by subset enumeration, path costs by
 walking every simple path. Exponential, fine for n <= 7. Hand-built loss
 families, the exact interval sup of a form, the JSON round trip of loss
-objects and the n x n embedding losses (every pair counted twice) for tests
-live here too.
+objects, the n x n embedding losses (every pair counted twice), and the
+permuting and CSV-writing helpers that tests use to build inputs live here
+too.
 """
 
 import math
@@ -175,6 +176,26 @@ def perturbed(rng, space, eps):
     d = np.clip(space.d + noise, 0.0, None)
     np.fill_diagonal(d, 0.0)
     return from_matrix(d)
+
+
+def permuted(space, perm):
+    """`space` with points reordered so new index t is old index perm[t]."""
+    from coverembed import PseudometricSpace
+
+    perm = np.asarray(perm, dtype=int)
+    labels = None if space.labels is None else tuple(space.labels[p] for p in perm)
+    return PseudometricSpace(space.d[np.ix_(perm, perm)].copy(), labels)
+
+
+def write_distance_csv(path, space):
+    """The distance CSV that `coverembed --input-kind dist` reads: labels row first."""
+    from coverembed.fileio import fmt
+
+    with open(path, "w", encoding="utf-8") as fh:
+        if space.labels is not None:
+            fh.write(",".join(space.labels) + "\n")
+        for row in space.d:
+            fh.write(",".join(fmt(x) for x in row) + "\n")
 
 
 def oracle_refines(fine, coarse):

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from coverembed import (
+    CrossEntropyProblem,
     MembershipMatrix,
     PipelineSpec,
-    fce_problem,
+    StressProblem,
     from_matrix,
     from_points_euclidean,
     grad_check,
@@ -28,7 +29,6 @@ from coverembed import (
     isomap,
     l_k_linkage,
     maximal_linkage,
-    mds_stress_problem,
     membership_matrix,
     minimize,
     single_linkage,
@@ -39,7 +39,7 @@ from coverembed.algorithms import stage_targets
 from coverembed.cli import dispatch
 from coverembed.covers import cover_at, refines
 from coverembed.dna import BenchConfig, run_bench
-from coverembed.fileio import read_json, write_distance_csv
+from coverembed.fileio import read_json
 from coverembed.graphs import bottleneck_matrix, hop_bounded_minimax
 from coverembed.metric import isometry_epsilon
 
@@ -51,7 +51,9 @@ from oracles import (
     perturbed,
     random_space,
     threshold_edges,
+    write_distance_csv,
 )
+from test_optimize import _stdout_under_blas_threads
 
 
 @contextmanager
@@ -73,8 +75,8 @@ def criterion(number, name, limit_seconds):
 
 def test_criterion_01_exact_recovery_stress():
     with criterion(1, "exact-recovery stress", 1.0) as out:
-        res2 = minimize(mds_stress_problem(np.array([[0.0, 3.0], [3.0, 0.0]]), 1))
-        tri = minimize(mds_stress_problem(np.ones((3, 3)) - np.eye(3), 2))
+        res2 = minimize(StressProblem(np.array([[0.0, 3.0], [3.0, 0.0]]), 1))
+        tri = minimize(StressProblem(np.ones((3, 3)) - np.eye(3), 2))
         out["detail"] = f"losses {res2.loss:.2e}, {tri.loss:.2e}"
         assert res2.loss < 1e-10
         assert tri.loss < 1e-10
@@ -216,11 +218,11 @@ def test_criterion_07_gradient_checks():
             d = rng.uniform(0.3, 2.5, size=(n, n))
             d = (d + d.T) / 2
             np.fill_diagonal(d, 0.0)
-            worst = max(worst, grad_check(mds_stress_problem(d, m), a).max_rel_error)
+            worst = max(worst, grad_check(StressProblem(d, m), a).max_rel_error)
             w = np.exp(-d)
             np.fill_diagonal(w, 1.0)
             worst = max(
-                worst, grad_check(fce_problem(MembershipMatrix(w), m), a).max_rel_error
+                worst, grad_check(CrossEntropyProblem(MembershipMatrix(w), m), a).max_rel_error
             )
         out["detail"] = f"100 instances, max rel error = {worst:.2e}"
         assert worst < 1e-5
@@ -278,12 +280,15 @@ def test_criterion_09_cli_determinism(tmp_path):
         for argv, outputs in runs:
             assert dispatch(argv) == 0
             manifest = tmp_path / (outputs[0] + ".manifest.json")
-            for threads, tag in ((1, "r1"), (4, "r4")):
-                rerun_dir = tmp_path / f"{outputs[0]}.{tag}"
-                assert dispatch([
-                    "rerun", str(manifest), "--out-dir", str(rerun_dir),
-                    "--threads", str(threads),
-                ]) == 0
+            for threads in ("1", "4"):
+                # a fresh interpreter, whose BLAS thread pool starts at this size;
+                # a nonzero exit raises
+                rerun_dir = tmp_path / f"{outputs[0]}.r{threads}"
+                rerun = ["rerun", str(manifest), "--out-dir", str(rerun_dir)]
+                _stdout_under_blas_threads(
+                    f"from coverembed.cli import dispatch\nraise SystemExit(dispatch({rerun!r}))",
+                    threads,
+                )
                 for name in outputs:
                     assert (rerun_dir / name).read_bytes() == (
                         tmp_path / name
@@ -298,7 +303,7 @@ def test_criterion_09_cli_determinism(tmp_path):
         assert dispatch(["interleave", "--a", str(h1), "--b", str(tmp_path / "hsl.json"),
                          "--out", str(tmp_path / "il.json")]) == 0
         assert (tmp_path / "il.json").read_bytes() == first
-        out["detail"] = "6 subcommands bit-identical across reruns and threads 1 vs 4"
+        out["detail"] = "6 subcommands bit-identical across reruns at 1 and 4 BLAS threads"
 
 
 def test_criterion_10_flatten_verification(tmp_path):

@@ -17,12 +17,18 @@ from coverembed import (
     single_linkage_scaling,
     umap_simplified,
 )
-from coverembed.algorithms import connectivity_radius, stage_membership, stage_targets
+from coverembed.algorithms import build_stage, connectivity_radius, stage_targets
 from coverembed.graphs import bottleneck_matrix, hop_bounded_minimax
-from coverembed.loss import mds_stress_problem
+from coverembed.loss import StressProblem
 from coverembed.optimize import minimize
 
-from oracles import oracle_minimax_path, pairwise_distances, random_euclidean, random_space
+from oracles import (
+    oracle_minimax_path,
+    pairwise_distances,
+    permuted,
+    random_euclidean,
+    random_space,
+)
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -100,7 +106,7 @@ def test_vlk_k1_equals_sl_targets():
         space = random_space(rng, n=5)
         t1 = stage_targets(space, spec("vlk", k=1))
         t2 = stage_targets(space, spec("sl"))
-        assert np.allclose(t1, t2, atol=1e-12)
+        assert np.array_equal(t1, t2)
 
 
 def test_vlk_large_k_equals_ml_targets():
@@ -108,7 +114,7 @@ def test_vlk_large_k_equals_ml_targets():
     for _ in range(4):
         space = random_space(rng, n=5)
         t = stage_targets(space, spec("vlk", k=7))
-        assert np.allclose(t, space.d, atol=1e-12)
+        assert np.array_equal(t, space.d)
 
 
 def test_iso_targets_default_radius_connects():
@@ -162,9 +168,9 @@ def test_drop_policy_gradient_matches_finite_differences():
             [np.inf, np.inf, 1.0, 0.0],
         ]
     )
-    from coverembed import mds_stress_problem
+    from coverembed import StressProblem
 
-    prob = mds_stress_problem(t, 2, policy="drop")
+    prob = StressProblem(t, 2, policy="drop")
     rng = np.random.default_rng(0)
     assert grad_check(prob, rng.normal(size=(4, 2))).max_rel_error < 1e-5
 
@@ -283,7 +289,7 @@ def test_kpath_is_stress_on_k_hop_minimax_targets():
     for space in (CHAIN, labelled, random_space(rng, n=6)):
         for k in (1, 2, space.n):
             got = k_path_scaling(space, k, 2, config)
-            want = minimize(mds_stress_problem(hop_bounded_minimax(space.d, k), 2), config)
+            want = minimize(StressProblem(hop_bounded_minimax(space.d, k), 2), config)
             assert np.array_equal(got.coords, want.embedding.coords)
             assert got.labels == space.labels
 
@@ -366,7 +372,7 @@ def test_permutation_equivariance_of_pipelines():
     rng = np.random.default_rng(12)
     space = random_euclidean(rng, n=6, dim=2)
     perm = rng.permutation(6)
-    permuted = space.permuted(perm)
+    relabeled = permuted(space, perm)
     tight = OptimizerConfig(max_iters=20000, conv_rel=1e-14)
     for s in (
         spec("ml", optimizer=tight),
@@ -375,14 +381,14 @@ def test_permutation_equivariance_of_pipelines():
     ):
         # the clustering/target stage is exactly equivariant
         t = stage_targets(space, s)
-        t_perm = stage_targets(permuted, s)
+        t_perm = stage_targets(relabeled, s)
         assert np.allclose(t_perm, t[np.ix_(perm, perm)], atol=1e-12)
     # embeddings are equivariant up to solver tolerance where the optimum is
     # unique (realizable targets); non-realizable losses have several minima
     # and index-ordered eigensweeps may tip the descent into another basin
     s = spec("ml", optimizer=tight)
     base = pairwise_distances(run_pipeline(s, space)[0].coords)
-    moved = pairwise_distances(run_pipeline(s, permuted)[0].coords)
+    moved = pairwise_distances(run_pipeline(s, relabeled)[0].coords)
     assert np.allclose(moved, base[np.ix_(perm, perm)], atol=1e-6)
 
 
@@ -390,7 +396,7 @@ def test_stage_membership_consistency():
     rng = np.random.default_rng(13)
     space = random_space(rng, n=5)
     for s in (spec("ml"), spec("sl"), spec("lk", k=2), spec("fuzzy")):
-        w = stage_membership(space, s).w
+        w = build_stage(space, s)[1].w
         t = stage_targets(space, s)
         assert np.allclose(w, np.exp(-t), atol=1e-12)
 
@@ -400,7 +406,7 @@ def test_unknown_target_policy_is_rejected_up_front():
         PipelineSpec("ml", policy="typo")
     # finite targets never reach the infinite-entry branch, and still fail
     with pytest.raises(ValidationError, match="target policy"):
-        mds_stress_problem(CHAIN.d, 1, policy="typo")
+        StressProblem(CHAIN.d, 1, policy="typo")
 
 
 def test_bad_delta_is_rejected_for_every_stage():

@@ -8,6 +8,7 @@ from coverembed import (
     HierarchicalCover,
     NumericalError,
     ValidationError,
+    k_path_scaling,
     maximal_linkage,
     membership_matrix,
 )
@@ -19,11 +20,12 @@ from coverembed.fileio import (
     read_embedding_csv,
     read_hierarchy_json,
     read_json,
-    write_distance_csv,
     write_hierarchy_json,
     write_json,
 )
 from coverembed.metric import from_matrix, from_points_euclidean
+
+from oracles import write_distance_csv
 
 CHAIN = [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
 
@@ -224,8 +226,7 @@ def test_rerun_reproduces_bit_identical(dist_csv, tmp_path):
     ]) == 0
     rerun_dir = tmp_path / "rerun"
     assert dispatch([
-        "rerun", str(out) + ".manifest.json",
-        "--out-dir", str(rerun_dir), "--threads", "4",
+        "rerun", str(out) + ".manifest.json", "--out-dir", str(rerun_dir),
     ]) == 0
     assert (rerun_dir / "emb.csv").read_bytes() == out.read_bytes()
 
@@ -245,6 +246,36 @@ def test_exit_codes_and_json_errors(tmp_path, capsys):
     assert payload["error"] == "validation"
     # unknown flag -> validation (1)
     assert dispatch(["embed", "--frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["embed", "--pipeline", "cluster"], "--pipeline wants 'cluster=STAGE,loss=STAGE'"),
+    (["bench-dna", "--dim", "2,x"], "--dim wants comma-separated integers, got '2,x'"),
+    (["bench-dna", "--algos", "foo"], "--algos: unknown algorithm 'foo'"),
+], ids=["pipeline-key-without-value", "dim-not-an-integer", "unknown-algo"])
+def test_a_malformed_option_value_exits_one(dist_csv, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    if argv[0] == "embed":
+        argv = argv + ["--in", str(dist_csv)]
+    capsys.readouterr()
+    assert dispatch(argv + ["--out", str(out), "--json-errors"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "validation"
+    assert message in payload["message"]
+    assert not out.exists()
+
+
+def test_kpath_rejects_a_hop_bound_below_one_with_the_library_message(dist_csv, tmp_path, capsys):
+    out = tmp_path / "emb.csv"
+    for k in (0, -3):
+        with pytest.raises(ValidationError) as exc:
+            k_path_scaling(from_matrix(CHAIN), k, 2)
+        capsys.readouterr()
+        assert dispatch(["embed", "--algo", "kpath", "--k", str(k),
+                         "--in", str(dist_csv), "--out", str(out)]) == 1
+        assert str(exc.value) == f"k must be >= 1, got {k}"
+        assert f"validation error: {exc.value}\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_precedence(dist_csv, tmp_path):
@@ -305,12 +336,12 @@ def test_stability_takes_the_common_io_flags(dist_csv, tmp_path):
     manifest = tmp_path / "stab.manifest.json"
     assert dispatch([
         "stability", "--algo", "sls", "--x", str(dist_csv), "--y", str(dist_csv),
-        "--out", str(out), "--manifest", str(manifest), "--threads", "2",
+        "--out", str(out), "--manifest", str(manifest),
         "--config", str(cfg), "--json-errors",
     ]) == 0
     config = read_json(manifest)["config"]
     assert config["max_iters"] == 20
-    assert config["threads"] == 2
+    assert config["json_errors"] is True
     assert config["input_kind"] == "dist"
 
 
@@ -529,6 +560,19 @@ def test_rerun_of_a_manifest_without_argv_exits_one(dist_csv, tmp_path, capsys):
     assert not (tmp_path / "again" / "emb.csv").exists()
 
 
+def test_rerun_of_a_manifest_recording_threads_exits_one(dist_csv, tmp_path, capsys):
+    out = tmp_path / "emb.csv"
+    assert dispatch(["embed", "--algo", "mmds", "--in", str(dist_csv), "--out", str(out)]) == 0
+    manifest = read_json(str(out) + ".manifest.json")
+    manifest["argv"] += ["--threads", "4"]  # an option older versions took
+    old = tmp_path / "old.json"
+    write_json(old, manifest)
+    capsys.readouterr()
+    assert dispatch(["rerun", str(old), "--out-dir", str(tmp_path / "again")]) == 1
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+    assert not (tmp_path / "again" / "emb.csv").exists()
+
+
 def test_rerun_of_interleave_is_byte_identical(dist_csv, tmp_path):
     h1 = tmp_path / "h1.json"
     h2 = tmp_path / "h2.json"
@@ -536,11 +580,9 @@ def test_rerun_of_interleave_is_byte_identical(dist_csv, tmp_path):
     assert dispatch(["cluster", "--functor", "ml", "--in", str(dist_csv), "--out", str(h2)]) == 0
     out = tmp_path / "il.json"
     assert dispatch(["interleave", "--a", str(h1), "--b", str(h2), "--out", str(out)]) == 0
-    for threads in ("1", "4"):
-        again = tmp_path / f"again{threads}"
-        assert dispatch(["rerun", str(out) + ".manifest.json", "--out-dir", str(again),
-                         "--threads", threads]) == 0
-        assert (again / "il.json").read_bytes() == out.read_bytes()
+    again = tmp_path / "again"
+    assert dispatch(["rerun", str(out) + ".manifest.json", "--out-dir", str(again)]) == 0
+    assert (again / "il.json").read_bytes() == out.read_bytes()
 
 
 def test_stability_isomap_defaults_delta_to_the_larger_connectivity_radius(tmp_path):

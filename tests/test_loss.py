@@ -6,17 +6,17 @@ import pytest
 from scipy.spatial.distance import squareform
 
 from coverembed import (
+    CrossEntropyProblem,
     GridSpec,
     MembershipMatrix,
     QuadratureSettings,
+    StressProblem,
     ValidationError,
-    fce_problem,
     flatten,
     from_matrix,
     loss_leq,
     maximal_linkage,
     mds_fuzzy_family,
-    mds_stress_problem,
     membership_matrix,
     sign_classification,
     single_linkage,
@@ -210,7 +210,7 @@ def test_flatten_is_monotone():
 
 
 def test_stress_two_points_realizable():
-    prob = mds_stress_problem(np.array([[0.0, 3.0], [3.0, 0.0]]), 1)
+    prob = StressProblem(np.array([[0.0, 3.0], [3.0, 0.0]]), 1)
     a = np.array([[0.0], [3.0]])
     assert prob.loss(a) == 0.0
     assert prob.loss(np.array([[0.0], [2.0]])) == pytest.approx(2.0)  # ordered pairs
@@ -218,7 +218,7 @@ def test_stress_two_points_realizable():
 
 def test_stress_equilateral_zero_at_triangle():
     targets = np.ones((3, 3)) - np.eye(3)
-    prob = mds_stress_problem(targets, 2)
+    prob = StressProblem(targets, 2)
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
     assert prob.loss(tri) == pytest.approx(0.0, abs=1e-15)
 
@@ -226,7 +226,7 @@ def test_stress_equilateral_zero_at_triangle():
 def test_stress_policies_for_infinite_targets():
     t = np.array([[0.0, np.inf], [np.inf, 0.0]])
     with pytest.raises(ValidationError, match="infinite target"):
-        mds_stress_problem(t, 1)
+        StressProblem(t, 1)
     t4 = np.array(
         [
             [0.0, 1.0, np.inf, np.inf],
@@ -235,10 +235,10 @@ def test_stress_policies_for_infinite_targets():
             [np.inf, np.inf, 1.0, 0.0],
         ]
     )
-    capped = mds_stress_problem(t4, 1, policy="cap")
+    capped = StressProblem(t4, 1, policy="cap")
     assert capped.init_targets()[0, 2] == 3.0
     assert capped.capped_pairs == 4
-    dropped = mds_stress_problem(t4, 1, policy="drop")
+    dropped = StressProblem(t4, 1, policy="drop")
     assert squareform(dropped.weights)[0, 2] == 0.0
     a = np.array([[0.0], [1.0], [10.0], [11.0]])
     assert dropped.loss(a) == pytest.approx(0.0)
@@ -246,15 +246,15 @@ def test_stress_policies_for_infinite_targets():
 
 def test_fce_values():
     w = math.exp(-1.0)
-    prob = fce_problem(member(w), 1)
+    prob = CrossEntropyProblem(member(w), 1)
     a = np.array([[0.0], [1.0]])
     assert prob.loss(a) == pytest.approx(0.0, abs=1e-12)
     # w = 1: pure attraction log(1/v)
-    prob1 = fce_problem(member(1.0), 1)
+    prob1 = CrossEntropyProblem(member(1.0), 1)
     val = prob1.loss(a)
     assert val == pytest.approx(2 * 1.0, rel=1e-5)
     # w = 0: pure repulsion -log(1 - v), decreasing in distance
-    prob0 = fce_problem(MembershipMatrix(np.array([[1.0, 0.0], [0.0, 1.0]])), 1)
+    prob0 = CrossEntropyProblem(MembershipMatrix(np.array([[1.0, 0.0], [0.0, 1.0]])), 1)
     near = prob0.loss(np.array([[0.0], [0.5]]))
     far = prob0.loss(np.array([[0.0], [2.5]]))
     assert near > far > 0.0
@@ -264,15 +264,10 @@ def test_fce_loss_nonnegative_and_zero_at_match():
     rng = np.random.default_rng(5)
     for _ in range(20):
         w = float(rng.uniform(0.05, 0.95))
-        prob = fce_problem(member(w), 1)
+        prob = CrossEntropyProblem(member(w), 1)
         gap = rng.uniform(0.05, 3.0)
         assert prob.loss(np.array([[0.0], [gap]])) >= -1e-12
         assert prob.loss(np.array([[0.0], [-math.log(w)]])) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fce_clamp_validation():
-    with pytest.raises(ValidationError):
-        fce_problem(member(0.5), 1, clamp=0.7)
 
 
 # -- classification and ordering -----------------------------------------------------------
@@ -343,11 +338,11 @@ def test_gradients_match_finite_differences():
         d = rng.uniform(0.3, 2.0, size=(n, n))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
-        res = grad_check(mds_stress_problem(d, m), a)
+        res = grad_check(StressProblem(d, m), a)
         worst = max(worst, res.max_rel_error)
         w = np.exp(-d)
         np.fill_diagonal(w, 1.0)
-        res = grad_check(fce_problem(MembershipMatrix(w), m), a)
+        res = grad_check(CrossEntropyProblem(MembershipMatrix(w), m), a)
         worst = max(worst, res.max_rel_error)
     assert worst < 1e-5
 
@@ -362,9 +357,9 @@ def test_loss_and_grad_take_the_callers_distances_bit_for_bit():
     w = np.exp(-d)
     np.fill_diagonal(w, 1.0)
     problems = (
-        mds_stress_problem(d, 2),
-        mds_stress_problem(dropped, 2, policy="drop"),
-        fce_problem(MembershipMatrix(w), 2),
+        StressProblem(d, 2),
+        StressProblem(dropped, 2, policy="drop"),
+        CrossEntropyProblem(MembershipMatrix(w), 2),
     )
     a = rng.normal(size=(6, 2))
     a[3] = a[1]  # a coincident pair
@@ -389,11 +384,11 @@ def _pair_kernel_cases():
 
     def add(targets, a, policy="strict"):
         m = a.shape[1]
-        cases.append((mds_stress_problem(targets, m, policy), ReferenceStress(targets, policy), a))
+        cases.append((StressProblem(targets, m, policy), ReferenceStress(targets, policy), a))
         if np.isfinite(targets).all():
             w = np.exp(-targets)
             np.fill_diagonal(w, 1.0)
-            cases.append((fce_problem(MembershipMatrix(w), m), ReferenceCrossEntropy(w), a))
+            cases.append((CrossEntropyProblem(MembershipMatrix(w), m), ReferenceCrossEntropy(w), a))
 
     for n, m in ((1, 2), (2, 1), (2, 3), (7, 2), (40, 3)):
         add(pairwise_distances(rng.normal(size=(n, 4))), rng.normal(size=(n, m)))
@@ -416,7 +411,7 @@ def _pair_kernel_cases():
     w = w + w.T + np.eye(12)
     a = rng.normal(size=(12, 2))
     a[3] = a[0]
-    cases.append((fce_problem(MembershipMatrix(w), 2), ReferenceCrossEntropy(w), a))
+    cases.append((CrossEntropyProblem(MembershipMatrix(w), 2), ReferenceCrossEntropy(w), a))
     return cases
 
 
@@ -444,9 +439,9 @@ def test_problems_hold_pair_data_and_loss_stays_below_one_square_matrix():
     a = rng.normal(size=(n, 2))
     delta = pair_distances(a)
     problems = (
-        mds_stress_problem(d, 2),
-        mds_stress_problem(dropped, 2, policy="drop"),
-        fce_problem(MembershipMatrix(w), 2),
+        StressProblem(d, 2),
+        StressProblem(dropped, 2, policy="drop"),
+        CrossEntropyProblem(MembershipMatrix(w), 2),
     )
     for prob in problems:
         for name, value in vars(prob).items():

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from coverembed import (
+    CrossEntropyProblem,
     MembershipMatrix,
     NumericalError,
     OptimizerConfig,
+    StressProblem,
     ValidationError,
     classical_mds_init,
-    fce_problem,
     grad_check,
-    mds_stress_problem,
     minimize,
 )
 from coverembed.loss import pair_distances
@@ -160,7 +160,7 @@ import hashlib, tempfile
 from pathlib import Path
 import numpy as np
 from coverembed import (
-    MembershipMatrix, classical_mds_init, fce_problem, from_points_euclidean, mds_stress_problem,
+    CrossEntropyProblem, MembershipMatrix, StressProblem, classical_mds_init, from_points_euclidean,
 )
 from coverembed.cli import dispatch
 
@@ -172,10 +172,10 @@ targets = from_points_euclidean(rng.normal(size=(400, 4))).d ** 0.75
 print("classical_mds_init n=400", digest(classical_mds_init(targets, 3).coords))
 for n, m in ((400, 7), (1000, 2)):
     targets = from_points_euclidean(rng.normal(size=(n, 3))).d
-    grad = mds_stress_problem(targets, m).grad(rng.normal(size=(n, m)))
+    grad = StressProblem(targets, m).grad(rng.normal(size=(n, m)))
     print(f"stress grad n={n} m={m}", digest(grad))
 w = MembershipMatrix(np.exp(-from_points_euclidean(rng.normal(size=(400, 3))).d))
-print("fce grad n=400 m=7", digest(fce_problem(w, 7).grad(rng.normal(size=(400, 7)))))
+print("fce grad n=400 m=7", digest(CrossEntropyProblem(w, 7).grad(rng.normal(size=(400, 7)))))
 with tempfile.TemporaryDirectory() as tmp:
     points, out = Path(tmp, "points.csv"), Path(tmp, "emb.csv")
     np.savetxt(points, rng.normal(size=(300, 3)), delimiter=",", fmt="%.17g")
@@ -217,7 +217,7 @@ def test_classical_init_pads_extra_dimensions():
 
 
 def test_minimize_two_point_stress():
-    prob = mds_stress_problem(np.array([[0.0, 3.0], [3.0, 0.0]]), 1)
+    prob = StressProblem(np.array([[0.0, 3.0], [3.0, 0.0]]), 1)
     res = minimize(prob)
     assert res.loss < 1e-12
     gap = abs(res.embedding.coords[0, 0] - res.embedding.coords[1, 0])
@@ -226,13 +226,13 @@ def test_minimize_two_point_stress():
 
 def test_minimize_equilateral():
     targets = np.ones((3, 3)) - np.eye(3)
-    res = minimize(mds_stress_problem(targets, 2))
+    res = minimize(StressProblem(targets, 2))
     assert res.loss < 1e-10
 
 
 def test_minimize_fce_two_points():
     w = MembershipMatrix(np.array([[1.0, math.exp(-1)], [math.exp(-1), 1.0]]))
-    res = minimize(fce_problem(w, 1))
+    res = minimize(CrossEntropyProblem(w, 1))
     gap = abs(res.embedding.coords[0, 0] - res.embedding.coords[1, 0])
     assert gap == pytest.approx(1.0, abs=1e-3)
 
@@ -242,7 +242,7 @@ def test_minimize_trace_is_monotone_and_deterministic():
     d = rng.uniform(0.5, 2.0, size=(6, 6))
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
-    prob = mds_stress_problem(d, 2)
+    prob = StressProblem(d, 2)
     cfg = OptimizerConfig(init="random", seed=11)
     res1 = minimize(prob, cfg)
     res2 = minimize(prob, cfg)
@@ -302,7 +302,7 @@ def test_minimize_computes_one_distance_matrix_per_loss_evaluation(monkeypatch):
     d = rng.uniform(0.5, 2.0, size=(6, 6))
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
-    res = minimize(Counted(mds_stress_problem(d, 2)), OptimizerConfig(max_iters=50))
+    res = minimize(Counted(StressProblem(d, 2)), OptimizerConfig(max_iters=50))
     assert counts["grad"] == len(res.trace) > 10
     assert counts["loss"] > counts["grad"]
     assert counts["distances"] == counts["loss"]
@@ -321,7 +321,7 @@ def test_translation_and_rotation_invariance():
     d = rng.uniform(0.5, 2.0, size=(5, 5))
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
-    prob = mds_stress_problem(d, 2)
+    prob = StressProblem(d, 2)
     a = rng.normal(size=(5, 2))
     shift = a + np.array([3.0, -1.5])
     assert prob.loss(shift) == pytest.approx(prob.loss(a), rel=1e-12)
@@ -332,7 +332,7 @@ def test_translation_and_rotation_invariance():
 
 def test_grad_check_reports_coincident_rows():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    prob = mds_stress_problem(d, 1)
+    prob = StressProblem(d, 1)
     a = np.array([[0.0], [0.0], [5.0]])  # rows 0 and 1 coincide
     res = grad_check(prob, a)
     assert res.skipped_rows == (0, 1)
@@ -340,7 +340,7 @@ def test_grad_check_reports_coincident_rows():
 
 
 def test_grad_check_zero_problem():
-    prob = mds_stress_problem(np.zeros((3, 3)), 2)
+    prob = StressProblem(np.zeros((3, 3)), 2)
     a = np.zeros((3, 2))
     res = grad_check(prob, a)
     assert np.array_equal(prob.grad(a), np.zeros((3, 2)))
@@ -355,4 +355,4 @@ def test_optimizer_config_validation():
     with pytest.raises(ValidationError):
         OptimizerConfig(init="mystery")
     with pytest.raises(ValidationError):
-        minimize(mds_stress_problem(np.zeros((2, 2)), 1), OptimizerConfig(init="given"))
+        minimize(StressProblem(np.zeros((2, 2)), 1), OptimizerConfig(init="given"))

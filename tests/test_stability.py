@@ -17,7 +17,7 @@ from coverembed import (
 from coverembed.covers import HierarchicalCover, make_cover, refines
 from coverembed.functors import cluster_hierarchy, fuzzy_simplex
 
-from oracles import exact_interleaving_epsilon, perturbed, random_space
+from oracles import exact_interleaving_epsilon, permuted, perturbed, random_space
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
@@ -130,7 +130,7 @@ def test_interleaving_invariant_under_joint_relabeling():
     perm = rng.permutation(6)
     base = _exact_report(single_linkage(x), single_linkage(y)).epsilon_star
     moved = _exact_report(
-        single_linkage(x.permuted(perm)), single_linkage(y.permuted(perm))
+        single_linkage(permuted(x, perm)), single_linkage(permuted(y, perm))
     ).epsilon_star
     assert base == moved
 
