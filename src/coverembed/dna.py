@@ -52,8 +52,13 @@ class BenchConfig:
             raise ValidationError("benchmark sizes must be positive")
         if self.repetitions < 1:
             raise ValidationError("need at least one repetition")
-        if self.subs_per_step is not None and self.subs_per_step > self.seq_len:
-            raise ValidationError("cannot substitute more positions than the length")
+        if self.subs_per_step is not None and not 0 <= self.subs_per_step <= self.seq_len:
+            raise ValidationError(
+                f"substitutions per step must be in [0, {self.seq_len}], got {self.subs_per_step}"
+            )
+        for seed in (self.seed, *(self.seeds or ())):
+            if seed < 0:
+                raise ValidationError(f"seed must be >= 0, got {seed}")
 
     @property
     def substitutions(self) -> int:
@@ -96,8 +101,6 @@ class DnaDataset:
 def generate(cfg: BenchConfig, seed: int) -> DnaDataset:
     """Generate the mutation lists for one repetition, deterministically per seed."""
     subs = cfg.substitutions
-    if subs > cfg.seq_len:
-        raise ValidationError("cannot substitute more positions than the length")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     total = cfg.n_lists * cfg.list_len
     codes = np.empty((total, cfg.seq_len), dtype=np.uint8)

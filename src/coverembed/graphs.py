@@ -7,7 +7,7 @@ covers compare bytewise.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 
@@ -135,6 +135,7 @@ def hop_bounded_minimax(d: np.ndarray, hops: int) -> np.ndarray:
     """Minimax path cost restricted to paths of at most `hops` edges.
 
     hops=1 reproduces d; hops >= n-1 reproduces the full bottleneck matrix.
+    Memory is O(n^2): each hop is one pass over the intermediate vertex.
     """
     if hops < 1:
         raise ValueError("hop bound must be >= 1")
@@ -142,8 +143,11 @@ def hop_bounded_minimax(d: np.ndarray, hops: int) -> np.ndarray:
     b = d.copy()
     np.fill_diagonal(b, 0.0)
     for _ in range(min(hops, n - 1) - 1):
-        # one more hop: go to any intermediate l, then take a direct edge
-        step = np.minimum(b, np.min(np.maximum(b[:, :, None], d[None, :, :]), axis=1))
+        # one more hop: go to any intermediate l, then take a direct edge;
+        # b stays the previous round's matrix so each round adds one hop only
+        step = b.copy()
+        for l in range(n):
+            np.minimum(step, np.maximum(b[:, l, None], d[None, l, :]), out=step)
         if np.array_equal(step, b):
             break
         b = step
@@ -171,111 +175,73 @@ def components_of_inf(g: np.ndarray) -> list[tuple[int, ...]]:
     return connected_components(neighbors)
 
 
-# -- vertex connectivity via max-flow on the vertex-split network ------------
+# -- vertex connectivity on the vertex-split network -------------------------
 
 
-def _vertex_capacity_maxflow(neighbors, s, t):
-    """Max number of internally vertex-disjoint s-t paths (Menger).
+def _separator(neighbors, s, t, j: int) -> tuple[int, ...] | None:
+    """A set of fewer than j vertices that separates s from t, or None.
 
-    Unit-capacity vertex-split digraph solved by BFS augmentation. Returns
-    (flow_value, residual_reachable_on_original_vertices_in/out).
+    s and t are distinct and non-adjacent. Vertex v splits into an in-copy 2v
+    and an out-copy 2v+1 joined by a unit arc; edge {u, v} gives uncapacitated
+    arcs out(u) -> in(v) and out(v) -> in(u). A flow from s's out-copy to t's
+    in-copy counts internally vertex-disjoint s-t paths (Menger), and j such
+    paths rule out a separator below j (Even & Tarjan 1975), so at most j are
+    augmented. With fewer, the flow is maximum and the answer is the minimum
+    separator nearest to s: the vertices whose in-copy the source still
+    reaches in the residual network but whose out-copy it does not.
     """
-    n = len(neighbors)
-    # node 2v = "in" copy, 2v+1 = "out" copy
-    inf = n + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
+    flow: dict[tuple[int, int], int] = defaultdict(int)  # flow[a, b] == -flow[b, a]
 
-    def add_edge(a, b, c):
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            adj[a].append(b)
-            adj[b].append(a)
-        cap[(a, b)] += c
+    def residual_arcs(a):
+        v = a >> 1
+        if a & 1:  # out-copy: undo v's unit, or enter any neighbor
+            if flow[a - 1, a]:
+                yield a - 1
+            for u in neighbors[v]:
+                yield 2 * u
+        else:  # in-copy: v's unit arc, or undo flow that entered from a neighbor
+            if not flow[a, a + 1]:
+                yield a + 1
+            for u in neighbors[v]:
+                if flow[2 * u + 1, a] > 0:
+                    yield 2 * u + 1
 
-    for v in range(n):
-        add_edge(2 * v, 2 * v + 1, 1 if v not in (s, t) else inf)
-        for u in sorted(neighbors[v]):
-            add_edge(2 * v + 1, 2 * u, inf)
     source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while True:
+    for _ in range(j):
         prev = {source: None}
         queue = deque([source])
         while queue and sink not in prev:
             a = queue.popleft()
-            for b in adj[a]:
-                if b not in prev and cap.get((a, b), 0) > 0:
+            for b in residual_arcs(a):
+                if b not in prev:
                     prev[b] = a
                     queue.append(b)
         if sink not in prev:
-            break
+            return tuple(
+                v for v in range(len(neighbors)) if 2 * v in prev and 2 * v + 1 not in prev
+            )
         b = sink
         while prev[b] is not None:
             a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] = cap.get((b, a), 0) + 1
+            flow[a, b] += 1
+            flow[b, a] -= 1
             b = a
-        flow += 1
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        a = queue.popleft()
-        for b in adj[a]:
-            if b not in reach and cap.get((a, b), 0) > 0:
-                reach.add(b)
-                queue.append(b)
-    return flow, reach
-
-
-def _min_cut_for_pair(neighbors, s, t):
-    """(size, cut vertex set) of a minimum s-t vertex cut, deterministic."""
-    flow, reach = _vertex_capacity_maxflow(neighbors, s, t)
-    cut = tuple(
-        v
-        for v in range(len(neighbors))
-        if 2 * v in reach and 2 * v + 1 not in reach
-    )
-    return flow, cut
-
-
-def is_complete(neighbors) -> bool:
-    n = len(neighbors)
-    return all(len(neighbors[v]) == n - 1 for v in range(n))
-
-
-def min_vertex_cut(neighbors):
-    """(kappa, cut) of the whole graph; cut=() if disconnected, None if complete.
-
-    Ties among equal-size cuts are broken by the lexicographically smallest
-    cut vertex set.
-    """
-    n = len(neighbors)
-    comps = connected_components(neighbors)
-    if len(comps) > 1:
-        return 0, ()
-    if is_complete(neighbors):
-        return n - 1, None
-    best_val, best_cut = None, None
-    for s in range(n):
-        for t in range(s + 1, n):
-            if t in neighbors[s]:
-                continue
-            val, cut = _min_cut_for_pair(neighbors, s, t)
-            if best_val is None or val < best_val or (val == best_val and cut < best_cut):
-                best_val, best_cut = val, cut
-    return best_val, best_cut
+    return None
 
 
 def maximal_j_connected_sets(neighbors, j: int) -> list[tuple[int, ...]]:
-    """Maximal vertex sets whose induced subgraph is j-connected.
+    """Maximal vertex sets that stay connected when any fewer than j are removed.
 
-    Recursive splitting along minimum vertex cuts: any j-connected set lies
-    inside component + cut for every cut smaller than j, so the recursion is
-    exhaustive. Isolated vertices surface as singleton blocks.
+    A set is split along a separator below j of its first non-adjacent pair
+    (s, t), in increasing order, that has one: into each component of the
+    rest, each with the separator added. A j-connected subset minus any
+    separator below j is connected, so it lies in one of the parts. Whichever
+    separators are taken, every j-connected set thus ends inside a leaf, a
+    set with no such pair. Leaves are j-connected
+    (complete sets and single vertices among them; a disconnected set splits
+    along the empty separator), so the maximal leaves are the answer, and
+    isolated vertices surface as singleton blocks.
     """
-    n = len(neighbors)
     found: set[frozenset[int]] = set()
     seen: set[frozenset[int]] = set()
 
@@ -285,28 +251,17 @@ def maximal_j_connected_sets(neighbors, j: int) -> list[tuple[int, ...]]:
         seen.add(vertices)
         vs = sorted(vertices)
         index = {v: i for i, v in enumerate(vs)}
-        sub = [
-            {index[u] for u in neighbors[v] if u in index}
-            for v in vs
-        ]
-        if len(vs) <= 1 or is_complete(sub):
+        sub = [{index[u] for u in neighbors[v] if u in index} for v in vs]
+        pairs = ((s, t) for s in range(len(vs)) for t in range(s + 1, len(vs)) if t not in sub[s])
+        cut = next((c for s, t in pairs if (c := _separator(sub, s, t, j)) is not None), None)
+        if cut is None:
             found.add(vertices)
             return
-        kappa, cut = min_vertex_cut(sub)
-        if cut is None or kappa >= j:
-            found.add(vertices)
-            return
-        cut_orig = {vs[c] for c in cut}
         cut_set = set(cut)
         rest = [set() if i in cut_set else sub[i] - cut_set for i in range(len(vs))]
         for comp in connected_components(rest):
             if comp[0] not in cut_set:
-                rec(frozenset({vs[v] for v in comp} | cut_orig))
+                rec(frozenset(vs[v] for v in comp + cut))
 
-    rec(frozenset(range(n)))
-    candidates = sorted(found, key=lambda s: tuple(sorted(s)))
-    maximal = [
-        s for s in candidates
-        if not any(s < other for other in candidates)
-    ]
-    return sorted(tuple(sorted(s)) for s in maximal)
+    rec(frozenset(range(len(neighbors))))
+    return sorted(tuple(sorted(s)) for s in found if not any(s < other for other in found))

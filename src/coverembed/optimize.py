@@ -59,6 +59,8 @@ class OptimizerConfig:
             raise ValidationError("max_iters must be >= 1")
         if self.step0 <= 0:
             raise ValidationError("initial step must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.init not in ("classical", "random", "given"):
             raise ValidationError(f"unknown init mode {self.init!r}")
 

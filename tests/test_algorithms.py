@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,20 @@ def test_kpath_target_conventions():
     assert np.allclose(hop_bounded_minimax(space.d, 5), bottleneck_matrix(space.d))
     # chain with 2 edges bridges the ends at cost 2
     assert hop_bounded_minimax(CHAIN.d, 2)[0, 2] == 2.0
+
+
+def test_hop_bounded_minimax_memory_is_quadratic():
+    n = 200
+    d = pairwise_distances(np.random.default_rng(3).random((n, 3)))
+    tracemalloc.start()
+    try:
+        b = hop_bounded_minimax(d, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n * 8
+    for i, j in [(0, 1), (5, 150), (199, 17)]:
+        assert b[i, j] == oracle_minimax_path(d, i, j, max_hops=3)
 
 
 def test_vlk_targets_four_cycle():

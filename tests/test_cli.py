@@ -252,14 +252,19 @@ def test_exit_codes_and_json_errors(tmp_path, capsys):
     (["embed", "--pipeline", "cluster"], "--pipeline wants 'cluster=STAGE,loss=STAGE'"),
     (["bench-dna", "--dim", "2,x"], "--dim wants comma-separated integers, got '2,x'"),
     (["bench-dna", "--algos", "foo"], "--algos: unknown algorithm 'foo'"),
-], ids=["pipeline-key-without-value", "dim-not-an-integer", "unknown-algo"])
+    (["bench-dna", "--subs", "-1"], "substitutions per step must be in [0, 1000], got -1"),
+    (["bench-dna", "--seed", "-3"], "seed must be >= 0, got -3"),
+    (["embed", "--algo", "mmds", "--init", "random", "--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["pipeline-key-without-value", "dim-not-an-integer", "unknown-algo",
+        "negative-subs", "negative-bench-seed", "negative-embed-seed"])
 def test_a_malformed_option_value_exits_one(dist_csv, tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
     if argv[0] == "embed":
         argv = argv + ["--in", str(dist_csv)]
     capsys.readouterr()
     assert dispatch(argv + ["--out", str(out), "--json-errors"]) == 1
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(line)
     assert payload["error"] == "validation"
     assert message in payload["message"]
     assert not out.exists()

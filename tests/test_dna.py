@@ -98,11 +98,20 @@ def test_more_steps_never_get_closer_in_expectation():
 def test_substitution_cap_validation():
     with pytest.raises(ValidationError):
         BenchConfig(seq_len=10, subs_per_step=11)
+    with pytest.raises(ValidationError, match=r"must be in \[0, 10\], got -1"):
+        BenchConfig(seq_len=10, subs_per_step=-1)
     # substituting every position at once is allowed
     cfg = BenchConfig(n_lists=1, list_len=2, seq_len=10, subs_per_step=10,
                       repetitions=1)
     ds = generate(cfg, 0)
     assert ds.space().d[0, 1] == 10.0
+
+
+def test_negative_seeds_are_rejected():
+    for kw in (dict(seed=-1), dict(repetitions=2, seeds=(0, -2))):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            BenchConfig(**kw)
+    assert BenchConfig(repetitions=2, seed=0, seeds=(0, 1)).repetition_seeds() == (0, 1)
 
 
 def test_default_substitution_rate():

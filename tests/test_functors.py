@@ -25,6 +25,7 @@ from coverembed import (
 from coverembed.algorithms import PipelineSpec, connectivity_radius, stage_targets
 from coverembed.covers import hierarchy_to_json
 from coverembed.functors import cluster_hierarchy
+from coverembed.graphs import _separator, maximal_j_connected_sets
 from coverembed.loss import StressProblem
 
 from oracles import (
@@ -167,6 +168,58 @@ def test_vl_k_blocks_match_subset_oracle():
                     6, threshold_edges(space.d, delta), k
                 )
                 assert cover_at(h, delta).blocks == tuple(expected)
+
+
+def _neighbors(n, edges):
+    nb = [set() for _ in range(n)]
+    for a, b in edges:
+        nb[a].add(b)
+        nb[b].add(a)
+    return nb
+
+
+# Vertex 3 is a 1-cut (it alone holds 4), but the first non-adjacent pair,
+# (0, 3), is separated by {1, 2} only: the split takes a non-minimum separator.
+KITE_WITH_TAIL = (5, {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)})
+
+
+@pytest.mark.parametrize("n, edges", [
+    (1, set()),
+    (5, set()),
+    (5, {(a, b) for a in range(5) for b in range(a + 1, 5)}),
+    (6, {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}),
+    KITE_WITH_TAIL,
+], ids=["one-vertex", "edgeless", "complete", "disconnected", "kite-with-tail"])
+def test_maximal_j_connected_sets_match_the_subset_oracle(n, edges):
+    for j in sorted({1, 2, 3, n}):
+        assert maximal_j_connected_sets(_neighbors(n, edges), j) == oracle_maximal_j_connected(
+            n, edges, j
+        )
+
+
+def test_the_kite_splits_along_a_separator_larger_than_its_cut_vertex():
+    nb = _neighbors(*KITE_WITH_TAIL)
+    assert _separator(nb, 0, 3, 3) == (1, 2)
+    assert _separator(nb, 0, 4, 3) == (3,)
+    assert _separator(nb, 0, 3, 2) is None
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, {p for p, keep in zip(pairs, present) if keep}
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs(), j=st.sampled_from([1, 2, 3, None]))
+def test_maximal_j_connected_sets_match_the_subset_oracle_on_random_graphs(graph, j):
+    n, edges = graph
+    j = n if j is None else j
+    assert maximal_j_connected_sets(_neighbors(n, edges), j) == oracle_maximal_j_connected(
+        n, edges, j
+    )
 
 
 # -- geodesic metric and iso_cluster ------------------------------------------------

@@ -354,5 +354,7 @@ def test_optimizer_config_validation():
         OptimizerConfig(step0=0.0)
     with pytest.raises(ValidationError):
         OptimizerConfig(init="mystery")
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        OptimizerConfig(seed=-1)
     with pytest.raises(ValidationError):
         minimize(StressProblem(np.zeros((2, 2)), 1), OptimizerConfig(init="given"))
