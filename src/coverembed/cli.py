@@ -31,6 +31,7 @@ from .fileio import (
     read_hierarchy_json,
     read_json,
     read_space,
+    read_text,
     sha256_file,
     write_bench_csv,
     write_embedding_csv,
@@ -515,9 +516,8 @@ def _expand_config(argv: list[str], subcommands) -> list[str]:
             rest.append(token)
     expanded, unknown = [], []
     for path in files:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-        for line in lines:
+        for line in read_text(path).split("\n"):
+            line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, eq, value = (part.strip() for part in line.partition("="))
@@ -548,7 +548,7 @@ def dispatch(argv) -> int:
         argv = _expand_config(argv, parser.subcommands)
         args = parser.parse_args(argv, argparse.Namespace(argv=argv))
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         _report_error("validation", exc, argv)
         return 1
     except NumericalError as exc:

@@ -29,14 +29,18 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text; undecodable bytes are a ValidationError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _parse_csv_rows(path) -> list[list[str]]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([c.strip() for c in line.split(",")])
+    lines = (line.strip() for line in read_text(path).split("\n"))
+    rows = [[c.strip() for c in line.split(",")] for line in lines if line and line[0] != "#"]
     if not rows:
         raise ValidationError(f"{path}: empty file")
     return rows
@@ -80,8 +84,7 @@ def read_points_csv(path) -> PseudometricSpace:
 
 def read_sequences(path) -> PseudometricSpace:
     """One sequence per line, uppercase alphabet."""
-    with open(path, "r", encoding="utf-8") as fh:
-        seqs = [line.strip() for line in fh if line.strip()]
+    seqs = [line.strip() for line in read_text(path).split("\n") if line.strip()]
     return from_sequences_hamming(seqs, labels=seqs if len(seqs) <= 64 else None)
 
 
@@ -132,8 +135,10 @@ def write_json(path, obj):
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def write_hierarchy_json(path, h: HierarchicalCover):
@@ -141,10 +146,7 @@ def write_hierarchy_json(path, h: HierarchicalCover):
 
 
 def read_hierarchy_json(path) -> HierarchicalCover:
-    try:
-        return hierarchy_from_json(read_json(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    return hierarchy_from_json(read_json(path))
 
 
 def write_bench_csv(path, result):

@@ -15,8 +15,9 @@ matrix entry <= delta (edges take effect exactly at their value):
   fuzzy  fuzzy_simplex    -log fuzzy membership   maximal cliques
 
 Except for `vlk`, the scanned matrix is the first-co-occurrence matrix. The
-bottleneck matrix's distinct values are the n-1 merge heights of the minimum
-spanning tree, so `sl` builds at most n threshold graphs.
+bottleneck matrix is the single-linkage cophenetic distance: its distinct
+values are among the dendrogram's n-1 merge heights, so `sl` builds at most
+n threshold graphs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .graphs import (
     hop_bounded_minimax,
     max_cliques,
     maximal_j_connected_sets,
-    prim_mst,
     threshold_neighbors,
 )
 from .metric import PseudometricSpace
@@ -62,8 +62,8 @@ def check_stage(stage: str, k: int | None = None, delta: float | None = None) ->
 
 
 def connectivity_radius(space: PseudometricSpace) -> float:
-    """Smallest threshold at which the threshold graph is connected (MST max edge)."""
-    return max((w for w, _, _ in prim_mst(space.d)), default=0.0)
+    """Smallest threshold connecting the threshold graph: the largest bottleneck entry."""
+    return float(bottleneck_matrix(space.d).max(initial=0.0))
 
 
 def _threshold_hierarchy(dist: np.ndarray, blocks_of=max_cliques) -> HierarchicalCover:
@@ -148,7 +148,7 @@ def single_linkage(space: PseudometricSpace) -> HierarchicalCover:
     """Blocks at scale delta are the connected components of the threshold graph.
 
     Scanned over the bottleneck matrix, so the only scales visited are the
-    n-1 merge heights of the minimum spanning tree, not every distinct
+    n-1 merge heights of the single-linkage dendrogram, not every distinct
     distance.
     """
     return cluster_hierarchy(space, "sl")

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import defaultdict, deque
 
 import numpy as np
+from scipy.cluster.hierarchy import cophenet, linkage
+from scipy.spatial.distance import squareform
 
 
 def threshold_neighbors(d: np.ndarray, delta: float) -> list[set[int]]:
@@ -69,66 +71,17 @@ def max_cliques(neighbors: list[set[int]]) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def prim_mst(d: np.ndarray) -> list[tuple[float, int, int]]:
-    """Minimum spanning tree edges of the complete graph weighted by d.
-
-    Deterministic: grows from vertex 0, ties broken by smallest vertex index.
-    Returns (weight, i, j) with i < j, sorted by (weight, i, j).
-    """
-    n = d.shape[0]
-    if n <= 1:
-        return []
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = d[0].copy()
-    best_from = np.zeros(n, dtype=int)
-    best[0] = np.inf
-    edges = []
-    for _ in range(n - 1):
-        v = int(np.argmin(best))
-        w = float(best[v])
-        u = int(best_from[v])
-        edges.append((w, min(u, v), max(u, v)))
-        in_tree[v] = True
-        best[v] = np.inf
-        closer = d[v] < best
-        closer &= ~in_tree
-        best[closer] = d[v][closer]
-        best_from[closer] = v
-    return sorted(edges)
-
-
 def bottleneck_matrix(d: np.ndarray) -> np.ndarray:
     """Minimax path cost between all pairs (max edge minimized over paths).
 
-    Computed along the minimum spanning tree by merging clusters in edge-weight
-    order: when two clusters join at weight w, every cross pair gets w.
+    This is the cophenetic distance of the single-linkage dendrogram (Gower &
+    Ross 1969): its entries are minimum-spanning-tree edge weights, copied from
+    d without arithmetic, and unique whatever tie-break the tree takes.
     """
     n = d.shape[0]
-    b = np.zeros((n, n))
-    parent = list(range(n))
-    members: list[list[int]] = [[i] for i in range(n)]
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for w, i, j in prim_mst(d):
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        mi, mj = members[ri], members[rj]
-        b[np.ix_(mi, mj)] = w
-        b[np.ix_(mj, mi)] = w
-        if len(mi) < len(mj):
-            ri, rj = rj, ri
-            mi, mj = mj, mi
-        parent[rj] = ri
-        members[ri] = mi + mj
-        members[rj] = []
-    return b
+    if n < 2:
+        return np.zeros((n, n))
+    return squareform(cophenet(linkage(squareform(d, checks=False), "single")))
 
 
 def hop_bounded_minimax(d: np.ndarray, hops: int) -> np.ndarray:

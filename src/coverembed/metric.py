@@ -101,7 +101,10 @@ def from_matrix(raw, strict: bool = False, labels=None) -> PseudometricSpace:
 
 
 def from_points_euclidean(points, labels=None) -> PseudometricSpace:
-    """Euclidean distance matrix of an n x k point array (rows are points)."""
+    """Euclidean distance matrix of an n x k point array (rows are points).
+
+    Validated by `from_matrix`, so coordinates whose distances overflow fail.
+    """
     p = np.atleast_2d(np.array(points, dtype=float))
     if p.ndim != 2:
         raise ValidationError(f"points must form an n x k array, got shape {p.shape}")
@@ -110,9 +113,7 @@ def from_points_euclidean(points, labels=None) -> PseudometricSpace:
     diff = p[:, None, :] - p[None, :, :]
     d = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-    return PseudometricSpace(d, labels)
+    return from_matrix(d, labels=labels)
 
 
 def from_sequences_hamming(seqs, labels=None) -> PseudometricSpace:

@@ -53,14 +53,24 @@ def test_bottleneck_chain_value():
     assert bottleneck_matrix(CHAIN.d)[0, 2] == 2.0
 
 
-def test_bottleneck_matches_path_oracle():
-    rng = np.random.default_rng(1)
+def _oracle_spaces(rng):
+    """n = 1 and 2, random reals, duplicate points, tie-heavy non-metric integers."""
+    yield from_matrix([[0.0]])
+    yield from_matrix([[0.0, 1.5], [1.5, 0.0]])
     for _ in range(5):
-        space = random_space(rng, n=6)
-        b = bottleneck_matrix(space.d)
-        for i in range(6):
-            for j in range(i + 1, 6):
-                assert b[i, j] == pytest.approx(oracle_minimax_path(space.d, i, j))
+        yield random_space(rng, n=6)
+    for _ in range(5):  # six points on four grid cells
+        yield from_points_euclidean(rng.integers(0, 2, size=(6, 2)).astype(float))
+    for _ in range(5):
+        a = np.triu(rng.integers(0, 3, size=(6, 6)), 1).astype(float)
+        yield from_matrix(a + a.T)
+
+
+def test_bottleneck_matches_path_oracle():
+    for space in _oracle_spaces(np.random.default_rng(1)):
+        n = space.n
+        want = [[oracle_minimax_path(space.d, i, j) for j in range(n)] for i in range(n)]
+        assert np.array_equal(bottleneck_matrix(space.d), want)
 
 
 def test_ultrametric_is_a_single_linkage_fixed_point():
@@ -81,7 +91,7 @@ def test_kpath_target_conventions():
     # one edge: the raw distances
     assert np.array_equal(hop_bounded_minimax(space.d, 1), space.d)
     # n-1 edges: the single-linkage targets
-    assert np.allclose(hop_bounded_minimax(space.d, 5), bottleneck_matrix(space.d))
+    assert np.array_equal(hop_bounded_minimax(space.d, 5), bottleneck_matrix(space.d))
     # chain with 2 edges bridges the ends at cost 2
     assert hop_bounded_minimax(CHAIN.d, 2)[0, 2] == 2.0
 
@@ -131,6 +141,11 @@ def test_vlk_large_k_equals_ml_targets():
         space = random_space(rng, n=5)
         t = stage_targets(space, spec("vlk", k=7))
         assert np.array_equal(t, space.d)
+
+
+def test_connectivity_radius_is_zero_at_one_point_and_on_duplicates():
+    assert connectivity_radius(from_points_euclidean([[3.0, 4.0]])) == 0.0
+    assert connectivity_radius(from_points_euclidean([[1.0, 2.0]] * 3)) == 0.0
 
 
 def test_iso_targets_default_radius_connects():

@@ -255,18 +255,57 @@ def test_exit_codes_and_json_errors(tmp_path, capsys):
     (["bench-dna", "--subs", "-1"], "substitutions per step must be in [0, 1000], got -1"),
     (["bench-dna", "--seed", "-3"], "seed must be >= 0, got -3"),
     (["embed", "--algo", "mmds", "--init", "random", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["embed", "--algo", "mmds", "--in", "DIR"], "Is a directory"),
+    (["embed", "--algo", "mmds", "--config", "DIR"], "Is a directory"),
+    (["embed", "--algo", "mmds", "--out", "DIR"], "Is a directory"),
 ], ids=["pipeline-key-without-value", "dim-not-an-integer", "unknown-algo",
-        "negative-subs", "negative-bench-seed", "negative-embed-seed"])
+        "negative-subs", "negative-bench-seed", "negative-embed-seed",
+        "in-is-a-directory", "config-is-a-directory", "out-is-a-directory"])
 def test_a_malformed_option_value_exits_one(dist_csv, tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
-    if argv[0] == "embed":
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    argv = [str(directory) if token == "DIR" else token for token in argv]
+    if argv[0] == "embed" and "--in" not in argv:
         argv = argv + ["--in", str(dist_csv)]
+    if "--out" not in argv:
+        argv = argv + ["--out", str(out)]
     capsys.readouterr()
-    assert dispatch(argv + ["--out", str(out), "--json-errors"]) == 1
+    assert dispatch(argv + ["--json-errors"]) == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     payload = json.loads(line)
     assert payload["error"] == "validation"
     assert message in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named, message", [
+    (["embed", "--algo", "mmds", "--in", "LATIN1"], "LATIN1", "not UTF-8 text"),
+    (["embed", "--algo", "mmds", "--input-kind", "seqs", "--in", "LATIN1"], "LATIN1",
+     "not UTF-8 text"),
+    (["embed", "--algo", "mmds", "--in", "DIST", "--config", "LATIN1"], "LATIN1", "not UTF-8 text"),
+    (["rerun", "LATIN1"], "LATIN1", "not UTF-8 text"),
+    (["rerun", "NOTJSON"], "NOTJSON", "invalid JSON"),
+    (["interleave", "--a", "LATIN1", "--b", "LATIN1"], "LATIN1", "not UTF-8 text"),
+], ids=["embed-in", "embed-in-seqs", "embed-config", "rerun", "rerun-not-json", "interleave-a"])
+def test_an_undecodable_input_file_is_a_validation_error_naming_it(
+    dist_csv, tmp_path, capsys, argv, named, message
+):
+    paths = {
+        "LATIN1": tmp_path / "latin1.txt",
+        "NOTJSON": tmp_path / "manifest.json",
+        "DIST": dist_csv,
+    }
+    paths["LATIN1"].write_bytes(b"0,1\n1,0\n# caf\xe9\n")
+    paths["NOTJSON"].write_text("{argv: [embed]}\n")
+    out = tmp_path / "out.csv"
+    argv = [str(paths.get(token, token)) for token in argv]
+    if argv[0] == "embed":
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    assert dispatch(argv) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith(f"coverembed: validation error: {paths[named]}: {message} (")
     assert not out.exists()
 
 

@@ -56,6 +56,15 @@ def test_euclidean_duplicates_give_zero():
     assert space.d[0, 1] == 0.0
 
 
+def test_euclidean_rejects_non_finite_distances():
+    with pytest.raises(ValidationError, match=r"non-finite distance at \(0, 1\)"):
+        with np.errstate(over="ignore"):
+            from_points_euclidean([[0.0], [1e200], [2e200]])
+    with pytest.raises(ValidationError, match="non-finite distance"):
+        with np.errstate(invalid="ignore"):
+            from_points_euclidean([[0.0], [np.inf]])
+
+
 def test_hamming_examples():
     assert from_sequences_hamming(["AA", "AA"]).d[0, 1] == 0.0
     assert from_sequences_hamming(["ACGT", "AGGA"]).d[0, 1] == 2.0
