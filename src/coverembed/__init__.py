@@ -38,7 +38,6 @@ from .loss import (
     FuzzyLossFamily,
     GridSpec,
     LossObject,
-    QuadratureSettings,
     StressProblem,
     flatten,
     loss_leq,

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .algorithms import PipelineSpec, path_points, run_pipeline
-from .covers import MembershipMatrix
 from .dna import BenchConfig, run_bench
 from .errors import NumericalError, ValidationError
 from .fileio import (
@@ -40,7 +39,7 @@ from .fileio import (
     write_trace_csv,
 )
 from .functors import CLUSTER_STAGES, cluster_hierarchy, connectivity_radius
-from .loss import TARGET_POLICIES, MdsPairFamily, QuadratureSettings, flatten, mds_fuzzy_family
+from .loss import TARGET_POLICIES, MdsPairFamily
 from .metric import PseudometricSpace
 from .optimize import Embedding, OptimizerConfig
 from .stability import check_interleaving_bound, check_loss_transfer, interleaving_distance
@@ -342,10 +341,9 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
             raise ValidationError(f"--a-min {a_min!r} has no finite flattened loss")
         wij = a_min
         truncated = True
-    pair_w = np.array([[1.0, wij], [wij, 1.0]])
-    family = mds_fuzzy_family(MembershipMatrix(pair_w))
-    flat_quad = flatten(family, QuadratureSettings(method="quadrature", rel_tol=rel_tol))
-    c, e = flat_quad.pair(0, 1)
+    family = MdsPairFamily(wij)
+    family.check_quadrature(rel_tol)
+    c, e = family.flatten_exact()
     target = -math.log(wij)
     xs = np.linspace(0.0, max(2.0 * target, 1.0), 2001)
     values = c.value(xs) + e.value(xs)

@@ -54,7 +54,7 @@ def _all_floats(cells) -> bool:
         return False
 
 
-def read_distance_csv(path, strict: bool = False) -> PseudometricSpace:
+def read_distance_csv(path) -> PseudometricSpace:
     """Square matrix CSV; an optional first row of labels is auto-detected."""
     rows = _parse_csv_rows(path)
     labels = None
@@ -65,7 +65,7 @@ def read_distance_csv(path, strict: bool = False) -> PseudometricSpace:
         matrix = [[float(c) for c in row] for row in rows]
     except ValueError as exc:
         raise ValidationError(f"{path}: non-numeric distance entry ({exc})") from exc
-    return from_matrix(matrix, strict=strict, labels=labels)
+    return from_matrix(matrix, labels=labels)
 
 
 def read_points_csv(path) -> PseudometricSpace:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
+from scipy.spatial.distance import squareform
 
 from .covers import (
     HierarchicalCover,
@@ -62,8 +64,14 @@ def check_stage(stage: str, k: int | None = None, delta: float | None = None) ->
 
 
 def connectivity_radius(space: PseudometricSpace) -> float:
-    """Smallest threshold connecting the threshold graph: the largest bottleneck entry."""
-    return float(bottleneck_matrix(space.d).max(initial=0.0))
+    """Smallest threshold connecting the threshold graph: the largest bottleneck entry.
+
+    That entry is the last merge height of the single-linkage dendrogram; 0.0
+    below two points. Adding 0.0 turns a -0.0 height into 0.0.
+    """
+    if space.n < 2:
+        return 0.0
+    return float(linkage(squareform(space.d, checks=False), "single")[-1, 2] + 0.0)
 
 
 def _threshold_hierarchy(dist: np.ndarray, blocks_of=max_cliques) -> HierarchicalCover:

@@ -6,8 +6,8 @@ checker) are exact rather than sampled. The ordering on loss objects is
   (c, e) <= (c', e')  iff  c' <= c and e <= e' pointwise.
 
 A fuzzy loss family assigns a loss object to every strength a in (0, 1];
-flattening integrates c and e over a, in closed form for the parametric
-pieces and by adaptive quadrature for verification.
+flattening integrates c and e over a in closed form; adaptive quadrature
+only verifies that closed form (`MdsPairFamily.check_quadrature`).
 
 The embedding problems keep their pair data condensed: one entry per
 unordered pair {i, j}, i < j, in the row-major order of the upper triangle
@@ -151,6 +151,11 @@ def loss_leq(l1: LossObject, l2: LossObject, grid: GridSpec = GridSpec()) -> boo
 
 # -- strength-indexed families --------------------------------------------------
 
+# the quadrature check integrates t = -log a up to the pair's target + this margin
+QUADRATURE_TAIL_MARGIN = 20.0
+# embedded distances at which the quadrature check compares the closed-form c term
+QUADRATURE_X_PROBE = (0.0, 0.5, 1.0, 2.0)
+
 
 class MdsPairFamily:
     """The stress-derived (c, e) family for one pair with membership w in (0, 1].
@@ -187,6 +192,37 @@ class MdsPairFamily:
         c = Form("quad", a=coeff)
         e = Form("const", b=econst) if econst != 0.0 else ZERO_FORM
         return c, e
+
+    def check_quadrature(self, rel_tol: float = 1e-8) -> None:
+        """Verify `flatten_exact` by adaptive quadrature over strengths.
+
+        Substitutes a = exp(-t) and integrates t over [0, T], T = -log w +
+        QUADRATURE_TAIL_MARGIN, with a breakpoint at -log w; the c tail past
+        T, on the co-clustered branch, is added analytically. The c term is
+        compared at each distance in QUADRATURE_X_PROBE, then the e term; a
+        probe fails when the two differ by more than 10 * rel_tol relative
+        (absolute below 1), and raises ValidationError naming it.
+        """
+        c_exact, e_exact = self.flatten_exact()
+        target = -math.log(self.w)
+        t_max = target + QUADRATURE_TAIL_MARGIN
+        breaks = [target] if 0.0 < target < t_max else []
+        # (probe, integrand, its extra args, closed form, analytic tail)
+        probes = [
+            (f"at x={x}", self.c_integrand_t, (x,), float(c_exact.value(x)),
+             x * x * math.exp(-t_max))
+            for x in QUADRATURE_X_PROBE
+        ]
+        probes.append(("(e term)", self.e_integrand_t, (), float(e_exact.value(0.0)), 0.0))
+        for probe, integrand, args, want, tail in probes:
+            got, _ = quad(integrand, 0.0, t_max, args=args, points=breaks,
+                          epsabs=0.0, epsrel=rel_tol, limit=200)
+            got += tail
+            if abs(got - want) > rel_tol * max(1.0, abs(want)) * 10:
+                raise ValidationError(
+                    f"quadrature disagrees with closed form for w={self.w!r} {probe}: "
+                    f"{got!r} vs {want!r}"
+                )
 
     def sup_abs_c(self, radius: float) -> float:
         """sup over a in (0,1] and x in [0, radius] of |c|; attained at a = 1."""
@@ -272,82 +308,14 @@ def family_leq(
 
 # -- flatten ---------------------------------------------------------------------
 
-# the quadrature path integrates t = -log a up to the pair's target + this margin
-QUADRATURE_TAIL_MARGIN = 20.0
-# embedded distances at which the quadrature path checks the closed-form c term
-QUADRATURE_X_PROBE = (0.0, 0.5, 1.0, 2.0)
 
+def flatten(family: FuzzyLossFamily) -> LossObject:
+    """Integrate c and e over strengths a in (0, 1], pairwise, in closed form.
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """How to integrate a family over strengths: exact pieces or adaptive quadrature."""
-
-    method: str = "exact"  # "exact" | "quadrature"
-    rel_tol: float = 1e-8
-
-
-def flatten(family: FuzzyLossFamily, settings: QuadratureSettings = QuadratureSettings()) -> LossObject:
-    """Integrate c and e over strengths a in (0, 1], pairwise.
-
-    The exact path integrates the parametric pieces in closed form. The
-    quadrature path substitutes a = exp(-t), integrates t over [0, T] with T
-    = (the pair's target distance) + QUADRATURE_TAIL_MARGIN, bounds the tail
-    analytically, and fits the result back onto the closed-form tags; it
-    exists to verify the exact path and raises if the two disagree beyond the
-    requested relative tolerance.
+    Each pair family's `flatten_exact` gives the integrals of its parametric
+    pieces; `MdsPairFamily.check_quadrature` verifies them numerically.
     """
-    if settings.method == "exact":
-        terms = {}
-        for key, fam in sorted(family.pairs.items()):
-            c, e = fam.flatten_exact()
-            terms[key] = (c, e)
-        return LossObject(family.n, terms)
-    if settings.method != "quadrature":
-        raise ValidationError(f"unknown flatten method {settings.method!r}")
-
-    terms = {}
-    for key, fam in sorted(family.pairs.items()):
-        c_exact, e_exact = fam.flatten_exact()
-        if not isinstance(fam, MdsPairFamily):
-            terms[key] = (c_exact, e_exact)
-            continue
-        target = -math.log(fam.w)
-        t_max = target + QUADRATURE_TAIL_MARGIN
-        breaks = [target] if 0.0 < target < t_max else []
-        for x in QUADRATURE_X_PROBE:
-            got, _ = quad(
-                fam.c_integrand_t,
-                0.0,
-                t_max,
-                args=(x,),
-                points=breaks,
-                epsabs=0.0,
-                epsrel=settings.rel_tol,
-                limit=200,
-            )
-            got += x * x * math.exp(-t_max)  # analytic tail: co-clustered branch
-            want = float(c_exact.value(x))
-            if abs(got - want) > settings.rel_tol * max(1.0, abs(want)) * 10:
-                raise ValidationError(
-                    f"quadrature disagrees with closed form for pair {key} at x={x}: "
-                    f"{got!r} vs {want!r}"
-                )
-        got_e, _ = quad(
-            fam.e_integrand_t,
-            0.0,
-            t_max,
-            points=breaks,
-            epsabs=0.0,
-            epsrel=settings.rel_tol,
-            limit=200,
-        )
-        want_e = float(e_exact.value(0.0))
-        if abs(got_e - want_e) > settings.rel_tol * max(1.0, abs(want_e)) * 10:
-            raise ValidationError(
-                f"quadrature disagrees with closed form for pair {key} (e term): "
-                f"{got_e!r} vs {want_e!r}"
-            )
-        terms[key] = (c_exact, e_exact)
+    terms = {key: fam.flatten_exact() for key, fam in sorted(family.pairs.items())}
     return LossObject(family.n, terms)
 
 

@@ -110,8 +110,9 @@ def from_points_euclidean(points, labels=None) -> PseudometricSpace:
         raise ValidationError(f"points must form an n x k array, got shape {p.shape}")
     if p.shape[0] < 1:
         raise ValidationError("need at least one point")
-    diff = p[:, None, :] - p[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # from_matrix rejects inf and nan
+        diff = p[:, None, :] - p[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
     return from_matrix(d, labels=labels)
 

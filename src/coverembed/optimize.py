@@ -43,13 +43,15 @@ class Embedding:
         return self.coords.shape[1]
 
 
+STEP0 = 0.1  # the first line search starts from twice this step
+CONV_WINDOW = 10  # convergence compares the loss with the one this many steps back
+MIN_STEP = 1e-18  # a line search halving the step below this ends the run
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 2000
-    step0: float = 0.1
     conv_rel: float = 1e-9
-    conv_window: int = 10
-    min_step: float = 1e-18
     seed: int = 0
     init: str = "classical"  # "classical" | "random" | "given"
     init_coords: np.ndarray | None = field(default=None, repr=False)
@@ -57,8 +59,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.step0 <= 0:
-            raise ValidationError("initial step must be positive")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.init not in ("classical", "random", "given"):
@@ -228,7 +228,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
     f = problem.loss(a, delta)
     if not np.isfinite(f):
         raise NumericalError(f"loss at initialization is {f!r}", trace=[])
-    step = cfg.step0
+    step = STEP0
     g = problem.grad(a, delta)
     gnorm = float(np.abs(g).max(initial=0.0))
     trace = [(0, f, step, gnorm)]
@@ -249,9 +249,9 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
             if np.isfinite(f_new) and f_new <= f:
                 break
             step *= 0.5
-            if step < cfg.min_step:
+            if step < MIN_STEP:
                 break
-        if step < cfg.min_step:
+        if step < MIN_STEP:
             exit_reason = "step_underflow"
             break
         a, f = candidate, f_new
@@ -259,7 +259,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
         gnorm = float(np.abs(g).max(initial=0.0))
         trace.append((it, f, step, gnorm))
         recent.append(f)
-        if len(recent) > cfg.conv_window:
+        if len(recent) > CONV_WINDOW:
             f_old = recent.pop(0)
             if f_old - f < cfg.conv_rel * max(abs(f_old), 1e-300):
                 exit_reason = "converged"

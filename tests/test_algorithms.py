@@ -146,6 +146,10 @@ def test_vlk_large_k_equals_ml_targets():
 def test_connectivity_radius_is_zero_at_one_point_and_on_duplicates():
     assert connectivity_radius(from_points_euclidean([[3.0, 4.0]])) == 0.0
     assert connectivity_radius(from_points_euclidean([[1.0, 2.0]] * 3)) == 0.0
+    # a distance CSV of "-0" entries: every merge height is -0.0
+    for n in range(2, 7):
+        radius = connectivity_radius(from_matrix(np.full((n, n), -0.0)))
+        assert radius == 0.0 and not np.signbit(radius)
 
 
 def test_iso_targets_default_radius_connects():

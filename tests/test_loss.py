@@ -9,7 +9,6 @@ from coverembed import (
     CrossEntropyProblem,
     GridSpec,
     MembershipMatrix,
-    QuadratureSettings,
     StressProblem,
     ValidationError,
     flatten,
@@ -25,6 +24,7 @@ from coverembed.loss import (
     Form,
     FuzzyLossFamily,
     LossObject,
+    MdsPairFamily,
     ZERO_FORM,
     family_leq,
     pair_distances,
@@ -167,9 +167,18 @@ def test_flatten_constant_family_has_unit_weight():
 def test_flatten_exact_matches_quadrature():
     for w in (math.exp(-0.5), math.exp(-1.0), math.exp(-2.0)):
         fam = mds_fuzzy_family(member(w))
-        exact = flatten(fam)
-        quad = flatten(fam, QuadratureSettings(method="quadrature", rel_tol=1e-8))
-        assert exact.pair(0, 1) == quad.pair(0, 1)
+        fam.pairs[(0, 1)].check_quadrature(1e-8)
+        assert flatten(fam).pair(0, 1) == fam.pairs[(0, 1)].flatten_exact()
+
+
+def test_quadrature_check_rejects_an_off_closed_form():
+    class OffPairFamily(MdsPairFamily):
+        def flatten_exact(self):
+            c, e = super().flatten_exact()
+            return Form("quad", a=c.a + 1e-3), e
+
+    with pytest.raises(ValidationError, match=r"at x=0.5: .* vs "):
+        OffPairFamily(math.exp(-1.0)).check_quadrature(1e-8)
 
 
 def test_flatten_two_point_argmin_vs_grid_oracle():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -63,6 +65,11 @@ def test_euclidean_rejects_non_finite_distances():
     with pytest.raises(ValidationError, match="non-finite distance"):
         with np.errstate(invalid="ignore"):
             from_points_euclidean([[0.0], [np.inf]])
+    # the overflow is reported once, by the validation error, not by a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"non-finite distance at \(0, 1\)"):
+            from_points_euclidean([[1e200, 0.0], [-1e200, 0.0]])
 
 
 def test_hamming_examples():

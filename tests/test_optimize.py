@@ -351,8 +351,6 @@ def test_optimizer_config_validation():
     with pytest.raises(ValidationError):
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValidationError):
-        OptimizerConfig(step0=0.0)
-    with pytest.raises(ValidationError):
         OptimizerConfig(init="mystery")
     with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
         OptimizerConfig(seed=-1)
