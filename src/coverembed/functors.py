@@ -3,9 +3,11 @@
 A clustering stage is described by its first-co-occurrence matrix, the least
 scale at which each pair of points shares a block (`first_cooccurrence`);
 `check_stage` is the one check of a stage's parameters (k, delta). Each
-stage's hierarchy is one threshold scan: at every distinct finite value delta
-of the scanned matrix, the blocks of the graph whose edges are the pairs at
-matrix entry <= delta (edges take effect exactly at their value):
+stage's hierarchy is one threshold scan: at 0 and at every distinct finite
+value delta of the scanned matrix, the blocks of the graph whose edges are
+the pairs at matrix entry <= delta (edges take effect exactly at their
+value). The scan inserts the pairs as edges in value order, one batch per
+value, and reads the blocks off after each batch:
 
   sl     single_linkage   bottleneck matrix       connected components
   ml     maximal_linkage  d                       maximal cliques
@@ -16,8 +18,11 @@ matrix entry <= delta (edges take effect exactly at their value):
 
 Except for `vlk`, the scanned matrix is the first-co-occurrence matrix. The
 bottleneck matrix is the single-linkage cophenetic distance: its distinct
-values are among the dendrogram's n-1 merge heights, so `sl` builds at most
-n threshold graphs.
+values are among the dendrogram's n-1 merge heights, so `sl` takes its
+components at most n times. `vlk` recomputes its blocks on the current
+graph after each batch; the maximal cliques are updated per inserted edge
+(`graphs.insert_clique_edge`), so no clique scale reruns Bron-Kerbosch on
+the whole graph.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
 from .covers import (
+    Cover,
     HierarchicalCover,
     MembershipMatrix,
     build_hierarchy,
     cap_disconnected,
     first_cooccurrence_scales,
-    make_cover,
     target_distances,
 )
 from .errors import DisconnectedError, ValidationError
@@ -44,9 +49,8 @@ from .graphs import (
     connected_components,
     geodesic_matrix,
     hop_bounded_minimax,
-    max_cliques,
+    insert_clique_edge,
     maximal_j_connected_sets,
-    threshold_neighbors,
 )
 from .metric import PseudometricSpace
 
@@ -74,21 +78,40 @@ def connectivity_radius(space: PseudometricSpace) -> float:
     return float(linkage(squareform(space.d, checks=False), "single")[-1, 2] + 0.0)
 
 
-def _threshold_hierarchy(dist: np.ndarray, blocks_of=max_cliques) -> HierarchicalCover:
+def _threshold_hierarchy(dist: np.ndarray, blocks_of=None) -> HierarchicalCover:
     """Blocks of the threshold graphs of `dist`, at 0 and each distinct finite value.
 
-    `dist` is the functor's first-co-occurrence matrix: two points share a
-    block from scale dist[i, j] on. The scan stops at the first single block.
+    `dist` is the functor's symmetric first-co-occurrence matrix: two points
+    share a block from scale dist[i, j] on. One scan inserts the finite pairs in
+    value order, a scale's pairs as one batch (scale 0 takes every entry
+    <= 0), and records the cover after each batch. `blocks_of` maps the
+    neighbor sets to the blocks; without it the blocks are the maximal
+    cliques, updated per inserted edge. The scan stops at the first single
+    block.
     """
     n = dist.shape[0]
-    vals = np.unique(dist[~np.eye(n, dtype=bool)])
-    staged = []
-    for delta in [0.0] + [float(v) for v in vals[np.isfinite(vals)] if v > 0]:
-        blocks = blocks_of(threshold_neighbors(dist, delta))
-        staged.append((delta, make_cover(n, blocks, validate=False)))
-        if len(blocks) == 1:
-            break
-    return build_hierarchy(n, staged)
+    rows, cols = np.triu_indices(n, 1)
+    vals = dist[rows, cols]
+    order = np.argsort(vals, kind="stable")
+    order = order[np.isfinite(vals[order])]
+    rows, cols, vals = rows[order].tolist(), cols[order].tolist(), vals[order].tolist()
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    through = [{(v,)} for v in range(n)]  # the maximal cliques through each vertex
+    staged, pos, delta = [], 0, 0.0
+    while True:
+        while pos < len(vals) and vals[pos] <= delta:
+            u, v = rows[pos], cols[pos]
+            if blocks_of is None:
+                insert_clique_edge(neighbors, through, u, v)
+            else:
+                neighbors[u].add(v)
+                neighbors[v].add(u)
+            pos += 1
+        blocks = sorted(set().union(*through)) if blocks_of is None else blocks_of(neighbors)
+        staged.append((delta, Cover(n, tuple(blocks))))  # blocks come sorted
+        if len(blocks) == 1 or pos == len(vals):
+            return build_hierarchy(n, staged)
+        delta = vals[pos]
 
 
 def cluster_hierarchy(
@@ -111,7 +134,7 @@ def cluster_hierarchy(
         j = min(space.n, k)
         return _threshold_hierarchy(space.d, lambda nb: maximal_j_connected_sets(nb, j))
     d = first_cooccurrence(space, stage, k, delta, disconnected)
-    return _threshold_hierarchy(d, connected_components if stage == "sl" else max_cliques)
+    return _threshold_hierarchy(d, connected_components if stage == "sl" else None)
 
 
 def first_cooccurrence(

@@ -14,14 +14,6 @@ from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
 
-def threshold_neighbors(d: np.ndarray, delta: float) -> list[set[int]]:
-    """Neighbor sets of the graph with an edge wherever d[i,j] <= delta, i != j."""
-    n = d.shape[0]
-    adj = (d <= delta)
-    np.fill_diagonal(adj, False)
-    return [set(np.flatnonzero(adj[i]).tolist()) for i in range(n)]
-
-
 def connected_components(neighbors: list[set[int]]) -> list[tuple[int, ...]]:
     """Components as sorted tuples, ordered by smallest member."""
     n = len(neighbors)
@@ -44,31 +36,58 @@ def connected_components(neighbors: list[set[int]]) -> list[tuple[int, ...]]:
     return sorted(comps)
 
 
-def max_cliques(neighbors: list[set[int]]) -> list[tuple[int, ...]]:
-    """All maximal cliques via Bron-Kerbosch with pivoting, canonically ordered.
+def max_cliques(
+    neighbors: list[set[int]], vertices: set[int] | None = None
+) -> list[tuple[int, ...]]:
+    """All maximal cliques of the subgraph on `vertices` (default: every vertex),
+    via Bron-Kerbosch with pivoting, canonically ordered.
 
-    Exponential in the worst case; threshold graphs near merge scales are
-    sparse enough at desk scale.
+    Exponential in the worst case. The threshold scans call it only on the
+    common neighborhood of an inserted edge (`insert_clique_edge`).
     """
     out: list[tuple[int, ...]] = []
-    n = len(neighbors)
 
     def expand(r: list[int], p: set[int], x: set[int]):
         if not p and not x:
             out.append(tuple(sorted(r)))
             return
+        # any pivot gives every clique once; the one with most neighbors in p
+        # branches least, and a pivot leaving at most one branch is kept at once
         pivot, best = -1, -1
-        for u in sorted(p | x):
+        for u in p | x:
             score = len(p & neighbors[u])
             if score > best:
                 pivot, best = u, score
-        for v in sorted(p - neighbors[pivot]):
+                if score >= len(p) - 1:
+                    break
+        for v in p - neighbors[pivot]:
             expand(r + [v], p & neighbors[v], x & neighbors[v])
             p.remove(v)
             x.add(v)
 
-    expand([], set(range(n)), set())
+    expand([], set(range(len(neighbors)) if vertices is None else vertices), set())
     return sorted(out)
+
+
+def insert_clique_edge(neighbors, through, u: int, v: int) -> None:
+    """Add edge {u, v} to `neighbors`, keeping `through[w]`, the set of maximal
+    cliques (sorted tuples) that contain w, current for every vertex w.
+
+    The new maximal cliques are {u, v} with each maximal clique of the common
+    neighborhood of u and v. An old clique through u stops being maximal
+    exactly when v is adjacent to all of it, that is when it lies inside one
+    of the new cliques; likewise through v. No other clique changes (Stix 2004).
+    """
+    fresh = [tuple(sorted(c + (u, v))) for c in max_cliques(neighbors, neighbors[u] & neighbors[v])]
+    neighbors[u].add(v)
+    neighbors[v].add(u)
+    for a, b in ((u, v), (v, u)):
+        for c in [c for c in through[a] if neighbors[b].issuperset(c)]:
+            for w in c:
+                through[w].discard(c)
+    for c in fresh:
+        for w in c:
+            through[w].add(c)
 
 
 def bottleneck_matrix(d: np.ndarray) -> np.ndarray:

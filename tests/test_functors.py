@@ -24,8 +24,13 @@ from coverembed import (
 
 from coverembed.algorithms import PipelineSpec, connectivity_radius, stage_targets
 from coverembed.covers import hierarchy_to_json
-from coverembed.functors import cluster_hierarchy
-from coverembed.graphs import _separator, maximal_j_connected_sets
+from coverembed.functors import cluster_hierarchy, first_cooccurrence
+from coverembed.graphs import (
+    _separator,
+    insert_clique_edge,
+    max_cliques,
+    maximal_j_connected_sets,
+)
 from coverembed.loss import StressProblem
 
 from oracles import (
@@ -168,6 +173,26 @@ def test_vl_k_blocks_match_subset_oracle():
                     6, threshold_edges(space.d, delta), k
                 )
                 assert cover_at(h, delta).blocks == tuple(expected)
+
+
+def test_vl_3_block_appears_at_an_edge_inside_an_existing_block():
+    # two triangles {0,2,3}, {1,2,3} and the 3-connected {0,1,4,5,6} at scale 1;
+    # the edge (0,1) at scale 2 joins two members of that block, yet completes
+    # the K4 {0,1,2,3}: a batch of such edges can still change a j >= 3 cover
+    d = np.full((7, 7), 3.0)
+    np.fill_diagonal(d, 0.0)
+    for i, j in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6),
+                 (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6)):
+        d[i, j] = d[j, i] = 1.0
+    d[0, 1] = d[1, 0] = 2.0
+    h = vl_k_linkage(from_matrix(d), 3)
+    assert cover_at(h, 1.0).blocks == ((0, 1, 4, 5, 6), (0, 2, 3), (1, 2, 3))
+    assert cover_at(h, 2.0).blocks == ((0, 1, 2, 3), (0, 1, 4, 5, 6))
+    assert h.scales == (0.0, 1.0, 2.0, 3.0)
+    want = reference_threshold_hierarchy(
+        d, lambda n, edges: oracle_maximal_j_connected(n, edges, 3)
+    )
+    assert hierarchy_to_json(h) == hierarchy_to_json(want)
 
 
 def _neighbors(n, edges):
@@ -471,6 +496,68 @@ def test_every_functor_equals_the_scan_on_random_distances():
         delta = float(np.median(space.d))
         for name, got, want in _reference_cases(space, delta):
             assert hierarchy_to_json(got) == hierarchy_to_json(want), name
+
+
+def _rebuilt_cliques(n, edges):
+    """The maximal cliques of the whole threshold graph, by the library's Bron-Kerbosch."""
+    return max_cliques(_neighbors(n, edges))
+
+
+def _four_clusters(n, seed):
+    """The benchmark's clustered pair: four Gaussian clusters at the corners of a
+    3 x 3 square, and a copy with each point moved by at most 0.025."""
+    rng = np.random.default_rng(seed)
+    corners = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0]])
+    x = corners[np.arange(n) % 4] + 0.3 * rng.normal(size=(n, 2))
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    r = 0.025 * np.sqrt(rng.random(n))
+    y = x + np.column_stack([r * np.cos(angle), r * np.sin(angle)])
+    return from_points_euclidean(x), from_points_euclidean(y)
+
+
+def _clique_scan_spaces():
+    rng = np.random.default_rng(28)
+    yield from _four_clusters(30, 3)
+    upper = rng.integers(0, 4, size=25 * 24 // 2).astype(float)
+    d = np.zeros((25, 25))
+    d[np.triu_indices(25, 1)] = upper
+    yield from_matrix(d + d.T)  # ties throughout, a quarter of the pairs at 0
+    points = rng.normal(size=(12, 2))
+    points[6:] += 1000.0
+    far = from_points_euclidean(points)
+    # memberships exp(-1000) underflow to 0: the fuzzy scan skips inf entries
+    assert np.isinf(first_cooccurrence(far, "fuzzy")).any()
+    yield far
+    yield from_matrix([[0.0]])
+    yield from_matrix([[0.0, 2.0], [2.0, 0.0]])
+
+
+def test_clique_scans_equal_the_per_scale_rebuild_beyond_the_oracle():
+    """ml, lk, iso and fuzzy update their cliques edge by edge; rebuilding every
+    scale's cliques from scratch gives the same hierarchy, at sizes the subset
+    oracle cannot reach."""
+    for space in _clique_scan_spaces():
+        cases = [("ml", {}), ("lk", {"k": 3}), ("iso", {"disconnected": "cap"})]
+        cases += [("fuzzy", {})] if space.n >= 2 else []
+        for stage, params in cases:
+            d = first_cooccurrence(space, stage, **params)
+            got = cluster_hierarchy(space, stage, **params)
+            want = reference_threshold_hierarchy(d, _rebuilt_cliques)
+            assert hierarchy_to_json(got) == hierarchy_to_json(want), (space.n, stage)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_inserting_edges_keeps_the_maximal_cliques_current(graph, seed):
+    n, edges = graph
+    neighbors = [set() for _ in range(n)]
+    through = [{(v,)} for v in range(n)]
+    inserted = set()
+    for a, b in np.random.default_rng(seed).permutation(sorted(edges)).tolist():
+        insert_clique_edge(neighbors, through, a, b)
+        inserted.add((a, b))
+        assert sorted(set().union(*through)) == oracle_max_cliques(n, inserted)
+        assert all(w in c for w in range(n) for c in through[w])
 
 
 # -- the two routes: hierarchy memberships and stage targets --------------------------
