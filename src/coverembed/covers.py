@@ -10,7 +10,9 @@ scale; in strength coordinates a = exp(-delta) it is a fuzzy cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import islice
+from operator import and_
 
 import numpy as np
 
@@ -30,9 +32,17 @@ class Cover:
     blocks: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def block_masks(self) -> tuple[int, ...]:
-        """One int per block, bit v set iff v is a member; computed once per cover."""
-        return tuple(sum(1 << v for v in b) for b in self.blocks)
+    def vertex_masks(self) -> tuple[int, ...]:
+        """One int per vertex, bit k set iff the vertex lies in block k; computed once."""
+        masks = [0] * self.n
+        for k, b in enumerate(self.blocks):
+            for v in b:
+                masks[v] |= 1 << k
+        return tuple(masks)
+
+    def containing(self, b) -> int:
+        """Bit k set iff block k holds every vertex of b (every bit for an empty b)."""
+        return reduce(and_, map(self.vertex_masks.__getitem__, b), (1 << len(self.blocks)) - 1)
 
     def co_occurrence_edges(self) -> set[tuple[int, int]]:
         edges = set()
@@ -51,6 +61,7 @@ def make_cover(n: int, blocks, validate: bool = True) -> Cover:
     checked separately via is_flag_cover.
     """
     blocks = _canonical_blocks(blocks)
+    cover = Cover(n, blocks)
     if validate:
         seen = set()
         for b in blocks:
@@ -62,14 +73,13 @@ def make_cover(n: int, blocks, validate: bool = True) -> Cover:
         if seen != set(range(n)):
             missing = sorted(set(range(n)) - seen)
             raise ValidationError(f"not a cover: elements {missing} uncovered")
-        sets = [set(b) for b in blocks]
-        for s in range(len(sets)):
-            for t in range(len(sets)):
-                if s != t and sets[s] < sets[t]:
-                    raise ValidationError(
-                        f"nested blocks: {blocks[s]} inside {blocks[t]}"
-                    )
-    return Cover(n, blocks)
+        for s, b in enumerate(blocks):
+            # blocks are distinct, so another block holding all of b is a strict superset
+            others = cover.containing(b) & ~(1 << s)
+            if others:
+                t = (others & -others).bit_length() - 1
+                raise ValidationError(f"nested blocks: {b} inside {blocks[t]}")
+    return cover
 
 
 def is_flag_cover(cover: Cover) -> bool:
@@ -85,13 +95,15 @@ def is_flag_cover(cover: Cover) -> bool:
 
 
 def refines(fine: Cover, coarse: Cover) -> bool:
-    """True iff every block of `fine` is contained in some block of `coarse`."""
+    """True iff every block of `fine` is contained in some block of `coarse`.
+
+    Blocks both covers hold pass by a set difference; any other block b
+    passes when `coarse.containing(b)`, |b| big-int ANDs, is nonzero. So the
+    cached `coarse.vertex_masks` is built only when such a b exists.
+    """
     if fine.n != coarse.n:
         raise ValidationError(f"ground set mismatch: {fine.n} vs {coarse.n}")
-    coarse_masks = coarse.block_masks
-    return all(
-        any((b & c) == b for c in coarse_masks) for b in fine.block_masks
-    )
+    return all(map(coarse.containing, set(fine.blocks).difference(coarse.blocks)))
 
 
 @dataclass(frozen=True)
@@ -177,23 +189,35 @@ class MembershipMatrix:
 def first_cooccurrence_scales(h: HierarchicalCover) -> np.ndarray:
     """T[i,j] = the smallest scale of `h` at which i,j share a block, as stored.
 
-    Pairs that never share a block get inf; the diagonal is 0. A block
-    already in the previous scale's cover is skipped: every pair in it was
-    assigned at that scale or earlier.
+    Pairs that never share a block get inf; the diagonal is 0. Each pair takes
+    the earliest birth (`_births`) of a block holding it. Births go in scale
+    order, 64 at a time: a pair's lowest shared bit in the chunk's
+    `vertex_masks` is its first common block, and frexp reads the bit's index
+    exactly (-1, birth inf, when none). Extra memory: a few n x n arrays and
+    one cover's block set, whatever the block count.
     """
     n = h.n
     t = np.full((n, n), np.inf)
     np.fill_diagonal(t, 0.0)
+    births = _births(h)
+    while chunk := list(islice(births, 64)):
+        scales, blocks = zip(*chunk)
+        masks = np.array(Cover(n, blocks).vertex_masks, dtype=np.uint64)
+        shared = masks[:, None] & masks[None, :]
+        shared &= -shared  # the lowest set bit
+        first = np.frexp(shared.astype(float))[1] - 1
+        np.minimum(t, np.array(scales + (np.inf,))[first], out=t)
+    return t
+
+
+def _births(h: HierarchicalCover):
+    """(scale, block) for each block a cover holds and the previous cover does not:
+    each block's first scale, and, if `h` does not coarsen, any later returns."""
     previous: frozenset[tuple[int, ...]] = frozenset()
     for scale, cover in zip(h.scales, h.covers):
-        for b in cover.blocks:
-            if b not in previous:
-                sub = np.ix_(b, b)
-                t[sub] = np.minimum(t[sub], scale)
-        if np.isfinite(t).all():
-            break
-        previous = frozenset(cover.blocks)
-    return t
+        current = frozenset(cover.blocks)
+        yield from ((scale, b) for b in current - previous)
+        previous = current
 
 
 def membership_matrix(h: HierarchicalCover) -> MembershipMatrix:
@@ -220,10 +244,6 @@ def cap_disconnected(t: np.ndarray) -> np.ndarray:
     return np.where(finite, t, 3.0 * t[finite].max(initial=0.0))
 
 
-def cover_to_json(cover: Cover) -> dict:
-    return {"n": cover.n, "blocks": [list(b) for b in cover.blocks]}
-
-
 def cover_from_json(obj) -> Cover:
     try:
         n = int(obj["n"])
@@ -231,14 +251,6 @@ def cover_from_json(obj) -> Cover:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad cover JSON: {exc}") from exc
     return make_cover(n, blocks)
-
-
-def hierarchy_to_json(h: HierarchicalCover) -> dict:
-    return {
-        "n": h.n,
-        "scales": [float(s) for s in h.scales],
-        "covers": [cover_to_json(c) for c in h.covers],
-    }
 
 
 def hierarchy_from_json(obj) -> HierarchicalCover:

@@ -6,12 +6,13 @@ file back reproduces the exact double, which makes re-runs byte-comparable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
 import numpy as np
 
-from .covers import HierarchicalCover, hierarchy_from_json, hierarchy_to_json
+from .covers import HierarchicalCover, hierarchy_from_json
 from .errors import NumericalError, ValidationError
 from .metric import PseudometricSpace, from_matrix, from_points_euclidean, from_sequences_hamming
 from .optimize import Embedding
@@ -142,7 +143,28 @@ def read_json(path):
 
 
 def write_hierarchy_json(path, h: HierarchicalCover):
-    write_json(path, hierarchy_to_json(h))
+    """The cover JSON of `h` (README, File formats) as `write_json` would write it,
+    each distinct block's text rendered once; a non-finite scale raises
+    NumericalError before anything is written."""
+    try:  # with sorted keys, "n" and "scales" follow "covers" and end the file
+        tail = json.dumps({"n": h.n, "scales": [float(s) for s in h.scales]},
+                          indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from exc
+
+    @functools.cache
+    def block_text(b):
+        members = ",\n".join(f"          {v}" for v in b)
+        return f"        [\n{members}\n        ]" if b else "        []"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "covers": [')
+        for t, cover in enumerate(h.covers):
+            blocks = ",\n".join(map(block_text, cover.blocks))
+            blocks = f"[\n{blocks}\n      ]" if blocks else "[]"
+            comma = "," if t else ""
+            fh.write(f'{comma}\n    {{\n      "blocks": {blocks},\n      "n": {cover.n}\n    }}')
+        fh.write(f"\n  ],{tail[1:]}\n")
 
 
 def read_hierarchy_json(path) -> HierarchicalCover:

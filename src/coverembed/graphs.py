@@ -212,8 +212,11 @@ def maximal_j_connected_sets(neighbors, j: int) -> list[tuple[int, ...]]:
     set with no such pair. Leaves are j-connected
     (complete sets and single vertices among them; a disconnected set splits
     along the empty separator), so the maximal leaves are the answer, and
-    isolated vertices surface as singleton blocks.
+    isolated vertices surface as singleton blocks. A graph with no vertices
+    has no such sets.
     """
+    if not neighbors:
+        return []
     found: set[frozenset[int]] = set()
     seen: set[frozenset[int]] = set()
 

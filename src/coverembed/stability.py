@@ -11,8 +11,9 @@ difference of stored scales, never a rounded s_i + eps.
 Cost of `interleaving_distance` on hierarchies with S1 and S2 critical scales:
 `validate_coarsening` on both, then one scan per direction in which i walks
 one side and j only advances over the other, so at most |S1| + |S2| `refines`
-tests per direction. A `refines` test costs one bitmask AND per pair of
-blocks.
+tests per direction. A `refines` test skips the blocks the two covers share
+(consecutive covers share almost all) and ANDs the other side's per-vertex
+block masks over each remaining block: |b| big-int ANDs per block b.
 """
 
 from __future__ import annotations

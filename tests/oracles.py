@@ -4,11 +4,13 @@ Everything here enumerates: components by flood fill over explicit edge
 lists, cliques and k-connected sets by subset enumeration, path costs by
 walking every simple path. Exponential, fine for n <= 7. Hand-built loss
 families, the exact interval sup of a form, the JSON round trip of loss
-objects, the n x n embedding losses (every pair counted twice), and the
+objects, the cover JSON objects whose `json.dumps` text hierarchy files must
+match, the n x n embedding losses (every pair counted twice), and the
 permuting and CSV-writing helpers that tests use to build inputs live here
 too.
 """
 
+import json
 import math
 from itertools import combinations, permutations
 
@@ -203,6 +205,23 @@ def oracle_refines(fine, coarse):
     return all(
         any(set(b) <= set(c) for c in coarse.blocks) for b in fine.blocks
     )
+
+
+def cover_to_json(cover):
+    return {"n": cover.n, "blocks": [list(b) for b in cover.blocks]}
+
+
+def hierarchy_to_json(h):
+    return {
+        "n": h.n,
+        "scales": [float(s) for s in h.scales],
+        "covers": [cover_to_json(c) for c in h.covers],
+    }
+
+
+def hierarchy_json_bytes(h):
+    """The bytes `fileio.write_hierarchy_json` must write: `write_json`'s rendering."""
+    return (json.dumps(hierarchy_to_json(h), indent=2, sort_keys=True) + "\n").encode()
 
 
 def oracle_membership(h):

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coverembed import (
+    NumericalError,
     ValidationError,
     cover_at,
     from_matrix,
+    from_points_euclidean,
     is_flag_cover,
     make_cover,
     maximal_linkage,
@@ -22,13 +26,16 @@ from coverembed.covers import (
     HierarchicalCover,
     build_hierarchy,
     cover_from_json,
-    cover_to_json,
+    first_cooccurrence_scales,
     hierarchy_from_json,
-    hierarchy_to_json,
 )
+from coverembed.fileio import write_hierarchy_json
 from coverembed.functors import cluster_hierarchy
 
 from oracles import (
+    cover_to_json,
+    hierarchy_json_bytes,
+    hierarchy_to_json,
     oracle_components,
     oracle_membership,
     oracle_refines,
@@ -69,24 +76,53 @@ def test_refines_examples():
 BLOCKS = st.lists(st.sets(st.integers(0, 127), min_size=1, max_size=8), min_size=1, max_size=6)
 
 
-@given(n=st.integers(1, 70), fine=BLOCKS, coarse=BLOCKS)
+BLOCKS_OR_NONE = st.lists(st.sets(st.integers(0, 127), max_size=8), max_size=6)
+
+
+@given(n=st.integers(1, 70), fine=BLOCKS_OR_NONE, coarse=BLOCKS_OR_NONE)
 @example(n=1, fine=[{0}], coarse=[{0}])
 @example(n=5, fine=[{0, 1}, {1, 2, 3}, {4}], coarse=[{0, 1}, {1, 2, 3}, {4}])
 @example(n=4, fine=[{0}, {1}, {2}, {3}], coarse=[{0, 1, 2, 3}])
 @example(n=4, fine=[{0, 1, 2, 3}], coarse=[{0, 1}, {2, 3}])
 @example(n=4, fine=[{0, 1}, {2, 3}], coarse=[{0, 2}, {1, 3}])
 @example(n=70, fine=[{0, 69}], coarse=[{0, 68, 69}])
+@example(n=3, fine=[set()], coarse=[])
+@example(n=3, fine=[set()], coarse=[{1}])
+@example(n=3, fine=[{0}], coarse=[{0, 1}, {0, 1, 2}])
+@example(n=6, fine=[{0, 1}, {0, 1, 2}, {4}], coarse=[{0, 1, 2}, {0, 1, 2, 3}, {3, 4}])
 def test_refines_equals_set_containment(n, fine, coarse):
-    # block members are drawn from 0..127 and folded into the ground set
+    # block members are drawn from 0..127 and folded into the ground set; blocks
+    # may be empty and nested, and a cover may have no blocks (validate=False)
     fine_cover = make_cover(n, [{v % n for v in b} for b in fine], validate=False)
     coarse_cover = make_cover(n, [{v % n for v in b} for b in coarse], validate=False)
     assert refines(fine_cover, coarse_cover) == oracle_refines(fine_cover, coarse_cover)
     assert refines(fine_cover, fine_cover)
-    assert fine_cover.block_masks == tuple(
-        sum(2**v for v in b) for b in fine_cover.blocks
-    )
+    for cover in (fine_cover, coarse_cover):
+        assert len(cover.vertex_masks) == n
+        for v, mask in enumerate(cover.vertex_masks):
+            assert mask == sum(2**k for k, b in enumerate(cover.blocks) if v in b)
     with pytest.raises(ValidationError, match="mismatch"):
         refines(fine_cover, Cover(n + 1, coarse_cover.blocks))
+
+
+@given(n=st.integers(1, 12), blocks=BLOCKS)
+@example(n=3, blocks=[{0, 1, 2}, {0, 1}])
+@example(n=4, blocks=[{0}, {0, 1}, {0, 2}, {3}])
+@example(n=4, blocks=[{1, 2}, {0, 1, 2}, {1, 2, 3}])
+def test_nested_block_error_names_the_brute_force_pair(n, blocks):
+    blocks = [{v % n for v in b} for b in blocks]
+    blocks += [{v} for v in set(range(n)).difference(*blocks)]
+    canonical = make_cover(n, blocks, validate=False).blocks
+    nested = [
+        (b, c) for b in canonical for c in canonical if b != c and set(b) < set(c)
+    ]
+    if not nested:
+        assert make_cover(n, blocks).blocks == canonical
+        return
+    b, c = nested[0]
+    with pytest.raises(ValidationError) as err:
+        make_cover(n, blocks)
+    assert str(err.value) == f"nested blocks: {b} inside {c}"
 
 
 def test_cover_at_interval_conventions():
@@ -166,6 +202,39 @@ def test_membership_of_a_hierarchy_that_does_not_coarsen():
     assert w[0, 2] == 0.0
 
 
+COVERS = st.lists(st.lists(st.sets(st.integers(0, 5), min_size=1, max_size=4), max_size=4),
+                  min_size=1, max_size=6)
+
+
+@given(covers=COVERS)
+@example(covers=[[{0, 1}], [{0}, {1}], [{0, 1}]])
+@example(covers=[[{0, 1, 2}], [{0, 1}, {1, 2}], [{0, 2}]])
+@example(covers=[[], [{3}], []])
+def test_first_cooccurrence_on_hierarchies_that_do_not_coarsen(covers):
+    # blocks split, vanish and return; covers may leave points out or hold no block
+    h = HierarchicalCover(
+        6,
+        tuple(float(s) for s in range(len(covers))),
+        tuple(make_cover(6, c, validate=False) for c in covers),
+    )
+    assert np.array_equal(membership_matrix(h).w, oracle_membership(h))
+
+
+def test_first_cooccurrence_memory_stays_within_a_few_square_matrices():
+    n = 60
+    space = from_points_euclidean(np.random.default_rng(5).normal(size=(n, 3)))
+    h = maximal_linkage(space)
+    assert len({b for c in h.covers for b in c.blocks}) > 5000
+    tracemalloc.start()
+    try:
+        t = first_cooccurrence_scales(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(t, space.d)
+    assert peak < 12 * n * n * 8
+
+
 def test_target_distances_values():
     h = single_linkage(CHAIN)
     truncated = HierarchicalCover(3, h.scales[:2], h.covers[:2])
@@ -233,3 +302,30 @@ def test_json_round_trip():
     assert again == h
     with pytest.raises(ValidationError):
         cover_from_json({"blocks": [[0]]})
+
+
+def test_hierarchy_json_is_the_json_dumps_text_with_repeated_blocks(tmp_path):
+    path = tmp_path / "h.json"
+    repeated = HierarchicalCover(4, (-0.0, 1e-300, 0.1, 1.5e16), (
+        make_cover(4, [[0], [1], [2], [3]]),
+        make_cover(4, [[0, 1], [2], [3]]),
+        make_cover(4, [[0, 1], [2, 3]]),
+        make_cover(4, [[0, 1], [1, 2], [2, 3]]),
+    ))
+    odd = HierarchicalCover(3, (0.0, 2.0), (Cover(3, ((),)), Cover(3, ())))
+    empty = cluster_hierarchy(from_matrix(np.zeros((0, 0))), "sl")
+    single = cluster_hierarchy(from_matrix([[0.0]]), "ml")
+    for h in (repeated, odd, empty, single):
+        write_hierarchy_json(path, h)
+        assert path.read_bytes() == hierarchy_json_bytes(h)
+    assert hierarchy_from_json(json.loads(path.read_text())) == single
+
+
+def test_hierarchy_json_refuses_an_infinite_scale(tmp_path):
+    c = make_cover(2, [[0], [1]])
+    merged = make_cover(2, [[0, 1]])
+    path = tmp_path / "h.json"
+    with pytest.raises(NumericalError, match="not JSON compliant") as err:
+        write_hierarchy_json(path, HierarchicalCover(2, (0.0, math.inf), (c, merged)))
+    assert str(path) in str(err.value)
+    assert not path.exists()

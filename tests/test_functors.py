@@ -23,8 +23,9 @@ from coverembed import (
 )
 
 from coverembed.algorithms import PipelineSpec, connectivity_radius, stage_targets
-from coverembed.covers import hierarchy_to_json
-from coverembed.functors import cluster_hierarchy, first_cooccurrence
+from coverembed.covers import Cover
+from coverembed.fileio import write_hierarchy_json
+from coverembed.functors import CLUSTER_STAGES, cluster_hierarchy, first_cooccurrence
 from coverembed.graphs import (
     _separator,
     insert_clique_edge,
@@ -34,6 +35,8 @@ from coverembed.graphs import (
 from coverembed.loss import StressProblem
 
 from oracles import (
+    hierarchy_json_bytes,
+    hierarchy_to_json,
     oracle_components,
     oracle_max_cliques,
     oracle_maximal_j_connected,
@@ -324,6 +327,18 @@ def test_fuzzy_needs_two_points():
         fuzzy_simplex(from_matrix([[0.0]]))
 
 
+def test_every_stage_gives_no_blocks_on_the_empty_space():
+    empty = from_matrix(np.zeros((0, 0)))
+    for stage in CLUSTER_STAGES:
+        if stage == "fuzzy":
+            with pytest.raises(ValidationError, match="at least 2 points"):
+                cluster_hierarchy(empty, stage)
+            continue
+        h = cluster_hierarchy(empty, stage, k=2)
+        assert h.scales == (0.0,) and h.covers == (Cover(0, ()),), stage
+        assert membership_matrix(h).w.shape == (0, 0)
+
+
 def test_fuzzy_hierarchy_consistent_with_membership():
     rng = np.random.default_rng(20)
     space = random_space(rng, n=5)
@@ -604,3 +619,28 @@ def test_hierarchy_memberships_equal_exp_of_stage_targets_on_random_spaces():
         points = rng.normal(size=(n, 2))
         points[n // 2:] += 8.0  # two far groups: iso below the radius caps pairs
         _assert_routes_agree(from_points_euclidean(points))
+
+
+def _assert_hierarchy_json_is_the_json_dumps_text(space, path):
+    for stage, params in _stage_cases(space):
+        h = cluster_hierarchy(space, stage, disconnected="cap", **params)
+        write_hierarchy_json(path, h)
+        assert path.read_bytes() == hierarchy_json_bytes(h), (stage, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=tie_heavy_spaces())
+@example(space=from_matrix([[0.0]]))
+@example(space=from_matrix(np.zeros((4, 4))))
+def test_hierarchy_json_is_the_json_dumps_text_on_ties(space, tmp_path_factory):
+    path = tmp_path_factory.mktemp("json") / "h.json"
+    _assert_hierarchy_json_is_the_json_dumps_text(space, path)
+
+
+def test_hierarchy_json_is_the_json_dumps_text_on_random_spaces(tmp_path):
+    rng = np.random.default_rng(28)
+    for n in (1, 2, 3, 5, 8):
+        points = rng.normal(size=(n, 2))
+        points[n // 2:] += 8.0
+        for space in (random_space(rng, n=n), from_points_euclidean(points)):
+            _assert_hierarchy_json_is_the_json_dumps_text(space, tmp_path / "h.json")
