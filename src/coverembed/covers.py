@@ -1,10 +1,12 @@
-"""Non-nested flag covers, hierarchical covers, and membership matrices.
+"""Non-nested covers, hierarchical covers, and membership matrices.
 
-A Cover is a family of blocks over {0..n-1} whose blocks are exactly the
-maximal cliques of their co-occurrence graph (the flag condition). A
-HierarchicalCover is a right-continuous step function from distance scale
-delta in [0, inf) to Cover, stored as critical scales plus one cover per
-scale; in strength coordinates a = exp(-delta) it is a fuzzy cover.
+A Cover is a family of non-nested blocks over {0..n-1}. It is flag when its
+blocks are exactly the maximal cliques of their co-occurrence graph
+(`is_flag_cover`): `sl`, `ml`, `lk`, `iso` and `fuzzy` emit flag covers, and
+`vlk`'s maximal k-vertex-connected sets need not be. A HierarchicalCover is
+a right-continuous step function from distance scale delta in [0, inf) to
+Cover, stored as critical scales plus one cover per scale; in strength
+coordinates a = exp(-delta) it is a fuzzy cover.
 """
 
 from __future__ import annotations

@@ -194,10 +194,11 @@ def run_bench(cfg: BenchConfig, progress=None) -> BenchResult:
         init_cache: dict[tuple, np.ndarray] = {}
         for idx, (spec, problem) in enumerate(zip(cfg.pipelines, problems)):
             if spec.optimizer.init == "classical":
-                key = (spec.cluster, spec.loss, spec.k, spec.delta)
+                key = (spec.cluster, spec.loss, spec.k, spec.delta, spec.policy)
                 if key not in init_cache:
                     m_max = max(
-                        s.m for s in cfg.pipelines if (s.cluster, s.loss, s.k, s.delta) == key
+                        s.m for s in cfg.pipelines
+                        if (s.cluster, s.loss, s.k, s.delta, s.policy) == key
                     )
                     init_cache[key] = classical_mds_init(problem.init_targets(), m_max).coords
                 coords = np.ascontiguousarray(init_cache[key][:, : spec.m])

@@ -39,52 +39,50 @@ def read_text(path) -> str:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def _parse_csv_rows(path) -> list[list[str]]:
+def _read_table(path, label_row: bool) -> tuple[tuple[str, ...] | None, np.ndarray]:
+    """A CSV's labels and its numbers as a 2-d float array.
+
+    Blank lines and lines starting with '#' are skipped. The first row
+    (`label_row`) or else the first column holds labels when its cells do not
+    all read as numbers. An empty file, rows of different lengths and
+    non-numeric cells are ValidationErrors naming the path.
+    """
     lines = (line.strip() for line in read_text(path).split("\n"))
     rows = [[c.strip() for c in line.split(",")] for line in lines if line and line[0] != "#"]
     if not rows:
         raise ValidationError(f"{path}: empty file")
-    return rows
-
-
-def _all_floats(cells) -> bool:
+    head = rows[0] if label_row else [r[0] for r in rows]
     try:
-        [float(c) for c in cells]
-        return True
+        [float(c) for c in head]
+        labels = None
     except ValueError:
-        return False
+        labels = tuple(head)
+        rows = rows[1:] if label_row else [r[1:] for r in rows]
+    widths = sorted({len(r) for r in rows})
+    if len(widths) > 1:
+        raise ValidationError(
+            f"{path}: rows of different lengths ({widths[0]} to {widths[-1]} cells)"
+        )
+    try:
+        return labels, np.array([[float(c) for c in r] for r in rows])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: non-numeric entry ({exc})") from exc
 
 
 def read_distance_csv(path) -> PseudometricSpace:
     """Square matrix CSV; an optional first row of labels is auto-detected."""
-    rows = _parse_csv_rows(path)
-    labels = None
-    if not _all_floats(rows[0]):
-        labels = rows[0]
-        rows = rows[1:]
-    try:
-        matrix = [[float(c) for c in row] for row in rows]
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric distance entry ({exc})") from exc
-    return from_matrix(matrix, labels=labels)
+    labels, d = _read_table(path, label_row=True)
+    return from_matrix(d, labels=labels)
 
 
 def read_points_csv(path) -> PseudometricSpace:
     """One point per row; an optional leading label column is auto-detected."""
-    rows = _parse_csv_rows(path)
-    labels = None
-    if rows and not _all_floats([r[0] for r in rows]):
-        labels = [r[0] for r in rows]
-        rows = [r[1:] for r in rows]
-    try:
-        pts = [[float(c) for c in row] for row in rows]
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric point entry ({exc})") from exc
-    return from_points_euclidean(pts, labels=labels)
+    labels, points = _read_table(path, label_row=False)
+    return from_points_euclidean(points, labels=labels)
 
 
 def read_sequences(path) -> PseudometricSpace:
-    """One sequence per line, uppercase alphabet."""
+    """One sequence per line, all of one length, in any alphabet."""
     seqs = [line.strip() for line in read_text(path).split("\n") if line.strip()]
     return from_sequences_hamming(seqs, labels=seqs if len(seqs) <= 64 else None)
 
@@ -109,12 +107,8 @@ def write_embedding_csv(path, embedding: Embedding):
 
 
 def read_embedding_csv(path) -> Embedding:
-    rows = _parse_csv_rows(path)
-    labels = None
-    if rows and not _all_floats([r[0] for r in rows]):
-        labels = tuple(r[0] for r in rows)
-        rows = [r[1:] for r in rows]
-    coords = np.array([[float(c) for c in row] for row in rows])
+    """One point per row; an optional leading label column is auto-detected."""
+    labels, coords = _read_table(path, label_row=False)
     return Embedding(coords, labels)
 
 

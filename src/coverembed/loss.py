@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.spatial.distance import pdist, squareform
 
 from .covers import (
@@ -35,6 +34,7 @@ from .errors import ValidationError
 
 FCE_CLAMP_DEFAULT = 1e-6
 TARGET_POLICIES = ("strict", "cap", "drop")
+SIGN_TOL = 1e-12  # |value| at or below this counts as zero in `sign_classification`
 
 
 # -- parametric scalar forms ---------------------------------------------------
@@ -203,6 +203,8 @@ class MdsPairFamily:
         probe fails when the two differ by more than 10 * rel_tol relative
         (absolute below 1), and raises ValidationError naming it.
         """
+        from scipy.integrate import quad  # deferred: only this check integrates
+
         c_exact, e_exact = self.flatten_exact()
         target = -math.log(self.w)
         t_max = target + QUADRATURE_TAIL_MARGIN
@@ -345,9 +347,7 @@ class SignReport:
         return "neither"
 
 
-def sign_classification(
-    family: FuzzyLossFamily, grid: GridSpec = GridSpec(), tol: float = 1e-12
-) -> SignReport:
+def sign_classification(family: FuzzyLossFamily, grid: GridSpec = GridSpec()) -> SignReport:
     """Check c >= 0 / e <= 0 (and the mirrored pattern) over strengths and x."""
     strengths = set(family.critical_strengths()) | {1.0}
     for a in sorted(strengths):
@@ -360,15 +360,15 @@ def sign_classification(
         for key, (c, e) in sorted(obj.terms.items()):
             cv = c.value(xs)
             ev = e.value(xs)
-            if (cv < -tol).any():
+            if (cv < -SIGN_TOL).any():
                 c_nn = False
                 witnesses.append(f"c<0 at a={a!r} pair={key}")
-            if (ev > tol).any():
+            if (ev > SIGN_TOL).any():
                 e_np = False
                 witnesses.append(f"e>0 at a={a!r} pair={key}")
-            if (cv > tol).any():
+            if (cv > SIGN_TOL).any():
                 c_np = False
-            if (ev < -tol).any():
+            if (ev < -SIGN_TOL).any():
                 e_nn = False
     return SignReport(c_nn, e_np, c_np, e_nn, tuple(witnesses[:10]))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import ValidationError
 
@@ -103,6 +104,8 @@ def from_matrix(raw, strict: bool = False, labels=None) -> PseudometricSpace:
 def from_points_euclidean(points, labels=None) -> PseudometricSpace:
     """Euclidean distance matrix of an n x k point array (rows are points).
 
+    The distances come from SciPy's `pdist` loop, the kernel behind the
+    optimizer's `loss.pair_distances`, so memory stays O(n^2) for any k.
     Validated by `from_matrix`, so coordinates whose distances overflow fail.
     """
     p = np.atleast_2d(np.array(points, dtype=float))
@@ -110,15 +113,11 @@ def from_points_euclidean(points, labels=None) -> PseudometricSpace:
         raise ValidationError(f"points must form an n x k array, got shape {p.shape}")
     if p.shape[0] < 1:
         raise ValidationError("need at least one point")
-    with np.errstate(over="ignore", invalid="ignore"):  # from_matrix rejects inf and nan
-        diff = p[:, None, :] - p[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return from_matrix(d, labels=labels)
+    return from_matrix(squareform(pdist(p)), labels=labels)
 
 
 def from_sequences_hamming(seqs, labels=None) -> PseudometricSpace:
-    """Hamming distance matrix of equal-length strings (integer-valued)."""
+    """Hamming distance matrix of equal-length strings over any alphabet (by code point)."""
     seqs = list(seqs)
     if not seqs:
         raise ValidationError("need at least one sequence")
@@ -128,7 +127,7 @@ def from_sequences_hamming(seqs, labels=None) -> PseudometricSpace:
             raise ValidationError(
                 f"sequence {t} has length {len(s)}, expected {length}"
             )
-    codes = np.frombuffer("".join(seqs).encode("utf-8"), dtype=np.uint8)
+    codes = np.frombuffer("".join(seqs).encode("utf-32-le"), dtype="<u4")
     codes = codes.reshape(len(seqs), length)
     d = hamming_matrix(codes)
     if labels is not None:

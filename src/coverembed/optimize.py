@@ -46,6 +46,7 @@ class Embedding:
 STEP0 = 0.1  # the first line search starts from twice this step
 CONV_WINDOW = 10  # convergence compares the loss with the one this many steps back
 MIN_STEP = 1e-18  # a line search halving the step below this ends the run
+GRAD_CHECK_STEP = 1e-5  # central-difference step of `grad_check`
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,6 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
     g = problem.grad(a, delta)
     gnorm = float(np.abs(g).max(initial=0.0))
     trace = [(0, f, step, gnorm)]
-    recent = [f]
     exit_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
@@ -258,9 +258,8 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
         g = problem.grad(a, candidate_delta)
         gnorm = float(np.abs(g).max(initial=0.0))
         trace.append((it, f, step, gnorm))
-        recent.append(f)
-        if len(recent) > CONV_WINDOW:
-            f_old = recent.pop(0)
+        if len(trace) > CONV_WINDOW:
+            f_old = trace[-1 - CONV_WINDOW][1]
             if f_old - f < cfg.conv_rel * max(abs(f_old), 1e-300):
                 exit_reason = "converged"
                 break
@@ -280,7 +279,7 @@ class GradCheckResult:
     skipped_rows: tuple[int, ...]  # rows touching a coincident pair (loss kink)
 
 
-def grad_check(problem, coords: np.ndarray, step: float = 1e-5) -> GradCheckResult:
+def grad_check(problem, coords: np.ndarray) -> GradCheckResult:
     """Compare the analytic gradient against central finite differences.
 
     Rows involved in a coincident pair sit on the distance kink and are
@@ -288,7 +287,7 @@ def grad_check(problem, coords: np.ndarray, step: float = 1e-5) -> GradCheckResu
     """
     a = np.array(coords, dtype=float)
     first, second = np.triu_indices(a.shape[0], 1)  # the condensed pair order
-    close = pair_distances(a) < 10 * step
+    close = pair_distances(a) < 10 * GRAD_CHECK_STEP
     kink_rows = sorted(set(first[close].tolist()) | set(second[close].tolist()))
     analytic = problem.grad(a)
     numeric = np.zeros_like(a)
@@ -297,8 +296,9 @@ def grad_check(problem, coords: np.ndarray, step: float = 1e-5) -> GradCheckResu
             continue
         for j in range(a.shape[1]):
             bump = np.zeros_like(a)
-            bump[i, j] = step
-            numeric[i, j] = (problem.loss(a + bump) - problem.loss(a - bump)) / (2 * step)
+            bump[i, j] = GRAD_CHECK_STEP
+            rise = problem.loss(a + bump) - problem.loss(a - bump)
+            numeric[i, j] = rise / (2 * GRAD_CHECK_STEP)
     rows = [i for i in range(a.shape[0]) if i not in kink_rows]
     if not rows:
         return GradCheckResult(0.0, tuple(kink_rows))

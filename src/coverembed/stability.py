@@ -30,6 +30,9 @@ from .loss import MdsPairFamily, StressProblem, pair_distances
 from .metric import PseudometricSpace, isometry_epsilon
 from .optimize import minimize
 
+INTERLEAVING_SLACK = 1e-12  # absolute slack of eps* <= eps in `check_interleaving_bound`
+LOSS_TRANSFER_REL_SLACK = 1e-9  # relative slack of the `check_loss_transfer` bound
+
 
 @dataclass(frozen=True)
 class InterleavingReport:
@@ -83,21 +86,18 @@ def check_interleaving_bound(
     build_hierarchy,
     x: PseudometricSpace,
     y: PseudometricSpace,
-    slack: float = 1e-12,
 ) -> ShiftStabilityReport:
     """Interleaving distance of two clusterings vs the isometry defect of their inputs.
 
     `build_hierarchy` maps a space to a HierarchicalCover. Passes when the
     interleaving distance is at most the pairwise max distance difference.
     """
-    if x.n != y.n:
-        raise ValidationError(f"size mismatch: {x.n} vs {y.n}")
     eps = isometry_epsilon(x, y)
     report = interleaving_distance(build_hierarchy(x), build_hierarchy(y))
     return ShiftStabilityReport(
         epsilon=eps,
         epsilon_star=report.epsilon_star,
-        passed=report.epsilon_star <= eps + slack,
+        passed=report.epsilon_star <= eps + INTERLEAVING_SLACK,
         interleaving=report,
     )
 
@@ -120,7 +120,6 @@ def check_loss_transfer(
     x: PseudometricSpace,
     y: PseudometricSpace,
     radius: float | None = None,
-    rel_slack: float = 1e-9,
 ) -> StabilityReport:
     """Certified loss-transfer bound for a stress-family pipeline on eps-isometric inputs.
 
@@ -134,8 +133,6 @@ def check_loss_transfer(
     """
     if spec.loss != "mds":
         raise ValidationError("the loss-transfer checker needs a stress-family pipeline")
-    if x.n != y.n:
-        raise ValidationError(f"size mismatch: {x.n} vs {y.n}")
     eps = isometry_epsilon(x, y)
     stages = [build_stage(space, spec) for space in (x, y)]
     problems = [StressProblem(t, spec.m, spec.policy) for t, _ in stages]
@@ -160,7 +157,7 @@ def check_loss_transfer(
     k_c = 2.0 * family.sup_abs_c(r)
     k_e = 2.0 * family.sup_abs_e()
     bound = loss_base + k_c * n * n * (1.0 - math.exp(-eps))
-    passed = loss_cross <= bound + rel_slack * max(1.0, abs(bound))
+    passed = loss_cross <= bound + LOSS_TRANSFER_REL_SLACK * max(1.0, abs(bound))
     return StabilityReport(
         epsilon=eps,
         k_c=k_c,

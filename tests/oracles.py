@@ -5,9 +5,9 @@ lists, cliques and k-connected sets by subset enumeration, path costs by
 walking every simple path. Exponential, fine for n <= 7. Hand-built loss
 families, the exact interval sup of a form, the JSON round trip of loss
 objects, the cover JSON objects whose `json.dumps` text hierarchy files must
-match, the n x n embedding losses (every pair counted twice), and the
-permuting and CSV-writing helpers that tests use to build inputs live here
-too.
+match, the broadcast Euclidean distances, the n x n embedding losses (every
+pair counted twice), and the permuting and CSV-writing helpers that tests use
+to build inputs live here too.
 """
 
 import json
@@ -359,6 +359,19 @@ def loss_object_from_json(obj) -> LossObject:
 
 
 # -- n x n embedding losses -------------------------------------------------------
+
+
+def broadcast_euclidean(points):
+    """The n x n Euclidean distances as one n x n x k broadcast, summed over k.
+
+    NumPy sums fewer than 8 terms in order, as `pdist` does, so for k <= 7
+    the bytes equal `from_points_euclidean`'s.
+    """
+    p = np.asarray(points, dtype=float)
+    diff = p[:, None, :] - p[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 def pairwise_distances(a):

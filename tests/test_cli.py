@@ -417,6 +417,47 @@ def test_embed_reads_sequences_and_points(tmp_path):
     ]) == 0
 
 
+@pytest.mark.parametrize("kind, text, message", [
+    ("dist", "0,1,2\n1,0\n2,1,0\n", "rows of different lengths (2 to 3 cells)"),
+    ("dist", "a,b\n0,1\n1,x\n", "non-numeric entry (could not convert string to float: 'x')"),
+    ("points", "1,2\n3\n", "rows of different lengths (1 to 2 cells)"),
+    ("points", "p,1,2\nq,3,y\n", "non-numeric entry (could not convert string to float: 'y')"),
+], ids=["dist-ragged", "dist-non-numeric", "points-ragged", "points-non-numeric"])
+def test_a_malformed_csv_is_one_json_validation_error(tmp_path, capsys, kind, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code = dispatch(["embed", "--algo", "mmds", "--input-kind", kind, "--in", str(bad),
+                     "--out", str(tmp_path / "o.csv"), "--json-errors"])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "validation", "message": f"{bad}: {message}"}
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,1,2\nb,3\n", "rows of different lengths (1 to 2 cells)"),
+    ("1,2\n3,z\n", "non-numeric entry (could not convert string to float: 'z')"),
+], ids=["ragged", "non-numeric"])
+def test_a_malformed_embedding_csv_is_a_validation_error(tmp_path, text, message):
+    bad = tmp_path / "emb.csv"
+    bad.write_text(text)
+    with pytest.raises(ValidationError) as exc:
+        read_embedding_csv(bad)
+    assert str(exc.value) == f"{bad}: {message}"
+
+
+def test_embed_reads_sequences_beyond_ascii(tmp_path):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("ACGÉ\nACGT\nTTTT\n", encoding="utf-8")
+    out = tmp_path / "emb.csv"
+    assert dispatch([
+        "embed", "--algo", "mmds", "--m", "1", "--input-kind", "seqs",
+        "--in", str(seqs), "--out", str(out),
+    ]) == 0
+    assert read_embedding_csv(out).labels == ("ACGÉ", "ACGT", "TTTT")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["--version"])

@@ -20,6 +20,7 @@ from coverembed import (
     refines,
     single_linkage,
     target_distances,
+    vl_k_linkage,
 )
 from coverembed.covers import (
     Cover,
@@ -61,6 +62,17 @@ def test_flag_condition():
     assert is_flag_cover(make_cover(3, [[0, 1], [1, 2]]))
     # {0,1},{1,2},{0,2} co-occur pairwise, so the triangle is the only max clique
     assert not is_flag_cover(make_cover(3, [[0, 1], [1, 2], [0, 2]]))
+
+
+def test_vlk_covers_need_not_be_flag():
+    rng = np.random.default_rng(0)
+    for _ in range(22):
+        points = rng.normal(size=(9, 2))
+    h = vl_k_linkage(from_points_euclidean(points), 3)
+    cover = h.covers[h.scales.index(1.465780125765619)]
+    assert cover.blocks == ((0, 5), (0, 8), (1, 2, 3, 4, 5, 7, 8), (6, 7, 8))
+    # 0, 5 and 8 co-occur pairwise but share no block
+    assert not is_flag_cover(cover)
 
 
 def test_refines_examples():

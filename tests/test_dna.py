@@ -172,6 +172,27 @@ def test_run_bench_tiny_deterministic():
         a.row("sl", 9)
 
 
+def test_a_pipeline_result_does_not_depend_on_the_pipelines_before_it():
+    # `cap` and `drop` share a stage but not a target matrix, so not an initialization
+    def spec(policy):
+        return PipelineSpec("iso", "mds", 2, delta=16.0, policy=policy,
+                            optimizer=OptimizerConfig(max_iters=20))
+
+    def drop_run(pipelines):
+        coords = {}
+
+        def keep(rep, s, acc, result):
+            coords[s.policy] = result.embedding.coords
+
+        cfg = BenchConfig(n_lists=6, list_len=4, seq_len=60, repetitions=1, pipelines=pipelines)
+        return run_bench(cfg, progress=keep).rows[-1].accuracies, coords["drop"]
+
+    after_cap = drop_run((spec("cap"), spec("drop")))
+    alone = drop_run((spec("drop"),))
+    assert after_cap[0] == alone[0]
+    assert after_cap[1].tobytes() == alone[1].tobytes()
+
+
 def test_run_bench_single_rep_std_zero_by_convention():
     cfg = tiny_cfg(repetitions=1)
     res = run_bench(cfg)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +183,22 @@ def test_quadrature_check_rejects_an_off_closed_form():
 
     with pytest.raises(ValidationError, match=r"at x=0.5: .* vs "):
         OffPairFamily(math.exp(-1.0)).check_quadrature(1e-8)
+
+
+def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    script = (
+        "import sys\n"
+        "from coverembed.loss import MdsPairFamily\n"
+        "print('scipy.integrate' in sys.modules)\n"
+        "MdsPairFamily(0.5).check_quadrature()\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_flatten_two_point_argmin_vs_grid_oracle():

@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import squareform
 
 from coverembed import (
     ValidationError,
@@ -12,9 +14,10 @@ from coverembed import (
     from_sequences_hamming,
     isometry_epsilon,
 )
+from coverembed.loss import pair_distances
 from coverembed.metric import _first_triangle_violation, hamming_matrix
 
-from oracles import permuted
+from oracles import broadcast_euclidean, permuted
 
 
 def test_from_matrix_two_points():
@@ -72,10 +75,35 @@ def test_euclidean_rejects_non_finite_distances():
             from_points_euclidean([[1e200, 0.0], [-1e200, 0.0]])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 8, 13, 64])
+@pytest.mark.parametrize("n", [1, 2, 10, 64])
+def test_euclidean_is_the_optimizer_pair_kernel(n, k):
+    points = np.random.default_rng(n * 100 + k).normal(size=(n, k))
+    d = from_points_euclidean(points).d
+    assert d.tobytes() == squareform(pair_distances(points)).tobytes()
+    if k <= 7:  # below 8 terms numpy's broadcast sum is sequential, like pdist's loop
+        assert d.tobytes() == broadcast_euclidean(points).tobytes()
+
+
+def test_euclidean_memory_does_not_grow_with_the_dimension():
+    n, k = 300, 50
+    points = np.random.default_rng(3).normal(size=(n, k))
+    tracemalloc.start()
+    try:
+        from_points_euclidean(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n * n * 8  # the n x n x k broadcast peaked at about 100 n x n arrays
+
+
 def test_hamming_examples():
     assert from_sequences_hamming(["AA", "AA"]).d[0, 1] == 0.0
     assert from_sequences_hamming(["ACGT", "AGGA"]).d[0, 1] == 2.0
     assert from_sequences_hamming(["A", "C"]).d[0, 1] == 1.0
+    # characters compare by code point, not by UTF-8 byte
+    assert from_sequences_hamming(["ACGÉ", "ACGT"]).d[0, 1] == 1.0
+    assert from_sequences_hamming(["αβγ", "αβδ"]).d[0, 1] == 1.0
 
 
 def test_hamming_rejects_unequal_lengths():
