@@ -51,17 +51,7 @@ from .optimize import (
     grad_check,
     minimize,
 )
-from .algorithms import (
-    PipelineSpec,
-    isomap,
-    k_path_scaling,
-    k_vertex_scaling,
-    mds_fuzzy,
-    metric_mds,
-    run_pipeline,
-    single_linkage_scaling,
-    umap_simplified,
-)
+from .algorithms import ALGO_TABLE, PipelineSpec, named_spec, run_pipeline
 from .stability import (
     check_interleaving_bound,
     check_loss_transfer,

@@ -1,6 +1,8 @@
-"""Named embedding pipelines: a clustering stage composed with a loss stage.
+"""Embedding pipelines: a clustering stage composed with a loss stage.
 
-Every stress-family pipeline routes through an explicit target-distance
+`ALGO_TABLE` names the paper's algorithms as such compositions; a named
+algorithm runs as `run_pipeline(named_spec(name, m), space)`. Every
+stress-family pipeline routes through an explicit target-distance
 matrix (the closed form of its composed objective) rather than through the
 strength integral, which keeps oracles direct; the fuzzy cross-entropy
 pipeline routes through a membership matrix.
@@ -44,6 +46,41 @@ class PipelineSpec:
         check_policy(self.policy)
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {self.m}")
+
+
+ALGO_TABLE = {
+    # algo name -> (cluster stage, loss stage, k rule)
+    "mmds": ("ml", "mds", None),  # stress against the input distances
+    "sls": ("sl", "mds", None),  # stress against minimax (bottleneck) path costs
+    "isomap": ("iso", "mds", None),  # stress against geodesic distances at delta
+    "kpath": ("lk", "mds", "hops"),  # minimax costs over paths of at most k edges
+    "kvertex": ("vlk", "mds", "k"),  # first co-occurrence in k-connected subgraphs
+    "umap": ("fuzzy", "fce", None),  # cross-entropy over locally rescaled memberships
+    "mdsfuzzy": ("fuzzy", "mds", None),  # stress against -log of those memberships
+}
+
+
+def named_spec(algo: str, m: int = 2, k: int | None = None, **fields) -> PipelineSpec:
+    """The pipeline of a named algorithm of `ALGO_TABLE`, in dimension m.
+
+    The row's k rule reads k: None ignores it, "k" passes it through, and
+    "hops" takes it as a bound on path edges and passes the `lk` stage its
+    k + 1 path points, so `kpath` with k=1 has the `mmds` targets and with
+    k >= n-1 the `sls` targets. The other fields (delta, optimizer, policy)
+    go to `PipelineSpec`.
+    """
+    if algo not in ALGO_TABLE:
+        raise ValidationError(f"unknown algorithm {algo!r}; choose from {', '.join(ALGO_TABLE)}")
+    cluster, loss, k_rule = ALGO_TABLE[algo]
+    if k_rule is None:
+        k = None
+    elif k is None:
+        raise ValidationError(f"algorithm {algo!r} needs k")
+    elif k_rule == "hops":
+        if k < 1:
+            raise ValidationError(f"k must be >= 1, got {k}")
+        k += 1
+    return PipelineSpec(cluster, loss, m, k=k, **fields)
 
 
 @dataclass(frozen=True)
@@ -138,82 +175,3 @@ def run_pipeline(spec: PipelineSpec, space: PseudometricSpace) -> tuple[Embeddin
         trace=result.trace,
     )
     return embedding, report
-
-
-def metric_mds(
-    space: PseudometricSpace, m: int, optimizer: OptimizerConfig = OptimizerConfig()
-) -> Embedding:
-    """Stress minimization against the input distances themselves."""
-    return run_pipeline(PipelineSpec("ml", "mds", m, optimizer=optimizer), space)[0]
-
-
-def single_linkage_scaling(
-    space: PseudometricSpace, m: int, optimizer: OptimizerConfig = OptimizerConfig()
-) -> Embedding:
-    """Stress minimization against minimax (bottleneck) path costs.
-
-    Points connected through a chain of short steps embed close together even
-    when their direct distance is large.
-    """
-    return run_pipeline(PipelineSpec("sl", "mds", m, optimizer=optimizer), space)[0]
-
-
-def isomap(
-    space: PseudometricSpace,
-    delta_cap: float | None = None,
-    m: int = 2,
-    optimizer: OptimizerConfig = OptimizerConfig(),
-    policy: str = "strict",
-) -> Embedding:
-    """Stress minimization against geodesic (shortest-path) distances.
-
-    delta_cap defaults to the smallest threshold connecting the graph. Pairs
-    in different components raise DisconnectedError (policy "strict"), are
-    dropped ("drop") or take 3 times the largest finite geodesic ("cap",
-    `covers.cap_disconnected`). When the geodesic metric does not embed
-    isometrically in R^m (a closed loop in R^1, for example), the stress
-    minimum folds the loop rather than unrolling it.
-    """
-    spec = PipelineSpec("iso", "mds", m, delta=delta_cap, optimizer=optimizer, policy=policy)
-    return run_pipeline(spec, space)[0]
-
-
-def path_points(hops: int) -> int:
-    """The `lk` stage's k for paths of at most `hops` edges: their points, hops + 1."""
-    if hops < 1:
-        raise ValidationError(f"k must be >= 1, got {hops}")
-    return hops + 1
-
-
-def k_path_scaling(
-    space: PseudometricSpace, k: int, m: int, optimizer: OptimizerConfig = OptimizerConfig()
-) -> Embedding:
-    """Stress minimization against minimax costs over paths of at most k edges.
-
-    Here k counts path edges (hops = k), so k=1 reproduces the metric MDS
-    targets and k >= n-1 the single linkage targets; the pipeline's k counts
-    path points (`path_points`).
-    """
-    spec = PipelineSpec("lk", "mds", m, k=path_points(k), optimizer=optimizer)
-    return run_pipeline(spec, space)[0]
-
-
-def k_vertex_scaling(
-    space: PseudometricSpace, k: int, m: int, optimizer: OptimizerConfig = OptimizerConfig()
-) -> Embedding:
-    """Stress minimization against first-co-occurrence scales in k-connected subgraphs."""
-    return run_pipeline(PipelineSpec("vlk", "mds", m, k=k, optimizer=optimizer), space)[0]
-
-
-def umap_simplified(
-    space: PseudometricSpace, m: int, optimizer: OptimizerConfig = OptimizerConfig()
-) -> Embedding:
-    """Fuzzy cross-entropy over the locally rescaled membership matrix."""
-    return run_pipeline(PipelineSpec("fuzzy", "fce", m, optimizer=optimizer), space)[0]
-
-
-def mds_fuzzy(
-    space: PseudometricSpace, m: int, optimizer: OptimizerConfig = OptimizerConfig()
-) -> Embedding:
-    """Stress minimization against -log of the locally rescaled memberships."""
-    return run_pipeline(PipelineSpec("fuzzy", "mds", m, optimizer=optimizer), space)[0]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algorithms import PipelineSpec, path_points, run_pipeline
+from .algorithms import ALGO_TABLE, PipelineSpec, named_spec, run_pipeline
 from .dna import BenchConfig, run_bench
 from .errors import NumericalError, ValidationError
 from .fileio import (
@@ -44,18 +44,6 @@ from .metric import PseudometricSpace
 from .optimize import Embedding, OptimizerConfig
 from .stability import check_interleaving_bound, check_loss_transfer, interleaving_distance
 
-ALGO_TABLE = {
-    # algo name -> (cluster stage, loss stage, k transform)
-    "mmds": ("ml", "mds", None),
-    "sls": ("sl", "mds", None),
-    "isomap": ("iso", "mds", None),
-    "kpath": ("lk", "mds", "hops"),  # pipeline k is the hop bound + 1
-    "kvertex": ("vlk", "mds", "k"),
-    "umap": ("fuzzy", "fce", None),
-    "mdsfuzzy": ("fuzzy", "mds", None),
-}
-
-
 def build_hash() -> str:
     digest = hashlib.sha256()
     pkg = Path(__file__).parent
@@ -76,27 +64,21 @@ class CliParser(argparse.ArgumentParser):
 
 
 def _spec_from_args(args) -> PipelineSpec:
-    optimizer = OptimizerConfig(max_iters=args.max_iters, seed=args.seed, init=args.init)
-    k = args.k
-    if args.pipeline:
-        fields = dict(part.partition("=")[::2] for part in args.pipeline.split(","))
-        cluster = fields.pop("cluster", "")
-        loss = fields.pop("loss", "mds")
-        if not cluster or fields:
-            raise ValidationError("--pipeline wants 'cluster=STAGE,loss=STAGE'")
-    elif args.algo is None:
-        raise ValidationError("need --algo or --pipeline")
-    else:  # argparse's choices keep --algo in ALGO_TABLE
-        cluster, loss, k_rule = ALGO_TABLE[args.algo]
-        if k_rule is None:
-            k = None
-        elif args.k is None:
-            raise ValidationError(f"algorithm {args.algo!r} needs --k")
-        elif k_rule == "hops":
-            k = path_points(args.k)
-    return PipelineSpec(
-        cluster, loss, args.m, k=k, delta=args.delta, optimizer=optimizer, policy=args.policy
+    fields = dict(
+        delta=args.delta,
+        optimizer=OptimizerConfig(max_iters=args.max_iters, seed=args.seed, init=args.init),
+        policy=args.policy,
     )
+    if args.pipeline:
+        parts = dict(part.partition("=")[::2] for part in args.pipeline.split(","))
+        cluster = parts.pop("cluster", "")
+        loss = parts.pop("loss", "mds")
+        if not cluster or parts:
+            raise ValidationError("--pipeline wants 'cluster=STAGE,loss=STAGE'")
+        return PipelineSpec(cluster, loss, args.m, k=args.k, **fields)
+    if args.algo is None:
+        raise ValidationError("need --algo or --pipeline")
+    return named_spec(args.algo, args.m, args.k, **fields)
 
 
 def _write_manifest(args, subcommand, inputs, outputs, extra=None):
@@ -228,10 +210,9 @@ def cmd_bench_dna(args):
                 raise ValidationError(
                     f"--algos: unknown algorithm {algo!r}; choose from {', '.join(ALGO_TABLE)}"
                 )
-            cluster, loss, k_rule = ALGO_TABLE[algo]
-            if k_rule is not None:
+            if ALGO_TABLE[algo][2] is not None:
                 raise ValidationError(f"benchmark does not take parametric algo {algo!r}")
-            pipelines.append(PipelineSpec(cluster, loss, m, optimizer=optimizer))
+            pipelines.append(named_spec(algo, m, optimizer=optimizer))
     cfg = BenchConfig(
         n_lists=args.n,
         list_len=args.m_steps,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algorithms import PipelineSpec, build_problem
+from .algorithms import PipelineSpec, build_problem, named_spec
 from .errors import ValidationError
 from .metric import PseudometricSpace, hamming_matrix
 from .optimize import Embedding, OptimizerConfig, classical_mds_init, minimize
@@ -29,11 +29,7 @@ ALPHABET = "ACGT"
 
 def default_bench_pipelines(ms=(2, 5)) -> tuple[PipelineSpec, ...]:
     optimizer = OptimizerConfig(max_iters=500)
-    specs = []
-    for m in ms:
-        specs.append(PipelineSpec("ml", "mds", m, optimizer=optimizer))
-        specs.append(PipelineSpec("sl", "mds", m, optimizer=optimizer))
-    return tuple(specs)
+    return tuple(named_spec(algo, m, optimizer=optimizer) for m in ms for algo in ("mmds", "sls"))
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,10 @@ def read_points_csv(path) -> PseudometricSpace:
 def read_sequences(path) -> PseudometricSpace:
     """One sequence per line, all of one length, in any alphabet."""
     seqs = [line.strip() for line in read_text(path).split("\n") if line.strip()]
-    return from_sequences_hamming(seqs, labels=seqs if len(seqs) <= 64 else None)
+    try:
+        return from_sequences_hamming(seqs, labels=seqs if len(seqs) <= 64 else None)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def read_space(path, kind: str = "dist") -> PseudometricSpace:

@@ -57,7 +57,9 @@ from .metric import PseudometricSpace
 CLUSTER_STAGES = ("sl", "ml", "lk", "vlk", "iso", "fuzzy")
 
 
-def check_stage(stage: str, k: int | None = None, delta: float | None = None) -> None:
+def check_stage(
+    stage: str, k: int | None = None, delta: float | None = None, disconnected: str | None = None
+) -> None:
     """The one parameter check of every clustering entry point (ValidationError)."""
     if stage not in CLUSTER_STAGES:
         raise ValidationError(f"unknown clustering stage {stage!r}")
@@ -65,6 +67,8 @@ def check_stage(stage: str, k: int | None = None, delta: float | None = None) ->
         raise ValidationError(f"stage {stage!r} needs parameter k >= 1, got {k!r}")
     if delta is not None and not (math.isfinite(delta) and delta >= 0):
         raise ValidationError(f"delta must be finite and nonnegative, got {delta!r}")
+    if disconnected not in ("error", "cap", None):
+        raise ValidationError(f"unknown disconnection policy {disconnected!r}")
 
 
 def connectivity_radius(space: PseudometricSpace) -> float:
@@ -130,7 +134,7 @@ def cluster_hierarchy(
     "error" raises, "cap" applies `cap_disconnected`.
     """
     if stage == "vlk":
-        check_stage(stage, k, delta)
+        check_stage(stage, k, delta, disconnected)
         j = min(space.n, k)
         return _threshold_hierarchy(space.d, lambda nb: maximal_j_connected_sets(nb, j))
     d = first_cooccurrence(space, stage, k, delta, disconnected)
@@ -149,7 +153,7 @@ def first_cooccurrence(
     Parameters are those of `cluster_hierarchy`; `disconnected` None leaves
     `iso` pairs in different components inf.
     """
-    check_stage(stage, k, delta)
+    check_stage(stage, k, delta, disconnected)
     if stage == "sl":
         return bottleneck_matrix(space.d)
     if stage == "ml":
@@ -161,8 +165,6 @@ def first_cooccurrence(
     if stage == "fuzzy":
         return target_distances(fuzzy_union_membership(space))
     # iso: the geodesic metric of the threshold graph at delta
-    if disconnected not in ("error", "cap", None):
-        raise ValidationError(f"unknown disconnection policy {disconnected!r}")
     delta = connectivity_radius(space) if delta is None else delta
     g = geodesic_matrix(space.d, delta)
     if disconnected is None or np.isfinite(g).all():
@@ -196,8 +198,8 @@ def l_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
     k counts the points of the connecting sequence, so the hop bound is
     max(1, k-1); k=1 collapses to the direct edge relation (maximal linkage)
     and k >= n reproduces single linkage. This is the one k convention of the
-    library: `PipelineSpec.k` takes it, and `k_path_scaling` and the CLI's
-    `kpath` translate their hop bound to it with `algorithms.path_points`.
+    library and of `PipelineSpec.k`; the named algorithm `kpath` takes a hop
+    bound instead, which `algorithms.named_spec` turns into k = hops + 1.
     """
     return cluster_hierarchy(space, "lk", k=k)
 

@@ -65,8 +65,8 @@ def from_matrix(raw, strict: bool = False, labels=None) -> PseudometricSpace:
     """Validate a raw square matrix as a pseudometric space.
 
     Asymmetry beyond 1e-12 is rejected; smaller asymmetry is absorbed by
-    symmetrizing d <- (d + d^T)/2. Strict mode additionally checks the
-    triangle inequality (absolute slack 1e-9).
+    symmetrizing d <- (d + d^T)/2 where d differs from d^T. Strict mode
+    additionally checks the triangle inequality (absolute slack 1e-9).
     """
     d = np.array(raw, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -74,13 +74,18 @@ def from_matrix(raw, strict: bool = False, labels=None) -> PseudometricSpace:
     if not np.isfinite(d).all():
         i, j = np.argwhere(~np.isfinite(d))[0]
         raise ValidationError(f"non-finite distance at ({i}, {j})")
-    asym = np.abs(d - d.T)
+    # only entries that differ from their transpose (in value or sign of zero)
+    # are checked and averaged: summing two equal entries can overflow to inf
+    differ = (d != d.T) | (np.signbit(d) != np.signbit(d.T))
+    entry, mirror = d[differ], d.T[differ]
+    with np.errstate(over="ignore"):  # an overflowing difference is asymmetric too
+        asym = np.abs(entry - mirror)
     if asym.max(initial=0.0) > SYMMETRY_TOL:
-        i, j = np.argwhere(asym > SYMMETRY_TOL)[0]
+        i, j = np.argwhere(differ)[np.argmax(asym > SYMMETRY_TOL)]
         raise ValidationError(
             f"asymmetric distances at ({i}, {j}): {d[i, j]!r} vs {d[j, i]!r}"
         )
-    d = (d + d.T) / 2.0
+    d[differ] = (entry + mirror) / 2.0
     if d.min(initial=0.0) < 0:
         i, j = np.argwhere(d < 0)[0]
         raise ValidationError(f"negative distance at ({i}, {j}): {d[i, j]!r}")

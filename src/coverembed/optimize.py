@@ -77,7 +77,8 @@ class MinimizeResult:
 
 
 def double_centered_gram(targets: np.ndarray) -> np.ndarray:
-    """B = -1/2 J (D о D) J without matrix products (deterministic reductions)."""
+    """B = -1/2 J (D * D) J, D * D elementwise, without matrix products (deterministic
+    reductions)."""
     d2 = targets * targets
     row = d2.mean(axis=1, keepdims=True)
     col = d2.mean(axis=0, keepdims=True)

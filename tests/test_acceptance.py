@@ -26,11 +26,12 @@ from coverembed import (
     from_points_euclidean,
     grad_check,
     interleaving_distance,
-    isomap,
     l_k_linkage,
     maximal_linkage,
     membership_matrix,
     minimize,
+    named_spec,
+    run_pipeline,
     single_linkage,
     target_distances,
     vl_k_linkage,
@@ -94,7 +95,8 @@ def test_criterion_02_circle_isomap_gap_recovery():
         space = from_points_euclidean(
             np.column_stack([r * np.cos(theta), r * np.sin(theta)])
         )
-        emb = isomap(space, delta_cap=chord * 1.001, m=1)
+        spec = named_spec("isomap", 1, delta=chord * 1.001, policy="strict")
+        emb = run_pipeline(spec, space)[0]
         coords = emb.coords.ravel()
         # alignment: gaps are translation/sign invariant; allow any rotation or
         # reflection of the circular indexing before comparing to the chord

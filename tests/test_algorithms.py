@@ -10,16 +10,10 @@ from coverembed import (
     from_matrix,
     from_points_euclidean,
     fuzzy_union_membership,
-    isomap,
-    k_path_scaling,
-    k_vertex_scaling,
-    mds_fuzzy,
-    metric_mds,
+    named_spec,
     run_pipeline,
-    single_linkage_scaling,
-    umap_simplified,
 )
-from coverembed.algorithms import build_stage, connectivity_radius, stage_targets
+from coverembed.algorithms import ALGO_TABLE, build_stage, connectivity_radius, stage_targets
 from coverembed.graphs import bottleneck_matrix, hop_bounded_minimax
 from coverembed.loss import StressProblem
 from coverembed.optimize import minimize
@@ -249,15 +243,15 @@ def test_metric_mds_realizable_targets_reach_zero():
 def test_metric_mds_two_far_clusters():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0]])
     space = from_points_euclidean(pts)
-    emb = metric_mds(space, 2)
+    emb = run_pipeline(named_spec("mmds", 2), space)[0]
     got = pairwise_distances(emb.coords)
     assert got[0, 2] == pytest.approx(10.0, rel=0.05)
 
 
 def test_sls_equals_mmds_on_two_points():
     space = from_matrix([[0.0, 4.0], [4.0, 0.0]])
-    a = single_linkage_scaling(space, 1)
-    b = metric_mds(space, 1)
+    a = run_pipeline(named_spec("sls", 1), space)[0]
+    b = run_pipeline(named_spec("mmds", 1), space)[0]
     assert np.array_equal(a.coords, b.coords)
 
 
@@ -294,24 +288,24 @@ def test_isomap_full_radius_equals_metric_mds():
     rng = np.random.default_rng(7)
     space = random_euclidean(rng, n=6, dim=2)
     cap = float(space.d.max())
-    a = isomap(space, delta_cap=cap, m=2)
-    b = metric_mds(space, 2)
+    a = run_pipeline(named_spec("isomap", 2, delta=cap, policy="strict"), space)[0]
+    b = run_pipeline(named_spec("mmds", 2), space)[0]
     assert np.array_equal(a.coords, b.coords)
 
 
 def test_kpath_k1_matches_metric_mds_targets():
     rng = np.random.default_rng(8)
     space = random_space(rng, n=6)
-    a = k_path_scaling(space, 1, 2)
-    b = metric_mds(space, 2)
+    a = run_pipeline(named_spec("kpath", 2, 1), space)[0]
+    b = run_pipeline(named_spec("mmds", 2), space)[0]
     assert np.array_equal(a.coords, b.coords)
 
 
 def test_kpath_large_k_matches_sls():
     rng = np.random.default_rng(9)
     space = random_space(rng, n=6)
-    a = k_path_scaling(space, 5, 2)
-    b = single_linkage_scaling(space, 2)
+    a = run_pipeline(named_spec("kpath", 2, 5), space)[0]
+    b = run_pipeline(named_spec("sls", 2), space)[0]
     assert np.array_equal(a.coords, b.coords)
 
 
@@ -323,7 +317,7 @@ def test_kpath_is_stress_on_k_hop_minimax_targets():
     config = OptimizerConfig(max_iters=200)
     for space in (CHAIN, labelled, random_space(rng, n=6)):
         for k in (1, 2, space.n):
-            got = k_path_scaling(space, k, 2, config)
+            got = run_pipeline(named_spec("kpath", 2, k, optimizer=config), space)[0]
             want = minimize(StressProblem(hop_bounded_minimax(space.d, k), 2), config)
             assert np.array_equal(got.coords, want.embedding.coords)
             assert got.labels == space.labels
@@ -332,14 +326,14 @@ def test_kpath_is_stress_on_k_hop_minimax_targets():
 def test_kvertex_k1_matches_sls():
     rng = np.random.default_rng(10)
     space = random_space(rng, n=5)
-    a = k_vertex_scaling(space, 1, 2)
-    b = single_linkage_scaling(space, 2)
+    a = run_pipeline(named_spec("kvertex", 2, 1), space)[0]
+    b = run_pipeline(named_spec("sls", 2), space)[0]
     assert np.allclose(a.coords, b.coords, atol=1e-12)
 
 
 def test_umap_two_points_collapse():
     space = from_matrix([[0.0, 2.0], [2.0, 0.0]])
-    emb = umap_simplified(space, 1)
+    emb = run_pipeline(named_spec("umap", 1), space)[0]
     assert abs(emb.coords[0, 0] - emb.coords[1, 0]) < 1e-5
 
 
@@ -351,7 +345,7 @@ def test_umap_separates_two_tight_clusters():
     space = from_points_euclidean(pts)
     w = fuzzy_union_membership(space).w
     assert w[0, 1] > 0.9 and w[0, 3] < 0.05
-    emb = umap_simplified(space, 2)
+    emb = run_pipeline(named_spec("umap", 2), space)[0]
     got = pairwise_distances(emb.coords)
     within = max(got[0, 1], got[0, 2], got[3, 4], got[3, 5])
     across = got[np.ix_([0, 1, 2], [3, 4, 5])].min()
@@ -361,7 +355,7 @@ def test_umap_separates_two_tight_clusters():
 def test_mds_fuzzy_examples():
     # 2 points: membership 1, target 0, coincident embedding
     space = from_matrix([[0.0, 2.0], [2.0, 0.0]])
-    emb = mds_fuzzy(space, 1)
+    emb = run_pipeline(named_spec("mdsfuzzy", 1), space)[0]
     assert abs(emb.coords[0, 0] - emb.coords[1, 0]) < 1e-9
     # collinear 0,1,3: the recombined target for the outer pair
     space3 = from_points_euclidean([[0.0], [1.0], [3.0]])
@@ -370,16 +364,37 @@ def test_mds_fuzzy_examples():
     assert t[0, 2] == pytest.approx(expected, rel=1e-12)
 
 
-def test_run_pipeline_matches_named_functions():
-    rng = np.random.default_rng(11)
-    space = random_space(rng, n=5)
-    assert np.array_equal(run_pipeline(spec("ml"), space)[0].coords, metric_mds(space, 2).coords)
-    assert np.array_equal(
-        run_pipeline(spec("sl"), space)[0].coords, single_linkage_scaling(space, 2).coords
-    )
-    assert np.array_equal(
-        run_pipeline(spec("fuzzy"), space)[0].coords, mds_fuzzy(space, 2).coords
-    )
+def test_named_spec_reads_the_algorithm_table():
+    explicit = {
+        "mmds": PipelineSpec("ml", "mds", 3),
+        "sls": PipelineSpec("sl", "mds", 3),
+        "isomap": PipelineSpec("iso", "mds", 3),
+        "kpath": PipelineSpec("lk", "mds", 3, k=5),  # 4 hops: 5 path points
+        "kvertex": PipelineSpec("vlk", "mds", 3, k=4),
+        "umap": PipelineSpec("fuzzy", "fce", 3),
+        "mdsfuzzy": PipelineSpec("fuzzy", "mds", 3),
+    }
+    assert list(explicit) == list(ALGO_TABLE)
+    config = OptimizerConfig(max_iters=7)
+    for algo, want in explicit.items():
+        assert named_spec(algo, 3, 4) == want
+        fields = dict(delta=0.5, optimizer=config, policy="drop")
+        assert named_spec(algo, 3, 4, **fields) == PipelineSpec(
+            want.cluster, want.loss, 3, k=want.k, **fields
+        )
+        if ALGO_TABLE[algo][2] is None:  # k is ignored
+            assert named_spec(algo, 3) == named_spec(algo, 3, -2) == want
+        else:
+            with pytest.raises(ValidationError, match=f"algorithm {algo!r} needs k"):
+                named_spec(algo, 3)
+    assert named_spec("kpath", k=1).k == 2
+    assert named_spec("kvertex", k=1).k == 1
+    with pytest.raises(ValidationError, match="unknown algorithm 'foo'; choose from mmds, "):
+        named_spec("foo")
+    with pytest.raises(ValidationError, match="k must be >= 1, got -3"):
+        named_spec("kpath", k=-3)
+    with pytest.raises(ValidationError, match="needs parameter k >= 1, got 0"):
+        named_spec("kvertex", k=0)
 
 
 def test_run_pipeline_report_contents():
@@ -399,8 +414,8 @@ def test_pipeline_validation():
         PipelineSpec("lk")  # missing k
     with pytest.raises(ValidationError):
         PipelineSpec("ml", "mystery")
-    with pytest.raises(ValidationError):
-        k_path_scaling(CHAIN, 0, 2)
+    with pytest.raises(ValidationError, match="k must be >= 1, got 0"):
+        named_spec("kpath", 2, 0)
 
 
 def test_permutation_equivariance_of_pipelines():
@@ -450,4 +465,4 @@ def test_bad_delta_is_rejected_for_every_stage():
             with pytest.raises(ValidationError, match="delta"):
                 PipelineSpec(cluster, delta=delta)
         with pytest.raises(ValidationError, match="delta"):
-            isomap(CHAIN, delta_cap=delta, m=1)
+            named_spec("isomap", 1, delta=delta, policy="strict")

@@ -8,11 +8,10 @@ from coverembed import (
     HierarchicalCover,
     NumericalError,
     ValidationError,
-    k_path_scaling,
     maximal_linkage,
     membership_matrix,
 )
-from coverembed.algorithms import connectivity_radius
+from coverembed.algorithms import connectivity_radius, named_spec
 from coverembed.cli import build_hash, dispatch, flatten_check_report
 from coverembed.fileio import (
     fmt,
@@ -309,11 +308,27 @@ def test_an_undecodable_input_file_is_a_validation_error_naming_it(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ACGT\nACG\n", "sequence 1 has length 3, expected 4"),
+    ("", "need at least one sequence"),
+], ids=["ragged", "empty"])
+def test_a_bad_sequence_file_is_a_validation_error_naming_it(tmp_path, capsys, text, message):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text(text)
+    out = tmp_path / "emb.csv"
+    capsys.readouterr()
+    assert dispatch(["embed", "--algo", "mmds", "--input-kind", "seqs", "--in", str(seqs),
+                     "--out", str(out), "--json-errors"]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {"error": "validation", "message": f"{seqs}: {message}"}
+    assert not out.exists()
+
+
 def test_kpath_rejects_a_hop_bound_below_one_with_the_library_message(dist_csv, tmp_path, capsys):
     out = tmp_path / "emb.csv"
     for k in (0, -3):
         with pytest.raises(ValidationError) as exc:
-            k_path_scaling(from_matrix(CHAIN), k, 2)
+            named_spec("kpath", 2, k)
         capsys.readouterr()
         assert dispatch(["embed", "--algo", "kpath", "--k", str(k),
                          "--in", str(dist_csv), "--out", str(out)]) == 1

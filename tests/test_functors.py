@@ -385,20 +385,34 @@ def test_refinement_spectrum_on_random_spaces():
 
 
 def test_all_constructors_produce_flag_coarsening_hierarchies():
+    # every hierarchy coarsens; vlk's covers need not be flag
+    # (test_covers.test_vlk_covers_need_not_be_flag), every other stage's are
     rng = np.random.default_rng(23)
-    space = random_space(rng, n=5)
-    built = [
-        single_linkage(space),
-        maximal_linkage(space),
-        l_k_linkage(space, 2),
-        vl_k_linkage(space, 2),
-        iso_cluster(space, float(space.d.max())),
-        fuzzy_simplex(space)[0],
-    ]
-    for h in built:
-        h.validate_coarsening()
-        for cover in h.covers:
-            assert is_flag_cover(cover)
+    spaces = [random_space(rng, n=5) for _ in range(4)]
+    for _ in range(4):  # ties and zero distances
+        a = np.triu(rng.integers(0, 3, size=(6, 6)), 1).astype(float)
+        spaces.append(from_matrix(a + a.T))
+    for space in spaces:
+        vl_k_linkage(space, 2).validate_coarsening()
+        for h in (
+            single_linkage(space),
+            maximal_linkage(space),
+            l_k_linkage(space, 2),
+            l_k_linkage(space, 3),
+            iso_cluster(space, float(space.d.max())),
+            fuzzy_simplex(space)[0],
+        ):
+            h.validate_coarsening()
+            assert all(is_flag_cover(cover) for cover in h.covers)
+
+
+def test_unknown_disconnection_policy_is_rejected_for_every_stage():
+    for stage in CLUSTER_STAGES:
+        k = 2 if stage in ("lk", "vlk") else None
+        with pytest.raises(ValidationError, match="unknown disconnection policy 'bogus'"):
+            cluster_hierarchy(CHAIN, stage, k=k, disconnected="bogus")
+        with pytest.raises(ValidationError, match="unknown disconnection policy 'bogus'"):
+            first_cooccurrence(CHAIN, stage, k=k, disconnected="bogus")
 
 
 def test_single_linkage_respects_point_collapse():

@@ -51,6 +51,29 @@ def test_small_asymmetry_is_symmetrized():
     assert space.d[0, 1] == space.d[1, 0]
 
 
+def test_large_finite_distances_stay_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        space = from_matrix([[0, 1.5e308], [1.5e308, 0]])
+        with pytest.raises(ValidationError, match=r"asymmetric distances at \(0, 1\)"):
+            from_matrix([[0, 1.5e308], [-1.5e308, 0]])
+    assert space.d[0, 1] == space.d[1, 0] == 1.5e308
+
+
+def test_symmetrizing_matches_the_mean_with_the_transpose():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 30):
+        raw = rng.uniform(0, 2, size=(n, n))
+        raw = raw + raw.T + rng.uniform(-1e-13, 1e-13, size=(n, n))
+        np.fill_diagonal(raw, 0.0)
+        assert from_matrix(raw).d.tobytes() == ((raw + raw.T) / 2.0).tobytes()
+    # an exactly symmetric -0 stays -0; -0 against 0 averages to 0
+    for raw in (np.full((3, 3), -0.0), np.array([[-0.0, -0.0, 1], [0.0, 0.0, 2], [1, 2, 0]])):
+        assert from_matrix(raw).d.tobytes() == ((raw + raw.T) / 2.0).tobytes()
+    d = from_matrix([[0.0, -0.0], [0.0, -0.0]]).d
+    assert not np.signbit(d[0, 1]) and not np.signbit(d[1, 0]) and np.signbit(d[1, 1])
+
+
 def test_euclidean_line_and_345():
     assert from_points_euclidean([[0], [3]]).d[0, 1] == 3.0
     assert from_points_euclidean([[0, 0], [3, 4]]).d[0, 1] == 5.0
