@@ -11,7 +11,8 @@ coordinates a = exp(-delta) it is a fuzzy cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import islice
 from operator import and_
@@ -21,9 +22,8 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _canonical_blocks(blocks) -> tuple[tuple[int, ...], ...]:
-    uniq = {tuple(sorted(set(map(int, b)))) for b in blocks}
-    return tuple(sorted(uniq))
+def _canonical_block(b) -> tuple[int, ...]:
+    return tuple(sorted(set(map(int, b))))
 
 
 @dataclass(frozen=True)
@@ -62,25 +62,29 @@ def make_cover(n: int, blocks, validate: bool = True) -> Cover:
     the non-nested condition. The flag condition is more expensive and is
     checked separately via is_flag_cover.
     """
-    blocks = _canonical_blocks(blocks)
-    cover = Cover(n, blocks)
-    if validate:
-        seen = set()
-        for b in blocks:
-            if not b:
-                raise ValidationError("empty block")
-            if b[0] < 0 or b[-1] >= n:
-                raise ValidationError(f"block {b} out of range for n={n}")
-            seen.update(b)
-        if seen != set(range(n)):
-            missing = sorted(set(range(n)) - seen)
-            raise ValidationError(f"not a cover: elements {missing} uncovered")
-        for s, b in enumerate(blocks):
-            # blocks are distinct, so another block holding all of b is a strict superset
-            others = cover.containing(b) & ~(1 << s)
-            if others:
-                t = (others & -others).bit_length() - 1
-                raise ValidationError(f"nested blocks: {b} inside {blocks[t]}")
+    cover = Cover(n, tuple(sorted(set(map(_canonical_block, blocks)))))
+    return _checked(cover) if validate else cover
+
+
+def _checked(cover: Cover) -> Cover:
+    """`cover`, after make_cover's checks of a canonical cover (ValidationError)."""
+    n, blocks = cover.n, cover.blocks
+    seen = set()
+    for b in blocks:
+        if not b:
+            raise ValidationError("empty block")
+        if b[0] < 0 or b[-1] >= n:
+            raise ValidationError(f"block {b} out of range for n={n}")
+        seen.update(b)
+    if seen != set(range(n)):
+        missing = sorted(set(range(n)) - seen)
+        raise ValidationError(f"not a cover: elements {missing} uncovered")
+    for s, b in enumerate(blocks):
+        # blocks are distinct, so another block holding all of b is a strict superset
+        others = cover.containing(b) & ~(1 << s)
+        if others:
+            t = (others & -others).bit_length() - 1
+            raise ValidationError(f"nested blocks: {b} inside {blocks[t]}")
     return cover
 
 
@@ -88,12 +92,11 @@ def is_flag_cover(cover: Cover) -> bool:
     """True iff the blocks equal the maximal cliques of their co-occurrence graph."""
     from .graphs import max_cliques
 
-    neighbors = [set() for _ in range(cover.n)]
+    neighbors = [0] * cover.n
     for i, j in cover.co_occurrence_edges():
-        neighbors[i].add(j)
-        neighbors[j].add(i)
-    cliques = max_cliques(neighbors)
-    return tuple(sorted(cliques)) == cover.blocks
+        neighbors[i] |= 1 << j
+        neighbors[j] |= 1 << i
+    return tuple(max_cliques(neighbors)) == cover.blocks
 
 
 def refines(fine: Cover, coarse: Cover) -> bool:
@@ -113,12 +116,16 @@ class HierarchicalCover:
     """Step function from scale delta to Cover; changes take effect at each scale.
 
     scales[0] must be 0 and covers[t] must refine covers[t+1] (covers only
-    coarsen as the scale grows).
+    coarsen as the scale grows). The constructor does not check that;
+    `validate_coarsening` does, once: a hierarchy it has checked, or one that
+    `build_hierarchy` assembled from a threshold scan, is marked as
+    coarsening. The mark is no constructor parameter and no equality reads it.
     """
 
     n: int
     scales: tuple[float, ...]
     covers: tuple[Cover, ...]
+    _coarsens: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.scales) != len(self.covers) or not self.scales:
@@ -133,19 +140,43 @@ class HierarchicalCover:
                 raise ValidationError("cover ground set mismatch")
 
     def validate_coarsening(self):
+        """Raise ValidationError unless each cover refines the next; a marked
+        hierarchy returns at once, and one that passes is marked."""
+        if self._coarsens:
+            return
         for t in range(len(self.covers) - 1):
             if not refines(self.covers[t], self.covers[t + 1]):
                 raise ValidationError(
                     f"cover at scale {self.scales[t]!r} does not refine "
                     f"the cover at scale {self.scales[t + 1]!r}"
                 )
+        object.__setattr__(self, "_coarsens", True)
+
+    @cached_property
+    def _first_cooccurrence(self) -> np.ndarray:
+        """`first_cooccurrence_scales(self)`, computed on first use, read-only."""
+        n = self.n
+        t = np.full((n, n), np.inf)
+        np.fill_diagonal(t, 0.0)
+        births = _births(self)
+        while chunk := list(islice(births, 64)):
+            scales, blocks = zip(*chunk)
+            masks = np.array(Cover(n, blocks).vertex_masks, dtype=np.uint64)
+            shared = masks[:, None] & masks[None, :]
+            shared &= -shared  # the lowest set bit
+            first = np.frexp(shared.astype(float))[1] - 1
+            np.minimum(t, np.array(scales + (np.inf,))[first], out=t)
+        t.flags.writeable = False
+        return t
 
 
 def build_hierarchy(n: int, staged) -> HierarchicalCover:
-    """Assemble (scale, cover) pairs into a HierarchicalCover.
+    """Assemble the (scale, cover) pairs of a threshold scan into a HierarchicalCover.
 
     Drops scales whose cover equals the previous one, so critical scales are
-    exactly the scales where the cover changes.
+    exactly the scales where the cover changes. A scan only adds edges, so
+    each cover refines the next: the result is marked as coarsening, and
+    `validate_coarsening` does not check it again.
     """
     scales: list[float] = []
     covers: list[Cover] = []
@@ -154,12 +185,14 @@ def build_hierarchy(n: int, staged) -> HierarchicalCover:
             continue
         scales.append(float(scale))
         covers.append(cover)
-    return HierarchicalCover(n, tuple(scales), tuple(covers))
+    h = HierarchicalCover(n, tuple(scales), tuple(covers))
+    object.__setattr__(h, "_coarsens", True)
+    return h
 
 
 def cover_at(h: HierarchicalCover, delta: float) -> Cover:
     """The cover in effect at scale delta (right-continuous step function)."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValidationError(f"scale must be nonnegative, got {delta!r}")
     idx = int(np.searchsorted(np.asarray(h.scales), delta, side="right")) - 1
     return h.covers[idx]
@@ -196,20 +229,10 @@ def first_cooccurrence_scales(h: HierarchicalCover) -> np.ndarray:
     order, 64 at a time: a pair's lowest shared bit in the chunk's
     `vertex_masks` is its first common block, and frexp reads the bit's index
     exactly (-1, birth inf, when none). Extra memory: a few n x n arrays and
-    one cover's block set, whatever the block count.
+    one cover's block set, whatever the block count. Computed at most once
+    per hierarchy; the array is read-only.
     """
-    n = h.n
-    t = np.full((n, n), np.inf)
-    np.fill_diagonal(t, 0.0)
-    births = _births(h)
-    while chunk := list(islice(births, 64)):
-        scales, blocks = zip(*chunk)
-        masks = np.array(Cover(n, blocks).vertex_masks, dtype=np.uint64)
-        shared = masks[:, None] & masks[None, :]
-        shared &= -shared  # the lowest set bit
-        first = np.frexp(shared.astype(float))[1] - 1
-        np.minimum(t, np.array(scales + (np.inf,))[first], out=t)
-    return t
+    return h._first_cooccurrence
 
 
 def _births(h: HierarchicalCover):
@@ -247,19 +270,43 @@ def cap_disconnected(t: np.ndarray) -> np.ndarray:
 
 
 def cover_from_json(obj) -> Cover:
+    return _read_cover(obj, _canonical_block)
+
+
+def _read_cover(obj, canonical) -> Cover:
+    """The checked cover of a cover JSON object, each raw block through `canonical`."""
     try:
         n = int(obj["n"])
         blocks = obj["blocks"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad cover JSON: {exc}") from exc
-    return make_cover(n, blocks)
+    return _checked(Cover(n, tuple(sorted(set(map(canonical, blocks))))))
 
 
 def hierarchy_from_json(obj) -> HierarchicalCover:
+    """The checked hierarchy of a cover JSON object; non-finite scales are refused.
+
+    Covers repeat most blocks, so each distinct raw block is canonicalized
+    once; the covers and the errors are those of `cover_from_json` per cover.
+    """
+    memo: dict[tuple, tuple[int, ...]] = {}
+
+    def canonical(b):
+        key = tuple(b)
+        try:
+            return memo[key]
+        except (KeyError, TypeError):  # TypeError: unhashable members, which int() refuses
+            pass
+        memo[key] = block = _canonical_block(key)
+        return block
+
     try:
         n = int(obj["n"])
         scales = tuple(float(s) for s in obj["scales"])
-        covers = tuple(cover_from_json(c) for c in obj["covers"])
+        for s in scales:
+            if not math.isfinite(s):
+                raise ValidationError(f"bad hierarchical cover JSON: scale {s!r} is not finite")
+        covers = tuple(_read_cover(c, canonical) for c in obj["covers"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad hierarchical cover JSON: {exc}") from exc
     h = HierarchicalCover(n, scales, covers)

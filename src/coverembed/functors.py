@@ -22,12 +22,18 @@ values are among the dendrogram's n-1 merge heights, so `sl` takes its
 components at most n times. `vlk` recomputes its blocks on the current
 graph after each batch; the maximal cliques are updated per inserted edge
 (`graphs.insert_clique_edge`), so no clique scale reruns Bron-Kerbosch on
-the whole graph.
+the whole graph. The scan keeps one adjacency for every stage, an int
+bitmask per vertex, which the clique updates, `sl`'s components and `vlk`'s
+separator searches all read. Each clique's sorted tuple is made once, when
+it is born, and the clique scans keep their sorted block list current by the
+cliques each insertion kills and creates. Every hierarchy a scan builds is
+marked as coarsening, so the interleaving never checks it again.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
@@ -89,9 +95,10 @@ def _threshold_hierarchy(dist: np.ndarray, blocks_of=None) -> HierarchicalCover:
     share a block from scale dist[i, j] on. One scan inserts the finite pairs in
     value order, a scale's pairs as one batch (scale 0 takes every entry
     <= 0), and records the cover after each batch. `blocks_of` maps the
-    neighbor sets to the blocks; without it the blocks are the maximal
-    cliques, updated per inserted edge. The scan stops at the first single
-    block.
+    adjacency bitmasks to the blocks; without it the blocks are the maximal
+    cliques, a sorted list updated per inserted edge. The scan stops at the
+    first single block. It only adds edges, so each cover refines the next,
+    and `build_hierarchy` marks the result as coarsening.
     """
     n = dist.shape[0]
     rows, cols = np.triu_indices(n, 1)
@@ -99,19 +106,25 @@ def _threshold_hierarchy(dist: np.ndarray, blocks_of=None) -> HierarchicalCover:
     order = np.argsort(vals, kind="stable")
     order = order[np.isfinite(vals[order])]
     rows, cols, vals = rows[order].tolist(), cols[order].tolist(), vals[order].tolist()
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    through = [{(v,)} for v in range(n)]  # the maximal cliques through each vertex
+    neighbors = [0] * n  # adjacency bitmasks
+    through = [{1 << v: (v,)} for v in range(n)]  # the maximal cliques through each vertex
+    blocks = [(v,) for v in range(n)]  # the maximal cliques, sorted
     staged, pos, delta = [], 0, 0.0
     while True:
         while pos < len(vals) and vals[pos] <= delta:
             u, v = rows[pos], cols[pos]
             if blocks_of is None:
-                insert_clique_edge(neighbors, through, u, v)
+                died, born = insert_clique_edge(neighbors, through, u, v)
+                for b in died:
+                    del blocks[bisect_left(blocks, b)]
+                for b in born:
+                    insort(blocks, b)
             else:
-                neighbors[u].add(v)
-                neighbors[v].add(u)
+                neighbors[u] |= 1 << v
+                neighbors[v] |= 1 << u
             pos += 1
-        blocks = sorted(set().union(*through)) if blocks_of is None else blocks_of(neighbors)
+        if blocks_of is not None:
+            blocks = blocks_of(neighbors)
         staged.append((delta, Cover(n, tuple(blocks))))  # blocks come sorted
         if len(blocks) == 1 or pos == len(vals):
             return build_hierarchy(n, staged)

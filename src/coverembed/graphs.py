@@ -1,8 +1,11 @@
 """Deterministic graph machinery shared by the clustering constructors.
 
-All functions take either a dense distance matrix or adjacency as a list of
-neighbor sets, and return canonically ordered results so that downstream
-covers compare bytewise.
+Graphs are adjacency as one int bitmask per vertex: bit u of neighbors[v] is
+set iff {u, v} is an edge. Vertex sets are masks too, so intersecting a
+neighborhood with a candidate set, or testing that a set lies inside a
+neighborhood, is one big-int operation (bit-parallel Bron-Kerbosch, San
+Segundo et al. 2011). Results are canonically ordered sorted tuples, so
+downstream covers compare bytewise.
 """
 
 from __future__ import annotations
@@ -14,80 +17,118 @@ from scipy.cluster.hierarchy import cophenet, linkage
 from scipy.spatial.distance import squareform
 
 
-def connected_components(neighbors: list[set[int]]) -> list[tuple[int, ...]]:
+def members(mask: int) -> tuple[int, ...]:
+    """The vertices of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _component_masks(neighbors: list[int], within: int):
+    """The components of the subgraph on `within`, as masks, by smallest member."""
+    while within:
+        comp, frontier = 0, within & -within
+        while frontier:
+            comp |= frontier
+            reached = 0
+            for v in members(frontier):
+                reached |= neighbors[v]
+            frontier = reached & within & ~comp
+        within &= ~comp
+        yield comp
+
+
+def connected_components(neighbors: list[int]) -> list[tuple[int, ...]]:
     """Components as sorted tuples, ordered by smallest member."""
-    n = len(neighbors)
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in neighbors[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        comps.append(tuple(sorted(comp)))
-    return sorted(comps)
+    return [members(c) for c in _component_masks(neighbors, (1 << len(neighbors)) - 1)]
 
 
-def max_cliques(
-    neighbors: list[set[int]], vertices: set[int] | None = None
-) -> list[tuple[int, ...]]:
-    """All maximal cliques of the subgraph on `vertices` (default: every vertex),
-    via Bron-Kerbosch with pivoting, canonically ordered.
+def _clique_masks(neighbors: list[int], p: int) -> list[int]:
+    """The maximal cliques of the subgraph on mask `p`, as masks: Bron-Kerbosch
+    with pivoting, each clique once. The empty graph has one, the empty clique."""
+    out: list[int] = []
+
+    def expand(r: int, p: int, x: int):
+        while p & (p - 1):
+            # any pivot gives every clique once; the one with most neighbors in p
+            # branches least, and a pivot leaving at most one branch is kept at once
+            pivot, best, enough, rest = 0, -1, p.bit_count() - 1, p | x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nb = neighbors[low.bit_length() - 1]
+                score = (p & nb).bit_count()
+                if score > best:
+                    pivot, best = nb, score  # the pivot's neighbors
+                    if score >= enough:
+                        break
+            branch = p & ~pivot
+            if not branch & (branch - 1):  # at most one branch: follow it here
+                if not branch:
+                    return
+                nb = neighbors[branch.bit_length() - 1]
+                r, p, x = r | branch, p & nb, x & nb
+                continue
+            while branch:
+                bit = branch & -branch
+                branch ^= bit
+                nb = neighbors[bit.bit_length() - 1]
+                expand(r | bit, p & nb, x & nb)
+                p ^= bit
+                x |= bit
+            return
+        # at most one candidate v: r + v is maximal unless x holds a neighbor of v
+        if not x & (neighbors[p.bit_length() - 1] if p else -1):
+            out.append(r | p)
+
+    expand(0, p, 0)
+    return out
+
+
+def max_cliques(neighbors: list[int], vertices: int | None = None) -> list[tuple[int, ...]]:
+    """All maximal cliques of the subgraph on mask `vertices` (default: every
+    vertex), via Bron-Kerbosch with pivoting on bitmasks, canonically ordered.
 
     Exponential in the worst case. The threshold scans call it only on the
     common neighborhood of an inserted edge (`insert_clique_edge`).
     """
-    out: list[tuple[int, ...]] = []
-
-    def expand(r: list[int], p: set[int], x: set[int]):
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            return
-        # any pivot gives every clique once; the one with most neighbors in p
-        # branches least, and a pivot leaving at most one branch is kept at once
-        pivot, best = -1, -1
-        for u in p | x:
-            score = len(p & neighbors[u])
-            if score > best:
-                pivot, best = u, score
-                if score >= len(p) - 1:
-                    break
-        for v in p - neighbors[pivot]:
-            expand(r + [v], p & neighbors[v], x & neighbors[v])
-            p.remove(v)
-            x.add(v)
-
-    expand([], set(range(len(neighbors)) if vertices is None else vertices), set())
-    return sorted(out)
+    if vertices is None:
+        vertices = (1 << len(neighbors)) - 1
+    return sorted(map(members, _clique_masks(neighbors, vertices)))
 
 
-def insert_clique_edge(neighbors, through, u: int, v: int) -> None:
-    """Add edge {u, v} to `neighbors`, keeping `through[w]`, the set of maximal
-    cliques (sorted tuples) that contain w, current for every vertex w.
+def insert_clique_edge(neighbors: list[int], through: list[dict], u: int, v: int):
+    """Add edge {u, v} to `neighbors`, keeping `through[w]`, the maximal cliques
+    that contain w (mask -> sorted tuple, the tuple made once when the clique
+    is born), current for every vertex w. Returns the cliques that died and
+    those born, as sorted tuples.
 
     The new maximal cliques are {u, v} with each maximal clique of the common
     neighborhood of u and v. An old clique through u stops being maximal
     exactly when v is adjacent to all of it, that is when it lies inside one
     of the new cliques; likewise through v. No other clique changes (Stix 2004).
     """
-    fresh = [tuple(sorted(c + (u, v))) for c in max_cliques(neighbors, neighbors[u] & neighbors[v])]
-    neighbors[u].add(v)
-    neighbors[v].add(u)
+    ends = 1 << u | 1 << v
+    fresh = [c | ends for c in _clique_masks(neighbors, neighbors[u] & neighbors[v])]
+    neighbors[u] |= 1 << v
+    neighbors[v] |= 1 << u
+    died = []
     for a, b in ((u, v), (v, u)):
-        for c in [c for c in through[a] if neighbors[b].issuperset(c)]:
-            for w in c:
-                through[w].discard(c)
+        outside = ~neighbors[b]
+        for c, block in [item for item in through[a].items() if not item[0] & outside]:
+            died.append(block)
+            for w in block:
+                del through[w][c]
+    born = []
     for c in fresh:
-        for w in c:
-            through[w].add(c)
+        block = members(c)
+        born.append(block)
+        for w in block:
+            through[w][c] = block
+    return died, born
 
 
 def bottleneck_matrix(d: np.ndarray) -> np.ndarray:
@@ -143,8 +184,9 @@ def geodesic_matrix(d: np.ndarray, delta_cap: float) -> np.ndarray:
 def components_of_inf(g: np.ndarray) -> list[tuple[int, ...]]:
     """Components implied by a matrix with inf marking unreachable pairs."""
     finite = np.isfinite(g)
-    neighbors = [set(np.flatnonzero(finite[i]).tolist()) - {i} for i in range(g.shape[0])]
-    return connected_components(neighbors)
+    np.fill_diagonal(finite, False)
+    rows = np.packbits(finite, axis=1, bitorder="little")
+    return connected_components([int.from_bytes(r.tobytes(), "little") for r in rows])
 
 
 # -- vertex connectivity on the vertex-split network -------------------------
@@ -153,7 +195,8 @@ def components_of_inf(g: np.ndarray) -> list[tuple[int, ...]]:
 def _separator(neighbors, s, t, j: int) -> tuple[int, ...] | None:
     """A set of fewer than j vertices that separates s from t, or None.
 
-    s and t are distinct and non-adjacent. Vertex v splits into an in-copy 2v
+    s and t are distinct and non-adjacent; `neighbors[v]` lists v's neighbors
+    within the graph searched. Vertex v splits into an in-copy 2v
     and an out-copy 2v+1 joined by a unit arc; edge {u, v} gives uncapacitated
     arcs out(u) -> in(v) and out(v) -> in(u). A flow from s's out-copy to t's
     in-copy counts internally vertex-disjoint s-t paths (Menger), and j such
@@ -189,9 +232,7 @@ def _separator(neighbors, s, t, j: int) -> tuple[int, ...] | None:
                     prev[b] = a
                     queue.append(b)
         if sink not in prev:
-            return tuple(
-                v for v in range(len(neighbors)) if 2 * v in prev and 2 * v + 1 not in prev
-            )
+            return tuple(sorted(a >> 1 for a in prev if not a & 1 and a + 1 not in prev))
         b = sink
         while prev[b] is not None:
             a = prev[b]
@@ -201,42 +242,44 @@ def _separator(neighbors, s, t, j: int) -> tuple[int, ...] | None:
     return None
 
 
-def maximal_j_connected_sets(neighbors, j: int) -> list[tuple[int, ...]]:
+def maximal_j_connected_sets(neighbors: list[int], j: int) -> list[tuple[int, ...]]:
     """Maximal vertex sets that stay connected when any fewer than j are removed.
 
     A set is split along a separator below j of its first non-adjacent pair
     (s, t), in increasing order, that has one: into each component of the
-    rest, each with the separator added. A j-connected subset minus any
+    rest, each with the separator added. Only sources s among the set's first
+    j vertices are tried: a separator below j misses one of them, which lies
+    across it from s or from t, so a pair with that source is split by it and
+    comes no later (Even 1975). A j-connected subset minus any
     separator below j is connected, so it lies in one of the parts. Whichever
     separators are taken, every j-connected set thus ends inside a leaf, a
     set with no such pair. Leaves are j-connected
     (complete sets and single vertices among them; a disconnected set splits
     along the empty separator), so the maximal leaves are the answer, and
     isolated vertices surface as singleton blocks. A graph with no vertices
-    has no such sets.
+    has no such sets. Sets are masks; the separator search gets each set's
+    induced subgraph as its members' masks ANDed with the set, listed once.
     """
     if not neighbors:
         return []
-    found: set[frozenset[int]] = set()
-    seen: set[frozenset[int]] = set()
+    found: set[int] = set()
+    seen: set[int] = set()
 
-    def rec(vertices: frozenset[int]):
+    def rec(vertices: int):
         if vertices in seen:
             return
         seen.add(vertices)
-        vs = sorted(vertices)
-        index = {v: i for i, v in enumerate(vs)}
-        sub = [{index[u] for u in neighbors[v] if u in index} for v in vs]
-        pairs = ((s, t) for s in range(len(vs)) for t in range(s + 1, len(vs)) if t not in sub[s])
+        vs = members(vertices)
+        # the targets t > s not adjacent to s
+        pairs = [(s, t) for s in vs[:j] for t in members(vertices & ~neighbors[s] & -(2 << s))]
+        sub = {v: members(neighbors[v] & vertices) for v in vs} if pairs else {}
         cut = next((c for s, t in pairs if (c := _separator(sub, s, t, j)) is not None), None)
         if cut is None:
             found.add(vertices)
             return
-        cut_set = set(cut)
-        rest = [set() if i in cut_set else sub[i] - cut_set for i in range(len(vs))]
-        for comp in connected_components(rest):
-            if comp[0] not in cut_set:
-                rec(frozenset(vs[v] for v in comp + cut))
+        cut_mask = sum(1 << v for v in cut)
+        for comp in _component_masks(neighbors, vertices & ~cut_mask):
+            rec(comp | cut_mask)
 
-    rec(frozenset(range(len(neighbors))))
-    return sorted(tuple(sorted(s)) for s in found if not any(s < other for other in found))
+    rec((1 << len(neighbors)) - 1)
+    return sorted(members(s) for s in found if not any(s != o and not s & ~o for o in found))

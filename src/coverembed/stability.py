@@ -9,11 +9,18 @@ is in effect from its scale s_i, so it needs the shift t_{j(i)} - s_i: a
 difference of stored scales, never a rounded s_i + eps.
 
 Cost of `interleaving_distance` on hierarchies with S1 and S2 critical scales:
-`validate_coarsening` on both, then one scan per direction in which i walks
-one side and j only advances over the other, so at most |S1| + |S2| `refines`
-tests per direction. A `refines` test skips the blocks the two covers share
-(consecutive covers share almost all) and ANDs the other side's per-vertex
-block masks over each remaining block: |b| big-int ANDs per block b.
+`validate_coarsening` on each side not yet known to coarsen (scan-built and
+already checked hierarchies are marked, so they cost nothing), then one scan
+per direction in which i walks one side and j only advances over the other.
+The scan starts cover i at the first j whose scale reaches M_i, the largest
+first-co-occurrence scale on the other side of a pair that cover i already
+joins (`_search_starts`: each side's cached `first_cooccurrence_scales`,
+one stable argsort, a running max and one searchsorted), so every cover that
+scale excludes is skipped untested. Each remaining step is one `refines`
+test, at most |S1| + |S2| per direction. A `refines` test skips the blocks
+the two covers share (consecutive covers share almost all) and ANDs the
+other side's per-vertex block masks over each remaining block: |b| big-int
+ANDs per block b.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import PipelineSpec, build_stage
-from .covers import HierarchicalCover, refines
+from .covers import HierarchicalCover, first_cooccurrence_scales, refines
 from .errors import ValidationError
 from .loss import MdsPairFamily, StressProblem, pair_distances
 from .metric import PseudometricSpace, isometry_epsilon
@@ -61,9 +68,11 @@ def interleaving_distance(h1: HierarchicalCover, h2: HierarchicalCover) -> Inter
     shifts: list[float] = []
     pairs: list[tuple[int, int, int]] = []
     for side, (ha, hb) in enumerate(((h1, h2), (h2, h1))):
-        j = 0
+        j, starts = 0, _search_starts(ha, hb)
         for i, (s, cover) in enumerate(zip(ha.scales, ha.covers)):
-            # cover i - 1 refines cover i, so nothing before j(i - 1) can serve
+            # nothing before j(i - 1) can serve (cover i - 1 refines cover i),
+            # nor any cover below the start bound
+            j = max(j, starts[i])
             while j < len(hb.covers) and not refines(cover, hb.covers[j]):
                 j += 1
             if j == len(hb.covers):
@@ -72,6 +81,25 @@ def interleaving_distance(h1: HierarchicalCover, h2: HierarchicalCover) -> Inter
             pairs.append((side, i, j))
     best = max(range(len(shifts)), key=shifts.__getitem__)
     return InterleavingReport(max(0.0, shifts[best]), tuple(shifts), pairs[best])
+
+
+def _search_starts(ha: HierarchicalCover, hb: HierarchicalCover) -> list[int]:
+    """Per cover i of `ha`, the first cover j of `hb` with t_j >= M_i.
+
+    M_i = max T_b(p) over pairs p with T_a(p) <= s_i, T being each side's
+    `first_cooccurrence_scales`. Those pairs share a block of cover i (`ha`
+    coarsens), so a cover of `hb` that cover i refines holds each of them in
+    one block, and its scale is at least M_i: no earlier cover can serve.
+    One stable argsort of T_a, a running max of T_b, and one searchsorted
+    per side.
+    """
+    rows, cols = np.triu_indices(ha.n, 1)
+    ta = first_cooccurrence_scales(ha)[rows, cols]
+    order = np.argsort(ta, kind="stable")
+    tb = first_cooccurrence_scales(hb)[rows, cols][order]
+    m = np.concatenate(([-np.inf], np.maximum.accumulate(tb)))
+    m = m[np.searchsorted(ta[order], ha.scales, side="right")]
+    return np.searchsorted(hb.scales, m, side="left").tolist()
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,60 @@ def exact_interleaving_epsilon(h1, h2):
     return float(max(shifts))
 
 
+def reference_interleaving(h1, h2):
+    """(eps*, candidates, witness) of `interleaving_distance` by searching every j.
+
+    For each cover i of h1, then of h2, the least j whose cover on the other
+    side it refines (by set containment) gives the shift t_j - s_i; the first
+    cover that refines none ends the search with eps* inf and witness
+    (side, i, None). Otherwise eps* is the largest shift, 0 at least, and the
+    witness the first (side, i, j) attaining it.
+    """
+    import math
+
+    shifts, pairs = [], []
+    for side, (ha, hb) in enumerate(((h1, h2), (h2, h1))):
+        for i, (s, fine) in enumerate(zip(ha.scales, ha.covers)):
+            js = [j for j, coarse in enumerate(hb.covers) if oracle_refines(fine, coarse)]
+            if not js:
+                return math.inf, tuple(shifts), (side, i, None)
+            shifts.append(hb.scales[js[0]] - s)
+            pairs.append((side, i, js[0]))
+    best = max(range(len(shifts)), key=shifts.__getitem__)
+    return max(0.0, shifts[best]), tuple(shifts), pairs[best]
+
+
+def all_pairs_j_connected_sets(neighbors, j):
+    """`graphs.maximal_j_connected_sets` trying every non-adjacent pair (s, t) of a
+    set in increasing order, not only sources among its first j vertices."""
+    from coverembed.graphs import _separator, members
+
+    found, seen = set(), set()
+
+    def rec(vertices):
+        if vertices in seen:
+            return
+        seen.add(vertices)
+        vs = members(vertices)
+        sub = {v: members(neighbors[v] & vertices) for v in vs}
+        pairs = ((s, t) for s in vs for t in vs if t > s and t not in sub[s])
+        cut = next((c for s, t in pairs if (c := _separator(sub, s, t, j)) is not None), None)
+        if cut is None:
+            found.add(vertices)
+            return
+        cut_mask = sum(1 << v for v in cut)
+        rest = vertices & ~cut_mask
+        for comp in oracle_components(len(neighbors), [
+            (a, b) for a in members(rest) for b in members(neighbors[a] & rest)
+        ]):
+            if rest >> comp[0] & 1:
+                rec(sum(1 << v for v in comp) | cut_mask)
+
+    if neighbors:
+        rec((1 << len(neighbors)) - 1)
+    return sorted(members(s) for s in found if not any(s != o and not s & ~o for o in found))
+
+
 def random_space(rng, n=6, low=0.2, high=2.0):
     """Random symmetric distance matrix (not necessarily triangle-valid)."""
     from coverembed import from_matrix

@@ -341,3 +341,124 @@ def test_hierarchy_json_refuses_an_infinite_scale(tmp_path):
         write_hierarchy_json(path, HierarchicalCover(2, (0.0, math.inf), (c, merged)))
     assert str(path) in str(err.value)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
+def test_hierarchy_json_refuses_a_non_finite_scale(token):
+    text = '{"n": 2, "scales": [0, %s], "covers": [{"n": 2, "blocks": [[0], [1]]}, ' \
+           '{"n": 2, "blocks": [[0, 1]]}]}' % token
+    value = repr(float(token.lower().replace("infinity", "inf")))
+    with pytest.raises(ValidationError, match=f"scale {value} is not finite"):
+        hierarchy_from_json(json.loads(text))
+
+
+def test_cover_at_refuses_a_nan_scale():
+    h = single_linkage(CHAIN)
+    for delta in (-1.0, math.nan):
+        with pytest.raises(ValidationError, match="scale must be nonnegative"):
+            cover_at(h, delta)
+
+
+def test_first_cooccurrence_is_computed_once_and_read_only():
+    h = maximal_linkage(from_points_euclidean(np.random.default_rng(9).normal(size=(7, 2))))
+    t = first_cooccurrence_scales(h)
+    assert first_cooccurrence_scales(h) is t
+    assert not t.flags.writeable
+    assert np.array_equal(membership_matrix(h).w, np.exp(-t))
+
+
+def _raw_hierarchy(covers, scales=None):
+    """A cover JSON object over 3 points, one scale per cover."""
+    scales = list(range(len(covers))) if scales is None else scales
+    return {"n": 3, "scales": scales, "covers": [{"n": 3, "blocks": c} for c in covers]}
+
+
+def test_hierarchy_json_reads_each_cover_as_cover_from_json():
+    # one block in several raw spellings, repeated across covers
+    covers = [
+        [[0], [1], [2]],
+        [[1, 0], [2]],
+        [[0, 1.0, 1], [2, 2]],
+        [[True, 0], "2"],
+        [[0, 1, 2]],
+    ]
+    h = hierarchy_from_json(_raw_hierarchy(covers))
+    assert h.covers == tuple(cover_from_json({"n": 3, "blocks": c}) for c in covers)
+    assert h.scales == (0.0, 1.0, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("bad", [
+    [[0, 1], [[2]]],  # a list member: int() refuses it
+    [[0, 1], [2, {"a": 1}]],  # a dict member
+    [[0, 1], 2],  # a block that is no list
+    [[0, 1], None],
+    [[0, 1], ["x"]],  # int("x") raises ValueError, which the reader does not catch
+    [[0, 1], []],
+    [[0, 1], [3]],
+    [[0, 1], [0]],
+    [[0]],
+])
+def test_hierarchy_json_errors_are_those_of_cover_from_json(bad):
+    """With blocks already seen in an earlier cover, a malformed cover raises what
+    `cover_from_json` raises, a TypeError wrapped as a ValidationError."""
+    with pytest.raises(Exception) as alone:
+        cover_from_json({"n": 3, "blocks": bad})
+    with pytest.raises(Exception) as read:
+        hierarchy_from_json(_raw_hierarchy([[[0, 1], [2]], bad]))
+    if isinstance(alone.value, TypeError):
+        assert type(read.value) is ValidationError
+        assert str(read.value) == f"bad hierarchical cover JSON: {alone.value}"
+    else:
+        assert type(read.value) is type(alone.value)
+        assert str(read.value) == str(alone.value)
+
+
+def _every_stage(space):
+    yield from (("sl", {}), ("ml", {}), ("lk", {"k": 3}), ("vlk", {"k": 2}))
+    yield "iso", {"disconnected": "cap"}
+    if space.n >= 2:
+        yield "fuzzy", {}
+
+
+def _mark_cases():
+    rng = np.random.default_rng(31)
+    for n in range(1, 13):
+        yield random_space(rng, n=n)
+        upper = rng.integers(0, 3, size=n * (n - 1) // 2).astype(float)
+        d = np.zeros((n, n))
+        d[np.triu_indices(n, 1)] = upper
+        yield from_matrix(d + d.T)  # ties and zero distances
+
+
+def test_scan_built_hierarchies_are_marked_and_coarsen():
+    for space in _mark_cases():
+        for stage, params in _every_stage(space):
+            h = cluster_hierarchy(space, stage, **params)
+            assert h._coarsens, (space.n, stage)
+            copy = HierarchicalCover(h.n, h.scales, h.covers)
+            assert not copy._coarsens and copy == h
+            copy.validate_coarsening()  # the full check, on an unmarked copy
+            assert copy._coarsens
+
+
+def test_only_the_check_marks_constructed_and_read_hierarchies(monkeypatch):
+    c = make_cover(2, [[0], [1]])
+    merged = make_cover(2, [[0, 1]])
+    assert not HierarchicalCover(2, (0.0, 1.0), (c, merged))._coarsens
+    unmarked_at_check = []
+    check = HierarchicalCover.validate_coarsening
+
+    def recording(self):
+        unmarked_at_check.append(not self._coarsens)
+        check(self)
+
+    monkeypatch.setattr(HierarchicalCover, "validate_coarsening", recording)
+    h = hierarchy_from_json(hierarchy_to_json(maximal_linkage(CHAIN)))
+    assert unmarked_at_check == [True] and h._coarsens
+    with pytest.raises(ValidationError, match="does not refine"):
+        hierarchy_from_json(_raw_hierarchy([[[0, 1], [2]], [[0], [1, 2]]]))
+    bad = HierarchicalCover(2, (0.0, 1.0), (merged, c))
+    for _ in range(2):  # a failed check leaves no mark
+        with pytest.raises(ValidationError, match="does not refine"):
+            bad.validate_coarsening()
+    assert not bad._coarsens

@@ -31,10 +31,12 @@ from coverembed.graphs import (
     insert_clique_edge,
     max_cliques,
     maximal_j_connected_sets,
+    members,
 )
 from coverembed.loss import StressProblem
 
 from oracles import (
+    all_pairs_j_connected_sets,
     hierarchy_json_bytes,
     hierarchy_to_json,
     oracle_components,
@@ -199,10 +201,11 @@ def test_vl_3_block_appears_at_an_edge_inside_an_existing_block():
 
 
 def _neighbors(n, edges):
-    nb = [set() for _ in range(n)]
+    """Adjacency bitmasks: bit b of nb[a] set iff {a, b} is an edge."""
+    nb = [0] * n
     for a, b in edges:
-        nb[a].add(b)
-        nb[b].add(a)
+        nb[a] |= 1 << b
+        nb[b] |= 1 << a
     return nb
 
 
@@ -226,7 +229,7 @@ def test_maximal_j_connected_sets_match_the_subset_oracle(n, edges):
 
 
 def test_the_kite_splits_along_a_separator_larger_than_its_cut_vertex():
-    nb = _neighbors(*KITE_WITH_TAIL)
+    nb = [members(m) for m in _neighbors(*KITE_WITH_TAIL)]
     assert _separator(nb, 0, 3, 3) == (1, 2)
     assert _separator(nb, 0, 4, 3) == (3,)
     assert _separator(nb, 0, 3, 2) is None
@@ -241,13 +244,42 @@ def small_graphs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graph=small_graphs(), j=st.sampled_from([1, 2, 3, None]))
+@given(graph=small_graphs(), j=st.sampled_from([1, 2, 3, 4, None]))
 def test_maximal_j_connected_sets_match_the_subset_oracle_on_random_graphs(graph, j):
     n, edges = graph
     j = n if j is None else j
     assert maximal_j_connected_sets(_neighbors(n, edges), j) == oracle_maximal_j_connected(
         n, edges, j
     )
+
+
+def test_first_j_sources_equal_the_all_pairs_order(monkeypatch):
+    """Threshold graphs of random and of integer 0-3 (tie-heavy) matrices at three
+    levels, up to 14 vertices, beyond the subset oracle: the same sets, with
+    fewer separator searches."""
+    import coverembed.graphs as graphs
+
+    calls = {"first j": 0, "all pairs": 0}
+    searching = "first j"
+    separator = graphs._separator
+
+    def counted(*args):
+        calls[searching] += 1
+        return separator(*args)
+
+    monkeypatch.setattr(graphs, "_separator", counted)
+    rng = np.random.default_rng(41)
+    for n in range(1, 15):
+        pairs = list(zip(*(ix.tolist() for ix in np.triu_indices(n, 1))))
+        for upper in (rng.random(len(pairs)) * 3, rng.integers(0, 4, size=len(pairs))):
+            for level in (0.5, 1, 2):
+                nb = _neighbors(n, [p for p, x in zip(pairs, upper) if x <= level])
+                for j in range(1, 5):
+                    searching = "first j"
+                    got = maximal_j_connected_sets(nb, j)
+                    searching = "all pairs"
+                    assert got == all_pairs_j_connected_sets(nb, j), (n, level, j)
+    assert 0 < calls["first j"] < calls["all pairs"]
 
 
 # -- geodesic metric and iso_cluster ------------------------------------------------
@@ -579,14 +611,20 @@ def test_clique_scans_equal_the_per_scale_rebuild_beyond_the_oracle():
 @given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
 def test_inserting_edges_keeps_the_maximal_cliques_current(graph, seed):
     n, edges = graph
-    neighbors = [set() for _ in range(n)]
-    through = [{(v,)} for v in range(n)]
+    neighbors = [0] * n
+    through = [{1 << v: (v,)} for v in range(n)]
+    alive = {(v,) for v in range(n)}
     inserted = set()
     for a, b in np.random.default_rng(seed).permutation(sorted(edges)).tolist():
-        insert_clique_edge(neighbors, through, a, b)
+        died, born = insert_clique_edge(neighbors, through, a, b)
+        alive = alive.difference(died).union(born)
         inserted.add((a, b))
-        assert sorted(set().union(*through)) == oracle_max_cliques(n, inserted)
-        assert all(w in c for w in range(n) for c in through[w])
+        assert sorted(set().union(*(t.values() for t in through))) == oracle_max_cliques(
+            n, inserted
+        )
+        assert sorted(alive) == oracle_max_cliques(n, inserted)
+        assert all(w in c and m == sum(1 << v for v in c)
+                   for w in range(n) for m, c in through[w].items())
 
 
 # -- the two routes: hierarchy memberships and stage targets --------------------------

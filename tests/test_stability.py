@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverembed import (
     PipelineSpec,
@@ -17,15 +19,28 @@ from coverembed import (
 from coverembed.covers import HierarchicalCover, make_cover, refines
 from coverembed.functors import cluster_hierarchy, fuzzy_simplex
 
-from oracles import exact_interleaving_epsilon, permuted, perturbed, random_space
+from coverembed.covers import hierarchy_from_json
+
+from oracles import (
+    exact_interleaving_epsilon,
+    hierarchy_to_json,
+    permuted,
+    perturbed,
+    random_space,
+    reference_interleaving,
+)
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
 
 def _exact_report(h1, h2):
-    """interleaving_distance(h1, h2), checked against the exact oracle and its own witness."""
+    """interleaving_distance(h1, h2), checked against the exact oracle, the search
+    of every j, and its own witness."""
     report = interleaving_distance(h1, h2)
     assert report.epsilon_star == exact_interleaving_epsilon(h1, h2)
+    assert (report.epsilon_star, report.candidates, report.witness) == reference_interleaving(
+        h1, h2
+    )
     side, i, j = report.witness
     ha, hb = (h1, h2) if side == 0 else (h2, h1)
     if j is None:
@@ -78,9 +93,13 @@ def _rounded(space, decimals=1):
     return from_matrix(np.round(space.d, decimals))
 
 
+def _json_round_trip(h):
+    return hierarchy_from_json(hierarchy_to_json(h))
+
+
 def test_interleaving_report_matches_reference_search():
     rng = np.random.default_rng(12)
-    params = {"sl": {}, "ml": {}, "lk": {"k": 2}, "fuzzy": {}}
+    params = {"sl": {}, "ml": {}, "lk": {"k": 2}, "vlk": {"k": 2}, "fuzzy": {}}
     for _ in range(4):
         x = _rounded(random_space(rng, n=6))
         y = _rounded(perturbed(rng, x, 0.3))
@@ -92,6 +111,10 @@ def test_interleaving_report_matches_reference_search():
             _exact_report(hz, hx)
             assert interleaving_distance(hx, hy) == first
             assert _exact_report(hx, hx).epsilon_star == 0.0
+            # hierarchies read back from JSON are checked once, then searched alike
+            jx, jy = _json_round_trip(hx), _json_round_trip(hy)
+            assert _exact_report(jx, jy) == first
+            assert _exact_report(jx, hy) == first
 
 
 def test_interleaving_report_matches_reference_small_and_infinite():
@@ -294,3 +317,27 @@ def test_loss_transfer_builds_each_space_stage_once(monkeypatch):
                 patch.setattr(module, name, counted)
             assert check_loss_transfer(spec, x, y).passed
         assert sorted(built) == ["x", "y"], spec.cluster
+
+
+@st.composite
+def coarsening_hierarchies(draw, n=5):
+    """Hand-built hierarchies that coarsen but need not be flag: each cover keeps
+    the maximal sets among the previous blocks and some drawn ones."""
+    blocks = {(v,) for v in range(n)}
+    scales, covers = [0.0], [make_cover(n, blocks)]
+    for _ in range(draw(st.integers(0, 4))):
+        drawn = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2), min_size=1, max_size=3))
+        blocks |= {tuple(sorted(b)) for b in drawn}
+        blocks = {b for b in blocks if not any(set(b) < set(c) for c in blocks)}
+        cover = make_cover(n, blocks)
+        if cover != covers[-1]:
+            scales.append(scales[-1] + draw(st.sampled_from([0.25, 0.5, 1.0])))
+            covers.append(cover)
+    return HierarchicalCover(n, tuple(scales), tuple(covers))
+
+
+@settings(max_examples=80, deadline=None)
+@given(h1=coarsening_hierarchies(), h2=coarsening_hierarchies())
+def test_bound_started_search_is_exact_on_non_flag_hierarchies(h1, h2):
+    """The first-co-occurrence start bound holds for any two coarsening hierarchies."""
+    _exact_report(h1, h2)
