@@ -277,10 +277,10 @@ def _read_cover(obj, canonical) -> Cover:
     """The checked cover of a cover JSON object, each raw block through `canonical`."""
     try:
         n = int(obj["n"])
-        blocks = obj["blocks"]
-    except (KeyError, TypeError) as exc:
+        blocks = tuple(sorted(set(map(canonical, obj["blocks"]))))
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: int("x") names "x"
         raise ValidationError(f"bad cover JSON: {exc}") from exc
-    return _checked(Cover(n, tuple(sorted(set(map(canonical, blocks))))))
+    return _checked(Cover(n, blocks))
 
 
 def hierarchy_from_json(obj) -> HierarchicalCover:
@@ -307,7 +307,9 @@ def hierarchy_from_json(obj) -> HierarchicalCover:
             if not math.isfinite(s):
                 raise ValidationError(f"bad hierarchical cover JSON: scale {s!r} is not finite")
         covers = tuple(_read_cover(c, canonical) for c in obj["covers"])
-    except (KeyError, TypeError) as exc:
+    except ValidationError:  # already names what is wrong; it is a ValueError too
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: float("a") names "a"
         raise ValidationError(f"bad hierarchical cover JSON: {exc}") from exc
     h = HierarchicalCover(n, scales, covers)
     h.validate_coarsening()

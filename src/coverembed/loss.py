@@ -14,6 +14,14 @@ unordered pair {i, j}, i < j, in the row-major order of the upper triangle
 (`pair_distances`, `scipy.spatial.distance.squareform`). Each loss is twice
 the sum over those pairs, which is the sum over ordered pairs i != j; each
 gradient expands its per-pair coefficients to n x n once.
+
+The optimizer evaluates these once per trial point, and at the sizes it runs
+most (n of a few dozen to a few hundred) a call costs more in Python wrappers
+than in arithmetic. So the distances come straight from SciPy's compiled
+`pdist` kernel, and the losses and gradients are chains of in-place ufuncs
+over one or two pair-sized buffers, each step the same operation on the same
+operands as the plain expression it replaces, so the bytes are those of the
+plain expressions (`tests/oracles.py` keeps them as references).
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial._distance_pybind import pdist_euclidean
+from scipy.spatial.distance import squareform
 
 from .covers import (
     HierarchicalCover,
@@ -99,12 +108,15 @@ ZERO_FORM = Form("zero")
 
 
 def _form_leq(f: Form, g: Form, xs: np.ndarray) -> bool:
-    """f <= g on the sampled range; exact endpoint test for polynomial forms."""
+    """f <= g: on every x >= 0 for forms affine in x^2, on the samples `xs` otherwise.
+
+    a x^2 + b <= a' x^2 + b' for all x >= 0 iff b <= b' (at x = 0) and
+    a <= a' (as x grows), so polynomial forms compare their coefficients.
+    """
     if f.is_polynomial() and g.is_polynomial():
         fa, fb = f.as_affine_x2()
         ga, gb = g.as_affine_x2()
-        x_max = float(xs.max(initial=0.0))
-        return (fb <= gb) and (fa * x_max**2 + fb <= ga * x_max**2 + gb)
+        return fb <= gb and fa <= ga
     return bool(np.all(f.value(xs) <= g.value(xs)))
 
 
@@ -381,23 +393,39 @@ def pair_distances(a: np.ndarray) -> np.ndarray:
 
     Condensed layout: pair (i, j), i < j, in row-major order of the upper
     triangle, as `scipy.spatial.distance.squareform` reads and writes it.
-    `pdist` runs its own loop, not BLAS.
+    This is the compiled kernel that `scipy.spatial.distance.pdist(a)`
+    dispatches to, `scipy.spatial._distance_pybind.pdist_euclidean`, called
+    directly: `pdist`'s array-API wrapper costs more than the kernel's work
+    at n = 64, and the optimizer calls this once per trial point. The bytes
+    are `pdist`'s, which a test pins, so a SciPy release that moves the
+    kernel fails that test instead of changing results. The kernel runs its
+    own loop, not BLAS.
     """
-    return pdist(a)
+    return pdist_euclidean(a)
 
 
-def _pair_gradient(a: np.ndarray, delta: np.ndarray, slope: np.ndarray) -> np.ndarray:
+def _pair_gradient(
+    a: np.ndarray, delta: np.ndarray, slope: np.ndarray, active: np.ndarray
+) -> np.ndarray:
     """Gradient of a sum of pair terms whose derivative in delta_ij is slope_ij.
 
-    `delta` and `slope` are condensed. Row i is sum_j (slope_ij / delta_ij)
-    (a_i - a_j); coincident pairs contribute zero (the stable subgradient
-    choice). The coefficients are expanded to n x n once; the product runs in
-    einsum's own loop, not BLAS, so its bytes do not depend on the BLAS
-    thread count.
+    `delta`, `slope` and the boolean `active` are condensed, and `active`
+    holds only pairs with delta > 0. Row i is sum_j c_ij (a_i - a_j), where
+    c_ij = slope_ij / delta_ij on active pairs and +0.0 elsewhere: coincident
+    pairs contribute zero (the stable subgradient choice). `slope` is
+    overwritten with c and `active` with its complement, so no pair-sized
+    array is allocated here; `slope` must own its memory, or `squareform`
+    copies it before the n x n expansion. The product runs in einsum's own
+    loop, not BLAS, so its bytes do not depend on the BLAS thread count.
     """
-    coeff = squareform(np.divide(slope, delta, out=np.zeros_like(slope), where=delta > 0))
+    np.divide(slope, delta, out=slope, where=active)
+    np.logical_not(active, out=active)
+    np.copyto(slope, 0.0, where=active)
+    coeff = squareform(slope)
     at = np.ascontiguousarray(a.T)
-    return coeff.sum(axis=1)[:, None] * a - np.einsum("ij,kj->ik", coeff, at)
+    g = coeff.sum(axis=1)[:, None] * a
+    g -= np.einsum("ij,kj->ik", coeff, at)
+    return g
 
 
 def check_policy(policy: str) -> None:
@@ -469,9 +497,10 @@ class StressProblem:
         if delta is None:
             delta = pair_distances(a)
         # 2 x d(resid^2) per unordered pair, counted twice in the total
-        slope = 4.0 * (delta - self.targets)
+        slope = np.subtract(delta, self.targets)
+        slope *= 4.0
         slope *= self.weights
-        return _pair_gradient(a, delta, slope)
+        return _pair_gradient(a, delta, slope, delta > 0)
 
     def init_targets(self) -> np.ndarray:
         return squareform(self.targets)
@@ -510,7 +539,8 @@ class CrossEntropyProblem:
         # then overwritten by the repelling term
         v = np.negative(delta)
         np.exp(v, out=v)
-        np.clip(v, FCE_CLAMP_DEFAULT, 1.0 - FCE_CLAMP_DEFAULT, out=v)
+        np.maximum(v, FCE_CLAMP_DEFAULT, out=v)
+        np.minimum(v, 1.0 - FCE_CLAMP_DEFAULT, out=v)
         attract = np.log(v)
         np.subtract(self._log_w, attract, out=attract)
         attract *= self.w
@@ -524,13 +554,24 @@ class CrossEntropyProblem:
     def grad(self, a: np.ndarray, delta: np.ndarray | None = None) -> np.ndarray:
         if delta is None:
             delta = pair_distances(a)
-        raw_v = np.exp(-delta)
-        clamped = (raw_v <= FCE_CLAMP_DEFAULT) | (raw_v >= 1.0 - FCE_CLAMP_DEFAULT)
-        v = np.clip(raw_v, FCE_CLAMP_DEFAULT, 1.0 - FCE_CLAMP_DEFAULT)
-        # d(loss)/d(delta) = (w/v - (1-w)/(1-v)) * v where v is active, twice
-        # because each unordered pair appears twice in the total
-        slope = np.where(clamped, 0.0, 2.0 * (self.w - self._1mw * v / (1.0 - v)))
-        return _pair_gradient(a, delta, slope)
+        v = np.negative(delta)
+        np.exp(v, out=v)
+        # a pair is active while v lies strictly inside the clamp interval,
+        # which implies delta > 0; NaN distances are inactive
+        active = v > FCE_CLAMP_DEFAULT
+        active &= v < 1.0 - FCE_CLAMP_DEFAULT
+        # inactive pairs' slopes are discarded; the upper clip keeps 1 - v
+        # nonzero for them, and active pairs are already inside the interval
+        np.minimum(v, 1.0 - FCE_CLAMP_DEFAULT, out=v)
+        # d(loss)/d(delta) = (w/v - (1-w)/(1-v)) * v on active pairs, twice
+        # because each unordered pair appears twice in the total:
+        # 2 (w - (1-w) v / (1-v))
+        slope = np.subtract(1.0, v)
+        v *= self._1mw
+        np.divide(v, slope, out=slope)
+        np.subtract(self.w, slope, out=slope)
+        slope *= 2.0
+        return _pair_gradient(a, delta, slope, active)
 
     def init_targets(self) -> np.ndarray:
         """Capped -log w, the stage's target distances."""

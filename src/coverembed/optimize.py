@@ -228,7 +228,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
     a = initial_coords(problem, cfg)
     delta = pair_distances(a)
     f = problem.loss(a, delta)
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NumericalError(f"loss at initialization is {f!r}", trace=[])
     step = STEP0
     g = problem.grad(a, delta)
@@ -237,7 +237,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
     exit_reason = "max_iters"
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        if not np.isfinite(g).all():
+        if not math.isfinite(gnorm):  # the max of |g| is NaN or inf with g
             raise NumericalError("gradient became non-finite", trace=trace)
         if gnorm == 0.0:
             exit_reason = "stationary"
@@ -247,7 +247,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
             candidate = a - step * g
             candidate_delta = pair_distances(candidate)
             f_new = problem.loss(candidate, candidate_delta)
-            if np.isfinite(f_new) and f_new <= f:
+            if math.isfinite(f_new) and f_new <= f:
                 break
             step *= 0.5
             if step < MIN_STEP:

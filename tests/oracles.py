@@ -6,8 +6,9 @@ walking every simple path. Exponential, fine for n <= 7. Hand-built loss
 families, the exact interval sup of a form, the JSON round trip of loss
 objects, the cover JSON objects whose `json.dumps` text hierarchy files must
 match, the broadcast Euclidean distances, the n x n embedding losses (every
-pair counted twice), and the permuting and CSV-writing helpers that tests use
-to build inputs live here too.
+pair counted twice), the condensed losses and gradients as plain expressions
+(the reference bytes of the in-place kernels), and the permuting and
+CSV-writing helpers that tests use to build inputs live here too.
 """
 
 import json
@@ -15,7 +16,7 @@ import math
 from itertools import combinations, permutations
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from coverembed import ValidationError
 from coverembed.covers import cap_disconnected
@@ -498,3 +499,61 @@ class ReferenceCrossEntropy:
         v = np.clip(raw_v, self.clamp, 1.0 - self.clamp)
         slope = np.where(clamped, 0.0, 2.0 * (self.w - (1.0 - self.w) * v / (1.0 - v)))
         return reference_pair_gradient(a, delta, slope)
+
+
+# -- condensed losses and gradients as plain expressions ----------------------------
+#
+# The expressions of `StressProblem` and `CrossEntropyProblem` before their
+# kernels became in-place ufunc chains over `pdist`'s compiled kernel, kept
+# verbatim: public `pdist`, `np.clip`, a `zeros_like` output and `np.where`.
+# Each takes the problem for its condensed pair data only.
+
+
+def plain_pair_gradient(a, delta, slope):
+    coeff = squareform(np.divide(slope, delta, out=np.zeros_like(slope), where=delta > 0))
+    at = np.ascontiguousarray(a.T)
+    return coeff.sum(axis=1)[:, None] * a - np.einsum("ij,kj->ik", coeff, at)
+
+
+def plain_stress_loss(prob, a):
+    delta = pdist(a)
+    resid = prob.targets - delta
+    resid *= prob.weights
+    with np.errstate(over="ignore"):  # inf is caught by the optimizer
+        resid *= resid
+        return 2.0 * float(resid.sum())
+
+
+def plain_stress_grad(prob, a):
+    delta = pdist(a)
+    # 2 x d(resid^2) per unordered pair, counted twice in the total
+    slope = 4.0 * (delta - prob.targets)
+    slope *= prob.weights
+    return plain_pair_gradient(a, delta, slope)
+
+
+def plain_fce_loss(prob, a):
+    delta = pdist(a)
+    v = np.negative(delta)
+    np.exp(v, out=v)
+    np.clip(v, FCE_CLAMP_DEFAULT, 1.0 - FCE_CLAMP_DEFAULT, out=v)
+    attract = np.log(v)
+    np.subtract(prob._log_w, attract, out=attract)
+    attract *= prob.w
+    np.negative(v, out=v)
+    np.log1p(v, out=v)
+    np.subtract(prob._log_1mw, v, out=v)
+    v *= prob._1mw
+    attract += v
+    return 2.0 * float(attract.sum())
+
+
+def plain_fce_grad(prob, a):
+    delta = pdist(a)
+    raw_v = np.exp(-delta)
+    clamped = (raw_v <= FCE_CLAMP_DEFAULT) | (raw_v >= 1.0 - FCE_CLAMP_DEFAULT)
+    v = np.clip(raw_v, FCE_CLAMP_DEFAULT, 1.0 - FCE_CLAMP_DEFAULT)
+    # d(loss)/d(delta) = (w/v - (1-w)/(1-v)) * v where v is active, twice
+    # because each unordered pair appears twice in the total
+    slope = np.where(clamped, 0.0, 2.0 * (prob.w - prob._1mw * v / (1.0 - v)))
+    return plain_pair_gradient(a, delta, slope)

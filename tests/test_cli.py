@@ -497,6 +497,23 @@ def test_malformed_cover_json_is_a_validation_error(tmp_path):
     assert dispatch(["interleave", "--a", str(schema_bad), "--b", str(schema_bad)]) == 1
 
 
+@pytest.mark.parametrize("text, value", [
+    ('{"n": 2, "scales": [0], "covers": [{"n": 2, "blocks": [["x"], [1]]}]}', "'x'"),
+    ('{"n": 2, "scales": [0, "a"], "covers": [{"n": 2, "blocks": [[0], [1]]}, '
+     '{"n": 2, "blocks": [[0, 1]]}]}', "'a'"),
+], ids=["block-member", "scale"])
+def test_a_non_numeric_cover_json_value_is_a_validation_error_naming_it(tmp_path, capsys, text,
+                                                                       value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert dispatch(["interleave", "--a", str(bad), "--b", str(bad), "--json-errors"]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "validation"
+    assert payload["message"].endswith(value)
+
+
 def test_build_hash_stable():
     assert build_hash() == build_hash()
     assert len(build_hash()) == 12

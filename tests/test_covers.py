@@ -392,25 +392,41 @@ def test_hierarchy_json_reads_each_cover_as_cover_from_json():
     [[0, 1], [2, {"a": 1}]],  # a dict member
     [[0, 1], 2],  # a block that is no list
     [[0, 1], None],
-    [[0, 1], ["x"]],  # int("x") raises ValueError, which the reader does not catch
+    [[0, 1], ["x"]],  # int("x") raises a ValueError naming "x"
     [[0, 1], []],
     [[0, 1], [3]],
     [[0, 1], [0]],
     [[0]],
 ])
 def test_hierarchy_json_errors_are_those_of_cover_from_json(bad):
-    """With blocks already seen in an earlier cover, a malformed cover raises what
-    `cover_from_json` raises, a TypeError wrapped as a ValidationError."""
-    with pytest.raises(Exception) as alone:
+    """With blocks already seen in an earlier cover, a malformed cover raises the
+    ValidationError that `cover_from_json` raises, with the same message."""
+    with pytest.raises(ValidationError) as alone:
         cover_from_json({"n": 3, "blocks": bad})
-    with pytest.raises(Exception) as read:
+    with pytest.raises(ValidationError) as read:
         hierarchy_from_json(_raw_hierarchy([[[0, 1], [2]], bad]))
-    if isinstance(alone.value, TypeError):
-        assert type(read.value) is ValidationError
-        assert str(read.value) == f"bad hierarchical cover JSON: {alone.value}"
-    else:
-        assert type(read.value) is type(alone.value)
-        assert str(read.value) == str(alone.value)
+    assert type(alone.value) is type(read.value) is ValidationError
+    assert str(read.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"n": 2, "blocks": [["x"], [1]]}, "bad cover JSON: invalid literal for int() with base 10: 'x'"),
+    ({"n": "two", "blocks": [[0, 1]]}, "bad cover JSON: invalid literal for int() with base 10: 'two'"),
+], ids=["block-member", "n"])
+def test_cover_json_names_a_non_numeric_value(obj, message):
+    with pytest.raises(ValidationError) as exc:
+        cover_from_json(obj)
+    assert str(exc.value) == message
+    with pytest.raises(ValidationError) as exc:
+        hierarchy_from_json({"n": 2, "scales": [0], "covers": [obj]})
+    assert str(exc.value) == message
+
+
+def test_hierarchy_json_names_a_non_numeric_scale():
+    obj = _raw_hierarchy([[[0], [1], [2]], [[0, 1, 2]]], scales=[0, "a"])
+    with pytest.raises(ValidationError) as exc:
+        hierarchy_from_json(obj)
+    assert str(exc.value) == "bad hierarchical cover JSON: could not convert string to float: 'a'"
 
 
 def _every_stage(space):

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import squareform
+from scipy.spatial.distance import pdist, squareform
 
 from coverembed import (
     CrossEntropyProblem,
@@ -43,6 +44,10 @@ from oracles import (
     loss_object_from_json,
     loss_object_to_json,
     pairwise_distances,
+    plain_fce_grad,
+    plain_fce_loss,
+    plain_stress_grad,
+    plain_stress_loss,
 )
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
@@ -345,6 +350,27 @@ def test_loss_leq_false_for_crossing_curves():
     assert not loss_leq(l2, l1, GridSpec(x_max=4.0))
 
 
+def test_loss_leq_compares_affine_forms_past_the_grid():
+    # e1 <= e2 on [0, 10], but 0.5 + 0.1 x^2 = 12.60 > 12.39 = 1.5 + 0.09 x^2 at x = 11
+    e1, e2 = Form("affine_x2", a=0.1, b=0.5), Form("affine_x2", a=0.09, b=1.5)
+    assert float(e1.value(11.0)) > float(e2.value(11.0))
+    assert (e1.value(GridSpec().points()) <= e2.value(GridSpec().points())).all()
+    quad = Form("quad", a=1.0)
+    l1, l2 = (LossObject(2, {(0, 1): (quad, e)}) for e in (e1, e2))
+    assert not loss_leq(l1, l2)
+    assert not loss_leq(l2, l1)  # b: 1.5 > 0.5 at x = 0
+    # the same crossing in the c term, which the ordering reverses
+    c1, c2 = (LossObject(2, {(0, 1): (c, ZERO_FORM)}) for c in (e1, e2))
+    assert not loss_leq(c2, c1)
+    assert not loss_leq(c1, c2)
+    # both coefficients ordered: the order holds, with or without a grid
+    e3 = Form("affine_x2", a=0.1, b=1.5)
+    l3 = LossObject(2, {(0, 1): (quad, e3)})
+    assert loss_leq(l1, l3) and loss_leq(l2, l3)
+    assert loss_leq(l1, l3, GridSpec(x_max=1.0))
+    assert not loss_leq(l3, l1)
+
+
 def test_loss_object_json_round_trip():
     w = membership_matrix(maximal_linkage(CHAIN))
     flat = flatten(mds_fuzzy_family(w))
@@ -404,6 +430,79 @@ def test_pairwise_distances_matches_direct_formula():
     diff = a[:, None, :] - a[None, :, :]
     direct = np.sqrt((diff * diff).sum(-1))
     assert np.allclose(pairwise_distances(a), direct, atol=1e-12)
+
+
+def _distance_inputs():
+    """Random, tie-heavy and duplicate-row point sets, n in {0, 1, 2, 64, 400}."""
+    rng = np.random.default_rng(41)
+    for n in (0, 1, 2, 64, 400):
+        for m in (1, 2, 7):
+            yield rng.normal(size=(n, m))
+            yield rng.integers(0, 3, size=(n, m)).astype(float)
+            dup = rng.normal(size=(n, m))
+            dup[n // 2 :] = dup[: n - n // 2]
+            yield dup
+
+
+def test_pair_distances_are_the_bytes_of_public_pdist():
+    """The compiled kernel called directly gives `pdist`'s bytes for every layout."""
+    for x in _distance_inputs():
+        want = pdist(x)
+        got = pair_distances(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert pair_distances(np.asfortranarray(x)).tobytes() == want.tobytes()
+        assert pair_distances(np.repeat(x, 2, axis=1)[:, ::2]).tobytes() == want.tobytes()
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        assert pair_distances(frozen).tobytes() == want.tobytes()
+
+
+def _plain_expression_cases():
+    """(targets, memberships, coords): pairs clamped at both ends, delta = 0, NaN."""
+    rng = np.random.default_rng(43)
+    for n, m in ((2, 1), (5, 2), (9, 2), (40, 3), (64, 2), (64, 5)):
+        targets = pairwise_distances(rng.normal(size=(n, 3)))
+        w = np.exp(-targets)
+        np.fill_diagonal(w, 1.0)
+        if n >= 9:  # memberships 0 and 1: pairs with one term only
+            w[1, 2:5] = w[2:5, 1] = 0.0
+            w[3, 5:8] = w[5:8, 3] = 1.0
+        a = rng.normal(size=(n, m))
+        yield targets, w, a
+        b = a.copy()
+        b[1] = b[0]  # delta = 0
+        if n > 2:
+            b[2] = b[0] + 1e-8  # exp(-delta) above 1 - clamp
+        if n > 3:
+            b[3] = b[0] + 40.0  # exp(-delta) below the clamp
+        yield targets, w, b
+        c = b.copy()
+        c[-1, 0] = np.nan
+        yield targets, w, c
+
+
+def test_pair_kernels_give_the_bytes_of_their_plain_expressions():
+    def same(x, y):
+        return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    for targets, w, a in _plain_expression_cases():
+        n, m = a.shape
+        dropped = targets.copy()
+        dropped[0, n - 1] = dropped[n - 1, 0] = np.inf
+        problems = (
+            (StressProblem(targets, m), plain_stress_loss, plain_stress_grad),
+            (StressProblem(dropped, m, policy="drop"), plain_stress_loss, plain_stress_grad),
+            (CrossEntropyProblem(MembershipMatrix(w), m), plain_fce_loss, plain_fce_grad),
+        )
+        for prob, plain_loss, plain_grad in problems:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # 1 - v is never 0, no 0/0
+                delta = pair_distances(a)
+                got = (prob.loss(a), prob.loss(a, delta), prob.grad(a), prob.grad(a, delta))
+            want_loss, want_grad = plain_loss(prob, a), plain_grad(prob, a)
+            assert same(got[0], want_loss) and same(got[1], want_loss), (n, m, prob.kind)
+            assert same(got[2], want_grad) and same(got[3], want_grad), (n, m, prob.kind)
 
 
 def _pair_kernel_cases():
