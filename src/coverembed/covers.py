@@ -26,6 +26,18 @@ def _canonical_block(b) -> tuple[int, ...]:
     return tuple(sorted(set(map(int, b))))
 
 
+def _json_int(value) -> int:
+    """int(value) for a value that int() keeps: 2 or 2.0, not 2.9, true or "2"."""
+    i = int(value)
+    if i != value or isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
+    return i
+
+
+def _json_block(b) -> tuple[int, ...]:
+    return tuple(sorted(set(map(_json_int, b))))
+
+
 @dataclass(frozen=True)
 class Cover:
     """A canonical cover: blocks sorted, deduplicated, lexicographically ordered."""
@@ -270,13 +282,16 @@ def cap_disconnected(t: np.ndarray) -> np.ndarray:
 
 
 def cover_from_json(obj) -> Cover:
-    return _read_cover(obj, _canonical_block)
+    """The checked cover of a cover JSON object. `n` and every block member
+    must be integers: a value that int() would change (2.9, true, "2") is a
+    `ValidationError` naming it."""
+    return _read_cover(obj, _json_block)
 
 
 def _read_cover(obj, canonical) -> Cover:
     """The checked cover of a cover JSON object, each raw block through `canonical`."""
     try:
-        n = int(obj["n"])
+        n = _json_int(obj["n"])
         blocks = tuple(sorted(set(map(canonical, obj["blocks"]))))
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: int("x") names "x"
         raise ValidationError(f"bad cover JSON: {exc}") from exc
@@ -286,22 +301,25 @@ def _read_cover(obj, canonical) -> Cover:
 def hierarchy_from_json(obj) -> HierarchicalCover:
     """The checked hierarchy of a cover JSON object; non-finite scales are refused.
 
-    Covers repeat most blocks, so each distinct raw block is canonicalized
-    once; the covers and the errors are those of `cover_from_json` per cover.
+    Covers repeat most blocks, so each distinct raw block of Python ints is
+    canonicalized once; the covers and the errors are those of
+    `cover_from_json` per cover.
     """
     memo: dict[tuple, tuple[int, ...]] = {}
 
     def canonical(b):
         key = tuple(b)
+        # 1.0 and True equal 1 as keys, so only blocks of ints share the memo
+        if set(map(type, key)) != {int}:
+            return _json_block(key)
         try:
             return memo[key]
-        except (KeyError, TypeError):  # TypeError: unhashable members, which int() refuses
-            pass
-        memo[key] = block = _canonical_block(key)
-        return block
+        except KeyError:
+            memo[key] = block = _canonical_block(key)
+            return block
 
     try:
-        n = int(obj["n"])
+        n = _json_int(obj["n"])
         scales = tuple(float(s) for s in obj["scales"])
         for s in scales:
             if not math.isfinite(s):

@@ -435,7 +435,10 @@ def check_policy(policy: str) -> None:
 
 
 def _apply_target_policy(targets: np.ndarray, policy: str):
-    """Condensed targets and weights of a square target matrix, after `policy`."""
+    """Condensed targets and weights of a square target matrix, after `policy`.
+
+    The weights are None unless the drop policy zeroed a pair.
+    """
     check_policy(policy)
     t = np.asarray(targets, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -450,7 +453,7 @@ def _apply_target_policy(targets: np.ndarray, policy: str):
         i, j = np.argwhere(~np.isfinite(t))[0]
         raise ValidationError(f"infinite target at ({i}, {j}); choose policy 'cap' or 'drop'")
     t = squareform(t, checks=False)
-    weights = np.ones_like(t)
+    weights = None
     infinite = ~np.isfinite(t)
     capped = 0
     if infinite.any():
@@ -458,6 +461,7 @@ def _apply_target_policy(targets: np.ndarray, policy: str):
             t = cap_disconnected(t)
             capped = int(infinite.sum())
         else:
+            weights = np.ones_like(t)
             weights[infinite] = 0.0
             t[infinite] = 0.0
     return t, weights, capped
@@ -469,26 +473,35 @@ class StressProblem:
     Targets and weights are condensed (see `pair_distances`). The total sums
     over ordered pairs i != j, which is twice the sum over unordered pairs.
     `loss` and `grad` take the condensed distances of `a` when the caller
-    already has them.
+    already has them. A weight vector is stored only when the drop policy
+    zeroed a pair; otherwise every weight is 1 and none is multiplied in.
     """
 
     kind = "stress"
+    _weights = None
 
     def __init__(self, targets, m: int, policy: str = "strict"):
         t, weights, capped = _apply_target_policy(targets, policy)
         self.targets = t
-        self.weights = weights
+        if weights is not None:
+            self._weights = weights
         self.capped_pairs = capped
         self.n = len(targets)
         self.m = int(m)
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {m}")
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Condensed pair weights: 0 for a dropped pair, 1 elsewhere."""
+        return np.ones_like(self.targets) if self._weights is None else self._weights
+
     def loss(self, a: np.ndarray, delta: np.ndarray | None = None) -> float:
         if delta is None:
             delta = pair_distances(a)
         resid = self.targets - delta
-        resid *= self.weights
+        if self._weights is not None:
+            resid *= self._weights
         with np.errstate(over="ignore"):  # inf is caught by the optimizer
             resid *= resid
             return 2.0 * float(resid.sum())
@@ -499,7 +512,8 @@ class StressProblem:
         # 2 x d(resid^2) per unordered pair, counted twice in the total
         slope = np.subtract(delta, self.targets)
         slope *= 4.0
-        slope *= self.weights
+        if self._weights is not None:
+            slope *= self._weights
         return _pair_gradient(a, delta, slope, delta > 0)
 
     def init_targets(self) -> np.ndarray:

@@ -143,15 +143,20 @@ def from_sequences_hamming(seqs, labels=None) -> PseudometricSpace:
 def hamming_matrix(codes: np.ndarray) -> np.ndarray:
     """Pairwise Hamming distances between rows of a 2-d code array.
 
-    L minus the number of agreeing positions, counted one symbol at a time as
-    onehot @ onehot^T. Every partial sum is an integer <= L, exact in float64,
-    so the result does not depend on the BLAS summation order or thread count.
+    Row i's mismatches with every later row are counted at once, in the
+    smallest unsigned integer type that holds L, and written to both halves
+    of the matrix. Counts are exact integers, so no summation order can
+    change them, and there is no BLAS call. Besides the n x n output, the
+    only temporary is one mismatch mask of at most n x L bytes.
     """
     n, length = codes.shape
-    d = np.full((n, n), float(length))
-    for symbol in np.unique(codes):
-        onehot = (codes == symbol).astype(float)
-        d -= onehot @ onehot.T
+    count = np.min_scalar_type(length)
+    d = np.zeros((n, n))
+    for i in range(n - 1):
+        mismatch = np.not_equal(codes[i + 1 :], codes[i])
+        row = np.add.reduce(mismatch.view(np.uint8), axis=1, dtype=count)
+        d[i, i + 1 :] = row
+        d[i + 1 :, i] = row
     return d
 
 

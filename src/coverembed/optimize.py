@@ -78,22 +78,46 @@ class MinimizeResult:
 
 def double_centered_gram(targets: np.ndarray) -> np.ndarray:
     """B = -1/2 J (D * D) J, D * D elementwise, without matrix products (deterministic
-    reductions)."""
-    d2 = targets * targets
-    row = d2.mean(axis=1, keepdims=True)
-    col = d2.mean(axis=0, keepdims=True)
-    grand = d2.mean()
-    b = -0.5 * (d2 - row - col + grand)
-    return (b + b.T) / 2.0
+    reductions).
+
+    Computed in one fresh n x n buffer that starts as D * D: the row, column and
+    grand means are subtracted and added in place, then each pair of mirrored
+    off-diagonal entries is replaced by their mean (there, the bytes of
+    `(b + b.T) / 2`), so B is exactly symmetric whether or not the row and
+    column means round alike.
+    """
+    t = np.asarray(targets, dtype=float)
+    b = t * t
+    row = b.mean(axis=1, keepdims=True)
+    col = b.mean(axis=0, keepdims=True)
+    grand = b.mean()
+    b -= row
+    b -= col
+    b += grand
+    b *= -0.5
+    for i in range(b.shape[0] - 1):
+        pair = b[i, i + 1 :] + b[i + 1 :, i]
+        pair /= 2.0
+        b[i, i + 1 :] = pair
+        b[i + 1 :, i] = pair
+    return b
+
+
+HOUSEHOLDER_BLOCK_ROWS = 64  # rows per rank-2 update block of `_householder_tridiagonal`
 
 
 def _householder_tridiagonal(a: np.ndarray):
-    """Reduce the symmetric matrix a, in place, to tridiagonal T = Q^T a Q.
+    """Reduce the exactly symmetric matrix a, in place, to tridiagonal T = Q^T a Q.
 
     Golub & Van Loan, Matrix Computations, Algorithm 8.3.1. Only elementwise
     numpy and einsum reductions touch n-sized operands, so no BLAS thread
     pool takes part and the bytes do not depend on the BLAS thread count.
-    Every rank-2 update adds v w^T + w v^T, which is exactly symmetric.
+    Every rank-2 update subtracts fl(v_i w_j) + fl(w_i v_j), which is exactly
+    symmetric; it is formed one block of `HOUSEHOLDER_BLOCK_ROWS` rows at a
+    time, in two reused contiguous buffers. So row k equals column k when
+    column k is reduced, and its reflector vector v is stored in row k, which
+    no later step reads. The column's norm is still summed over the strided
+    column: einsum sums strided and contiguous operands in different orders.
 
     Returns (diagonal, off-diagonal, reflectors); reflector (k, v, beta)
     is H = I - beta v v^T acting on rows k+1.. and Q = H_0 H_1 ... H_{n-3}.
@@ -102,6 +126,8 @@ def _householder_tridiagonal(a: np.ndarray):
     n = a.shape[0]
     off = np.empty(n - 1)
     reflectors = []
+    rows = min(HOUSEHOLDER_BLOCK_ROWS, n)
+    vw, wv = np.empty(rows * n), np.empty(rows * n)
     for k in range(n - 2):
         x = a[k + 1 :, k]
         tail = float(np.einsum("i,i->", x[1:], x[1:]))
@@ -109,13 +135,19 @@ def _householder_tridiagonal(a: np.ndarray):
             off[k] = x[0]
             continue
         alpha = -math.copysign(math.sqrt(x[0] * x[0] + tail), x[0])
-        v = x.copy()
+        v = a[k, k + 1 :]  # x, contiguous
         v[0] -= alpha
         beta = 2.0 / float(np.einsum("i,i->", v, v))
         sub = a[k + 1 :, k + 1 :]
         p = beta * np.einsum("ij,j->i", sub, v)
         w = p - (0.5 * beta * float(np.einsum("i,i->", p, v))) * v
-        sub -= v[:, None] * w[None, :] + w[:, None] * v[None, :]
+        size = n - k - 1
+        for start in range(0, size, rows):
+            stop = min(start + rows, size)
+            count = (stop - start) * size
+            block = np.multiply(v[start:stop, None], w, out=vw[:count].reshape(-1, size))
+            block += np.multiply(w[start:stop, None], v, out=wv[:count].reshape(-1, size))
+            sub[start:stop] -= block
         off[k] = alpha
         reflectors.append((k, v, beta))
     if n >= 2:
@@ -135,7 +167,10 @@ def _apply_reflectors(reflectors, z: np.ndarray) -> np.ndarray:
 def top_eigenpairs(matrix: np.ndarray, m: int):
     """The top min(m, n) eigenpairs of a symmetric matrix, by descending eigenvalue.
 
-    Householder tridiagonalization, then the top eigenpairs of the
+    The input must be square and finite (a `ValidationError` names the first
+    non-finite entry) and symmetric to within 1e-12 times its largest
+    magnitude; it is copied and symmetrized as (a + a^T)/2, then solved by
+    Householder tridiagonalization and the top eigenpairs of the
     tridiagonal matrix (LAPACK bisection and inverse iteration on O(n) data,
     `scipy.linalg.eigh_tridiagonal`), transformed back. Nothing there runs on
     the BLAS thread pool, so the bytes do not depend on the BLAS thread count.
@@ -151,11 +186,18 @@ def top_eigenpairs(matrix: np.ndarray, m: int):
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"matrix must be square, got {a.shape}")
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise ValidationError(f"non-finite matrix entry at ({i}, {j}): {float(a[i, j])!r}")
     if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
         raise ValidationError("matrix must be symmetric")
     if m < 1:
         raise ValidationError(f"number of eigenpairs must be >= 1, got {m}")
-    a = (a + a.T) / 2.0
+    return _top_eigenpairs((a + a.T) / 2.0, m)
+
+
+def _top_eigenpairs(a: np.ndarray, m: int):
+    """`top_eigenpairs` of a finite, exactly symmetric matrix, which it overwrites."""
     n = a.shape[0]
     take = min(m, n)
     diag, off, reflectors = _householder_tridiagonal(a)
@@ -174,19 +216,34 @@ def top_eigenpairs(matrix: np.ndarray, m: int):
 def classical_mds_init(targets: np.ndarray, m: int) -> Embedding:
     """Classical multidimensional scaling of a finite target-distance matrix.
 
-    Double centering followed by the top-m eigenpairs (`top_eigenpairs`),
-    scaled by the square root of the (clipped) eigenvalues. Exact for targets
-    realizable in m dimensions, up to rotation and translation. The bytes do
-    not depend on the BLAS thread count. When the m-th and (m+1)-th
-    eigenvalues are equal, the coordinates for that eigenvalue use a
-    deterministic orthonormal set inside its eigenspace.
+    Double centering (`double_centered_gram`, whose fresh, exactly symmetric
+    Gram matrix the eigensolver then overwrites) followed by the top-m
+    eigenpairs (`top_eigenpairs`), scaled by the square root of the
+    (clipped) eigenvalues. Exact for targets realizable in m dimensions, up
+    to rotation and translation. Asymmetric targets are embedded by the
+    symmetric part of their Gram matrix. Targets whose squares or their
+    means overflow raise `NumericalError`. The bytes do not depend on the
+    BLAS thread count. When the m-th and (m+1)-th eigenvalues are equal, the
+    coordinates for that eigenvalue use a deterministic orthonormal set
+    inside its eigenspace.
     """
     t = np.asarray(targets, dtype=float)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise ValidationError(f"target matrix must be square, got shape {t.shape}")
     if not np.isfinite(t).all():
         raise ValidationError("classical MDS needs finite targets; apply a policy first")
     if m < 1:
         raise ValidationError(f"embedding dimension must be >= 1, got {m}")
-    evals, evecs = top_eigenpairs(double_centered_gram(t), m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = double_centered_gram(t)
+    if not (math.isfinite(gram.min(initial=0.0)) and math.isfinite(gram.max(initial=0.0))):
+        with np.errstate(over="ignore"):
+            overflow = np.argwhere(~np.isfinite(t * t))
+        if overflow.size:
+            i, j = overflow[0]
+            raise NumericalError(f"squared target at ({i}, {j}) overflows: {float(t[i, j])!r}")
+        raise NumericalError("the means of the squared targets overflow")
+    evals, evecs = _top_eigenpairs(gram, m)
     n = t.shape[0]
     take = evals.shape[0]
     coords = evecs * np.sqrt(np.clip(evals, 0.0, None))

@@ -5,10 +5,11 @@ lists, cliques and k-connected sets by subset enumeration, path costs by
 walking every simple path. Exponential, fine for n <= 7. Hand-built loss
 families, the exact interval sup of a form, the JSON round trip of loss
 objects, the cover JSON objects whose `json.dumps` text hierarchy files must
-match, the broadcast Euclidean distances, the n x n embedding losses (every
-pair counted twice), the condensed losses and gradients as plain expressions
-(the reference bytes of the in-place kernels), and the permuting and
-CSV-writing helpers that tests use to build inputs live here too.
+match, the one-hot Hamming counts, the broadcast Euclidean distances, the
+n x n embedding losses (every pair counted twice), the condensed losses and
+gradients as plain expressions (the reference bytes of the in-place
+kernels), and the permuting and CSV-writing helpers that tests use to build
+inputs live here too.
 """
 
 import json
@@ -411,6 +412,20 @@ def loss_object_from_json(obj) -> LossObject:
         for t in obj["terms"]
     }
     return LossObject(int(obj["n"]), terms)
+
+
+# -- Hamming distances ---------------------------------------------------------------
+
+
+def onehot_hamming(codes):
+    """L minus the agreeing positions, counted one symbol at a time as
+    onehot @ onehot^T: every partial sum is an integer <= L, exact in float64."""
+    n, length = codes.shape
+    d = np.full((n, n), float(length))
+    for symbol in np.unique(codes):
+        onehot = (codes == symbol).astype(float)
+        d -= onehot @ onehot.T
+    return d
 
 
 # -- n x n embedding losses -------------------------------------------------------

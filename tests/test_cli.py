@@ -501,7 +501,13 @@ def test_malformed_cover_json_is_a_validation_error(tmp_path):
     ('{"n": 2, "scales": [0], "covers": [{"n": 2, "blocks": [["x"], [1]]}]}', "'x'"),
     ('{"n": 2, "scales": [0, "a"], "covers": [{"n": 2, "blocks": [[0], [1]]}, '
      '{"n": 2, "blocks": [[0, 1]]}]}', "'a'"),
-], ids=["block-member", "scale"])
+    ('{"n": 2.9, "scales": [0], "covers": [{"n": 2, "blocks": [[0, 1]]}]}',
+     "2.9 is not an integer"),
+    ('{"n": 2, "scales": [0], "covers": [{"n": 2, "blocks": [[0, 1.5]]}]}',
+     "1.5 is not an integer"),
+    ('{"n": 2, "scales": [0], "covers": [{"n": true, "blocks": [[0, 1]]}]}',
+     "True is not an integer"),
+], ids=["block-member", "scale", "fractional-n", "fractional-member", "boolean-n"])
 def test_a_non_numeric_cover_json_value_is_a_validation_error_naming_it(tmp_path, capsys, text,
                                                                        value):
     bad = tmp_path / "bad.json"

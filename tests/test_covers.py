@@ -379,7 +379,7 @@ def test_hierarchy_json_reads_each_cover_as_cover_from_json():
         [[0], [1], [2]],
         [[1, 0], [2]],
         [[0, 1.0, 1], [2, 2]],
-        [[True, 0], "2"],
+        [[1.0, 0], [2.0]],
         [[0, 1, 2]],
     ]
     h = hierarchy_from_json(_raw_hierarchy(covers))
@@ -393,6 +393,9 @@ def test_hierarchy_json_reads_each_cover_as_cover_from_json():
     [[0, 1], 2],  # a block that is no list
     [[0, 1], None],
     [[0, 1], ["x"]],  # int("x") raises a ValueError naming "x"
+    [[0, True], [2]],  # True equals 1, so it would hit the memo of [0, 1]
+    [[0, 1.5], [2]],  # int() would truncate it to 1
+    [[0, 1], "2"],  # a string block: int() would read its character
     [[0, 1], []],
     [[0, 1], [3]],
     [[0, 1], [0]],
@@ -412,7 +415,14 @@ def test_hierarchy_json_errors_are_those_of_cover_from_json(bad):
 @pytest.mark.parametrize("obj, message", [
     ({"n": 2, "blocks": [["x"], [1]]}, "bad cover JSON: invalid literal for int() with base 10: 'x'"),
     ({"n": "two", "blocks": [[0, 1]]}, "bad cover JSON: invalid literal for int() with base 10: 'two'"),
-], ids=["block-member", "n"])
+    # values that int() would change are refused, not truncated
+    ({"n": 2.9, "blocks": [[0], [1]]}, "bad cover JSON: 2.9 is not an integer"),
+    ({"n": True, "blocks": [[0]]}, "bad cover JSON: True is not an integer"),
+    ({"n": "2", "blocks": [[0, 1]]}, "bad cover JSON: '2' is not an integer"),
+    ({"n": 2, "blocks": [[0, 1.5]]}, "bad cover JSON: 1.5 is not an integer"),
+    ({"n": 2, "blocks": [[0, True]]}, "bad cover JSON: True is not an integer"),
+], ids=["block-member", "n", "fractional-n", "boolean-n", "string-n", "fractional-member",
+        "boolean-member"])
 def test_cover_json_names_a_non_numeric_value(obj, message):
     with pytest.raises(ValidationError) as exc:
         cover_from_json(obj)
@@ -420,6 +430,13 @@ def test_cover_json_names_a_non_numeric_value(obj, message):
     with pytest.raises(ValidationError) as exc:
         hierarchy_from_json({"n": 2, "scales": [0], "covers": [obj]})
     assert str(exc.value) == message
+
+
+def test_cover_json_reads_integral_floats_as_their_integers():
+    assert cover_from_json({"n": 2.0, "blocks": [[1.0, 0]]}) == make_cover(2, [[0, 1]])
+    with pytest.raises(ValidationError) as exc:
+        hierarchy_from_json({"n": 2.9, "scales": [0], "covers": [{"n": 2, "blocks": [[0, 1]]}]})
+    assert str(exc.value) == "bad hierarchical cover JSON: 2.9 is not an integer"
 
 
 def test_hierarchy_json_names_a_non_numeric_scale():

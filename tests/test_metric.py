@@ -17,7 +17,7 @@ from coverembed import (
 from coverembed.loss import pair_distances
 from coverembed.metric import _first_triangle_violation, hamming_matrix
 
-from oracles import broadcast_euclidean, permuted
+from oracles import broadcast_euclidean, onehot_hamming, permuted
 
 
 def test_from_matrix_two_points():
@@ -157,6 +157,50 @@ def test_hamming_matrix_equals_brute_force(n, length, symbols, seed):
         for j in range(n):
             expected[i, j] = sum(int(a != b) for a, b in zip(codes[i], codes[j]))
     assert np.array_equal(hamming_matrix(codes), expected)
+
+
+@pytest.mark.parametrize("n, length, symbols, dtype", [
+    (400, 60, 4, np.uint8),  # the dna benchmark's alphabet
+    (300, 8, 300, np.uint16),  # more code points than a byte holds
+    (120, 30, 70_000, np.uint32),  # past the basic multilingual plane
+    (2, 300, 2, np.uint8),  # counts past 255 need a wider counter
+    (1, 5, 5, np.uint8),
+    (3, 0, 1, np.uint32),
+])
+def test_hamming_matrix_is_the_bytes_of_the_onehot_count(n, length, symbols, dtype):
+    rng = np.random.default_rng(n + length)
+    codes = rng.integers(0, symbols, size=(n, length)).astype(dtype)
+    codes[n // 2] = codes[0]  # a zero distance off the diagonal
+    d = hamming_matrix(codes)
+    assert d.dtype == np.float64
+    assert d.tobytes() == onehot_hamming(codes).tobytes()  # +0.0 everywhere it is zero
+
+
+def test_hamming_of_non_ascii_sequences_is_the_onehot_count():
+    rng = np.random.default_rng(5)
+    alphabet = list("ACGTÉαβγ\u4e2d\U0001f600")
+    seqs = ["".join(rng.choice(alphabet, size=40)) for _ in range(30)]
+    codes = np.array([[ord(c) for c in s] for s in seqs], dtype=np.uint32)
+    assert from_sequences_hamming(seqs).d.tobytes() == onehot_hamming(codes).tobytes()
+
+
+def test_hamming_of_empty_sequences_is_the_zero_matrix():
+    assert from_sequences_hamming(["", ""]).d.tobytes() == np.zeros((2, 2)).tobytes()
+
+
+def test_hamming_matrix_holds_little_beyond_its_output():
+    n, length = 400, 1000
+    codes = np.random.default_rng(8).integers(0, 4, size=(n, length), dtype=np.uint8)
+    hamming_matrix(codes)
+    tracemalloc.start()
+    try:
+        hamming_matrix(codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, at most as much again, and one mismatch mask of n x L bytes;
+    # the per-symbol one-hot float copies peaked at about 8 MB here
+    assert peak < 2 * n * n * 8 + n * length, peak
 
 
 def test_isometry_epsilon_examples():

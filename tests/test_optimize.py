@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from coverembed import (
     minimize,
 )
 from coverembed.loss import pair_distances
-from coverembed.optimize import random_init, top_eigenpairs
+from coverembed.cli import dispatch
+from coverembed.optimize import _top_eigenpairs, random_init, top_eigenpairs
 from oracles import pairwise_distances
 
 
@@ -101,6 +104,26 @@ def test_top_eigenpairs_rejects_asymmetric():
         top_eigenpairs(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)
     with pytest.raises(ValidationError):
         top_eigenpairs(np.eye(3), 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_top_eigenpairs_names_a_non_finite_entry(bad):
+    s = np.eye(3)
+    s[2, 1] = s[1, 2] = bad
+    with pytest.raises(ValidationError) as exc:
+        top_eigenpairs(s, 1)
+    assert str(exc.value) == f"non-finite matrix entry at (1, 2): {bad!r}"
+
+
+def test_top_eigenpairs_symmetrizes_a_nearly_symmetric_input():
+    rng = np.random.default_rng(12)
+    s = rng.normal(size=(40, 40))
+    s = (s + s.T) / 2
+    s[3, 7] += 1e-13
+    evals, evecs = top_eigenpairs(s, 3)
+    ref_evals, ref_evecs = _top_eigenpairs((s + s.T) / 2, 3)
+    assert evals.tobytes() == ref_evals.tobytes()
+    assert evecs.tobytes() == ref_evecs.tobytes()
 
 
 def test_top_eigenpairs_sign_convention():
@@ -207,6 +230,49 @@ def test_classical_init_rejects_infinite():
     t = np.array([[0.0, np.inf], [np.inf, 0.0]])
     with pytest.raises(ValidationError):
         classical_mds_init(t, 1)
+
+
+def test_classical_init_rejects_a_non_square_matrix():
+    with pytest.raises(ValidationError, match=r"must be square, got shape \(2, 3\)"):
+        classical_mds_init(np.zeros((2, 3)), 1)
+
+
+def test_classical_init_names_an_overflowing_target():
+    with pytest.raises(NumericalError) as exc:
+        classical_mds_init([[0, 1e200], [1e200, 0]], 1)
+    assert str(exc.value) == "squared target at (0, 1) overflows: 1e+200"
+    # squares near the largest double are finite, but their row sums are not
+    big = np.full((3, 3), 1e154) - np.diag([1e154] * 3)
+    with pytest.raises(NumericalError) as exc:
+        classical_mds_init(big, 1)
+    assert str(exc.value) == "the means of the squared targets overflow"
+
+
+def test_embed_with_an_overflowing_target_is_a_numerical_error(tmp_path, capsys):
+    dist = tmp_path / "dist.csv"
+    dist.write_text("0,1e200\n1e200,0\n")
+    capsys.readouterr()
+    assert dispatch(["embed", "--algo", "mmds", "--in", str(dist), "--out",
+                     str(tmp_path / "o.csv"), "--json-errors"]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {
+        "error": "numerical", "message": "squared target at (0, 1) overflows: 1e+200",
+    }
+
+
+def test_classical_init_holds_little_beyond_its_gram_matrix():
+    n = 400
+    targets = pairwise_distances(np.random.default_rng(13).normal(size=(n, 5))) ** 0.75
+    classical_mds_init(targets, 5)
+    tracemalloc.start()
+    try:
+        classical_mds_init(targets, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Gram matrix and at most as much again; copies, symmetrization
+    # temporaries and fresh rank-2 updates peaked at about 5 n x n arrays
+    assert peak < 2 * n * n * 8, peak
 
 
 def test_classical_init_pads_extra_dimensions():
