@@ -36,7 +36,6 @@ from .functors import (
 from .loss import (
     CrossEntropyProblem,
     FuzzyLossFamily,
-    GridSpec,
     LossObject,
     StressProblem,
     flatten,

@@ -277,10 +277,9 @@ def _flattens_finitely(w: float) -> bool:
     """
     if not 0.0 < w <= 1.0:
         return False
-    c, e = MdsPairFamily(w).flatten_exact()
+    coeff, econst = MdsPairFamily(w).flatten_exact()
     x_end = max(-2.0 * math.log(w), 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.isfinite(c.value(x_end) + e.value(x_end)))
+    return math.isfinite(coeff * x_end * x_end + econst)
 
 
 def flatten_check_report(space: PseudometricSpace, i: int, j: int,
@@ -324,10 +323,10 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
         truncated = True
     family = MdsPairFamily(wij)
     family.check_quadrature(rel_tol)
-    c, e = family.flatten_exact()
+    coeff, econst = family.flatten_exact()
     target = -math.log(wij)
     xs = np.linspace(0.0, max(2.0 * target, 1.0), 2001)
-    values = c.value(xs) + e.value(xs)
+    values = coeff * xs * xs + econst
     arg = int(np.argmin(values))
     return {
         "n": space.n,
@@ -337,11 +336,11 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
         "target_distance": target,
         "grid_argmin": float(xs[arg]),
         "grid_min_value": float(values[arg]),
-        "value_at_target": float(c.value(np.array(target)) + e.value(np.array(target))),
+        "value_at_target": coeff * target * target + econst,
         "quadrature_converged": True,
         "argmin_matches_target": bool(abs(xs[arg] - target) <= xs[1] - xs[0]),
-        "flattened_c": c.to_json(),
-        "flattened_e": e.to_json(),
+        "flattened_c": {"kind": "quad", "a": coeff},
+        "flattened_e": {"kind": "const", "b": econst} if econst != 0.0 else {"kind": "zero"},
         "residual_curve": {
             "x": [float(v) for v in xs[:: len(xs) // 50]],
             "loss": [float(v) for v in values[:: len(xs) // 50]],

@@ -164,13 +164,14 @@ def first_cooccurrence(
     """The stage's first-co-occurrence matrix, inf for pairs that never share a block.
 
     Parameters are those of `cluster_hierarchy`; `disconnected` None leaves
-    `iso` pairs in different components inf.
+    `iso` pairs in different components inf. The matrix may be read-only:
+    `ml`'s is the space's own distance matrix, `vlk`'s its hierarchy's cache.
     """
     check_stage(stage, k, delta, disconnected)
     if stage == "sl":
         return bottleneck_matrix(space.d)
     if stage == "ml":
-        return space.d.copy()
+        return space.d
     if stage == "lk":
         return hop_bounded_minimax(space.d, max(1, k - 1))
     if stage == "vlk":

@@ -1,13 +1,17 @@
 """Pairwise loss objects, strength-indexed loss families, and embedding problems.
 
-Loss objects carry, per pair, a contractive term c and an expansive term e as
-tagged parametric forms so that interval suprema (needed by the stability
-checker) are exact rather than sampled. The ordering on loss objects is
-  (c, e) <= (c', e')  iff  c' <= c and e <= e' pointwise.
+Loss objects carry, per pair, a contractive term c and an expansive term e,
+each a x^2 + b in the embedded distance x >= 0, as condensed coefficient
+arrays. The ordering on loss objects is
+  (c, e) <= (c', e')  iff  c' <= c and e <= e' pointwise,
+and on such terms it compares coefficients, which is exact for every x >= 0.
 
-A fuzzy loss family assigns a loss object to every strength a in (0, 1];
-flattening integrates c and e over a in closed form; adaptive quadrature
-only verifies that closed form (`MdsPairFamily.check_quadrature`).
+The stress family assigns a loss object to every strength a in (0, 1] and is
+stored as one condensed vector of memberships w. Its order, its flattening
+(c and e integrated over a) and its sign classification are closed forms in
+w, with no sample grid; adaptive quadrature only verifies the flattening
+(`MdsPairFamily.check_quadrature`). The interval suprema the stability
+checker needs are closed forms of one pair's family (`MdsPairFamily`).
 
 The embedding problems keep their pair data condensed: one entry per
 unordered pair {i, j}, i < j, in the row-major order of the upper triangle
@@ -27,7 +31,7 @@ plain expressions (`tests/oracles.py` keeps them as references).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial._distance_pybind import pdist_euclidean
@@ -37,131 +41,63 @@ from .covers import (
     HierarchicalCover,
     MembershipMatrix,
     cap_disconnected,
-    membership_matrix,
+    first_cooccurrence_scales,
 )
 from .errors import ValidationError
 
 FCE_CLAMP_DEFAULT = 1e-6
 TARGET_POLICIES = ("strict", "cap", "drop")
-SIGN_TOL = 1e-12  # |value| at or below this counts as zero in `sign_classification`
-
-
-# -- parametric scalar forms ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Form:
-    """Tagged parametric function of the embedded distance x >= 0.
-
-    kinds: "zero"; "const" b; "quad" a*x^2; "affine_x2" a*x^2 + b;
-    "log_barrier" lin*x - bar*log(1 - v(x)) + const with v = clamp(e^-x).
-    """
-
-    kind: str
-    a: float = 0.0
-    b: float = 0.0
-    lin: float = 0.0
-    bar: float = 0.0
-    clamp: float = FCE_CLAMP_DEFAULT
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "const":
-            return np.full_like(x, self.b)
-        if self.kind == "quad":
-            return self.a * x * x
-        if self.kind == "affine_x2":
-            return self.a * x * x + self.b
-        if self.kind == "log_barrier":
-            v = np.clip(np.exp(-x), self.clamp, 1.0 - self.clamp)
-            return self.lin * x - self.bar * np.log1p(-v) + self.b
-        raise ValidationError(f"unknown form kind {self.kind!r}")
-
-    def is_polynomial(self) -> bool:
-        return self.kind in ("zero", "const", "quad", "affine_x2")
-
-    def as_affine_x2(self) -> tuple[float, float]:
-        if self.kind == "zero":
-            return 0.0, 0.0
-        if self.kind == "const":
-            return 0.0, self.b
-        if self.kind == "quad":
-            return self.a, 0.0
-        if self.kind == "affine_x2":
-            return self.a, self.b
-        raise ValidationError(f"{self.kind!r} form is not affine in x^2")
-
-    def to_json(self) -> dict:
-        obj = {"kind": self.kind}
-        for name in ("a", "b", "lin", "bar"):
-            val = getattr(self, name)
-            if val != 0.0:
-                obj[name] = val
-        if self.kind == "log_barrier":
-            obj["clamp"] = self.clamp
-        return obj
-
-
-ZERO_FORM = Form("zero")
-
-
-def _form_leq(f: Form, g: Form, xs: np.ndarray) -> bool:
-    """f <= g: on every x >= 0 for forms affine in x^2, on the samples `xs` otherwise.
-
-    a x^2 + b <= a' x^2 + b' for all x >= 0 iff b <= b' (at x = 0) and
-    a <= a' (as x grows), so polynomial forms compare their coefficients.
-    """
-    if f.is_polynomial() and g.is_polynomial():
-        fa, fb = f.as_affine_x2()
-        ga, gb = g.as_affine_x2()
-        return fb <= gb and fa <= ga
-    return bool(np.all(f.value(xs) <= g.value(xs)))
+SIGN_TOL = 1e-12  # |e| at or below this counts as zero in `sign_classification`
 
 
 # -- loss objects ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _per_pair(name: str, values, n: int) -> np.ndarray:
+    """A read-only float copy of `values`, one entry per pair of n points, else ValidationError."""
+    arr = np.array(values, dtype=float)
+    pairs = n * (n - 1) // 2
+    if arr.shape != (pairs,):
+        raise ValidationError(
+            f"{name} needs one entry per pair, {pairs} for n={n}; got shape {arr.shape}"
+        )
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class LossObject:
-    """Per-pair (c, e) forms over an n-point ground set; missing pairs are zero."""
+    """Per-pair terms c = c_a x^2 + c_b and e = e_a x^2 + e_b over an n-point ground set.
+
+    Each coefficient is a read-only float array with one entry per unordered
+    pair, in `pair_distances` order; the constructor copies its arguments and
+    rejects any other length.
+    """
 
     n: int
-    terms: dict[tuple[int, int], tuple[Form, Form]] = field(default_factory=dict)
+    c_a: np.ndarray
+    c_b: np.ndarray
+    e_a: np.ndarray
+    e_b: np.ndarray
 
-    def pair(self, i: int, j: int) -> tuple[Form, Form]:
-        key = (min(i, j), max(i, j))
-        return self.terms.get(key, (ZERO_FORM, ZERO_FORM))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Sample grid for pointwise order checks on [0, x_max]."""
-
-    x_max: float = 10.0
-    count: int = 101
-
-    def points(self) -> np.ndarray:
-        return np.linspace(0.0, self.x_max, self.count)
+    def __post_init__(self):
+        for name in ("c_a", "c_b", "e_a", "e_b"):
+            object.__setattr__(self, name, _per_pair(name, getattr(self, name), self.n))
 
 
-def loss_leq(l1: LossObject, l2: LossObject, grid: GridSpec = GridSpec()) -> bool:
-    """l1 <= l2 in the loss ordering: c2 <= c1 and e1 <= e2 for every pair."""
+def loss_leq(l1: LossObject, l2: LossObject) -> bool:
+    """l1 <= l2 in the loss ordering: c2 <= c1 and e1 <= e2 on every pair and every x >= 0.
+
+    a x^2 + b <= a' x^2 + b' for all x >= 0 iff b <= b' (at x = 0) and
+    a <= a' (as x grows), so the order compares coefficients.
+    """
     if l1.n != l2.n:
         raise ValidationError(f"cardinality mismatch: {l1.n} vs {l2.n}")
-    xs = grid.points()
-    for key in sorted(set(l1.terms) | set(l2.terms)):
-        c1, e1 = l1.pair(*key)
-        c2, e2 = l2.pair(*key)
-        if not _form_leq(c2, c1, xs):
-            return False
-        if not _form_leq(e1, e2, xs):
-            return False
-    return True
+    pairs = ((l2.c_a, l1.c_a), (l2.c_b, l1.c_b), (l1.e_a, l2.e_a), (l1.e_b, l2.e_b))
+    return all((lo <= hi).all() for lo, hi in pairs)
 
 
-# -- strength-indexed families --------------------------------------------------
+# -- the stress family -------------------------------------------------------------
 
 # the quadrature check integrates t = -log a up to the pair's target + this margin
 QUADRATURE_TAIL_MARGIN = 20.0
@@ -169,11 +105,32 @@ QUADRATURE_TAIL_MARGIN = 20.0
 QUADRATURE_X_PROBE = (0.0, 0.5, 1.0, 2.0)
 
 
+def _terms_past(w, log_w, a: float):
+    """c's x^2 coefficient and e at a strength a > w, for membership w (float or array)."""
+    return 1.0 + 2.0 * (1.0 / w - 1.0 / a), 2.0 * log_w / w - 2.0 * math.log(a) / a
+
+
+def _flat_terms(w, log_w, log_w_sq):
+    """The integrals over a in (0, 1] of c's x^2 coefficient and of e, for membership w."""
+    return 1.0 + 2.0 * (1.0 - w) / w + 2.0 * log_w, 2.0 * log_w / w * (1.0 - w) + log_w_sq
+
+
+def _logs(w: np.ndarray) -> list[float]:
+    """math.log of each membership.
+
+    The condensed family takes its logs (and their squares, by float pow)
+    entry by entry, as `MdsPairFamily` does, so both give the same bytes:
+    numpy's vectorized log and square round differently on some entries.
+    """
+    return list(map(math.log, w.tolist()))
+
+
 class MdsPairFamily:
     """The stress-derived (c, e) family for one pair with membership w in (0, 1].
 
     For strengths a <= w the pair is co-clustered: c = x^2, e = 0. Beyond w,
-    c = x^2 + 2 x^2 (1/w - 1/a) and e = 2 log(w)/w - 2 log(a)/a.
+    c = (1 + 2 (1/w - 1/a)) x^2 and e = 2 log(w)/w - 2 log(a)/a. Terms are
+    returned as (c's x^2 coefficient, e).
     """
 
     def __init__(self, w: float):
@@ -181,29 +138,16 @@ class MdsPairFamily:
             raise ValidationError(f"membership must lie in (0, 1], got {w!r}")
         self.w = float(w)
 
-    def critical_strengths(self) -> tuple[float, ...]:
-        return (self.w,) if self.w < 1.0 else ()
-
-    def c_form_at(self, a: float) -> Form:
+    def terms_at(self, a: float) -> tuple[float, float]:
+        """(c's x^2 coefficient, e) at strength a."""
         if a <= self.w:
-            return Form("quad", a=1.0)
-        return Form("quad", a=1.0 + 2.0 * (1.0 / self.w - 1.0 / a))
+            return 1.0, 0.0
+        return _terms_past(self.w, math.log(self.w), a)
 
-    def e_form_at(self, a: float) -> Form:
-        if a <= self.w:
-            return ZERO_FORM
-        val = 2.0 * math.log(self.w) / self.w - 2.0 * math.log(a) / a
-        return Form("const", b=val)
-
-    def flatten_exact(self) -> tuple[Form, Form]:
-        w = self.w
-        # integral of the quadratic coefficient over a in (0, 1]
-        coeff = 1.0 + 2.0 * (1.0 - w) / w + 2.0 * math.log(w)
-        # integral of the constant e over a in (w, 1]
-        econst = 2.0 * math.log(w) / w * (1.0 - w) + math.log(w) ** 2
-        c = Form("quad", a=coeff)
-        e = Form("const", b=econst) if econst != 0.0 else ZERO_FORM
-        return c, e
+    def flatten_exact(self) -> tuple[float, float]:
+        """(c's x^2 coefficient, e) integrated over a in (0, 1]."""
+        log_w = math.log(self.w)
+        return _flat_terms(self.w, log_w, log_w**2)
 
     def check_quadrature(self, rel_tol: float = 1e-8) -> None:
         """Verify `flatten_exact` by adaptive quadrature over strengths.
@@ -217,17 +161,16 @@ class MdsPairFamily:
         """
         from scipy.integrate import quad  # deferred: only this check integrates
 
-        c_exact, e_exact = self.flatten_exact()
+        coeff, econst = self.flatten_exact()
         target = -math.log(self.w)
         t_max = target + QUADRATURE_TAIL_MARGIN
         breaks = [target] if 0.0 < target < t_max else []
         # (probe, integrand, its extra args, closed form, analytic tail)
         probes = [
-            (f"at x={x}", self.c_integrand_t, (x,), float(c_exact.value(x)),
-             x * x * math.exp(-t_max))
+            (f"at x={x}", self.c_integrand_t, (x,), coeff * x * x, x * x * math.exp(-t_max))
             for x in QUADRATURE_X_PROBE
         ]
-        probes.append(("(e term)", self.e_integrand_t, (), float(e_exact.value(0.0)), 0.0))
+        probes.append(("(e term)", self.e_integrand_t, (), econst, 0.0))
         for probe, integrand, args, want, tail in probes:
             got, _ = quad(integrand, 0.0, t_max, args=args, points=breaks,
                           epsabs=0.0, epsrel=rel_tol, limit=200)
@@ -249,34 +192,48 @@ class MdsPairFamily:
     def c_integrand_t(self, t: float, x: float) -> float:
         """c(a, x) * da/dt under the substitution a = exp(-t)."""
         a = math.exp(-t)
-        return float(self.c_form_at(a).value(x)) * a
+        return self.terms_at(a)[0] * x * x * a
 
     def e_integrand_t(self, t: float) -> float:
         a = math.exp(-t)
-        return float(self.e_form_at(a).value(0.0)) * a
+        return self.terms_at(a)[1] * a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuzzyLossFamily:
-    """Map from strength a in (0, 1] to a LossObject, with finitely many breaks."""
+    """The stress family over n points: one membership w in (0, 1] per pair.
+
+    `w` is condensed (`pair_distances` order) and read-only. At strength a
+    in (0, 1] each pair's terms are those of `MdsPairFamily(w)`, so every
+    operation on the family is one numpy expression over `w`.
+    """
 
     n: int
-    pairs: dict[tuple[int, int], object] = field(default_factory=dict)
+    w: np.ndarray
 
-    def critical_strengths(self) -> tuple[float, ...]:
-        crit = set()
-        for fam in self.pairs.values():
-            crit.update(fam.critical_strengths())
-        return tuple(sorted(crit))
+    def __post_init__(self):
+        w = _per_pair("w", self.w, self.n)
+        bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0)))
+        if bad.size:
+            k = bad[0]
+            i, j = (int(index[k]) for index in np.triu_indices(self.n, 1))
+            raise ValidationError(
+                f"memberships must lie in (0, 1], got {float(w[k])!r} at pair ({i}, {j})"
+            )
+        object.__setattr__(self, "w", w)
 
     def loss_object_at(self, a: float) -> LossObject:
+        """The loss object at strength a: `MdsPairFamily.terms_at` on every pair."""
         if not 0.0 < a <= 1.0:
             raise ValidationError(f"strength must lie in (0, 1], got {a!r}")
-        terms = {
-            key: (fam.c_form_at(a), fam.e_form_at(a))
-            for key, fam in self.pairs.items()
-        }
-        return LossObject(self.n, terms)
+        w = self.w
+        with np.errstate(over="ignore"):  # a subnormal w has infinite terms
+            c_a, e_b = _terms_past(w, np.array(_logs(w)), a)
+        coclustered = a <= w
+        c_a[coclustered] = 1.0
+        e_b[coclustered] = 0.0
+        zero = np.zeros_like(w)
+        return LossObject(self.n, c_a, zero, zero, e_b)
 
 
 def mds_fuzzy_family(
@@ -286,51 +243,53 @@ def mds_fuzzy_family(
 ) -> FuzzyLossFamily:
     """Strength-indexed stress family for a membership matrix.
 
-    If the hierarchy is supplied it must reproduce w. Pairs with w = 0 have a
-    non-integrable family and are rejected unless a_min requests truncation,
+    If the hierarchy is supplied, w must be exp(-T) of its cached
+    first-co-occurrence scales T. Pairs with w = 0 have a non-integrable
+    family and are rejected unless a_min, in (0, 1], requests truncation,
     which floors their membership at a_min.
     """
+    if a_min is not None and not 0.0 < a_min <= 1.0:
+        raise ValidationError(f"a_min must lie in (0, 1], got {a_min!r}")
+    wc = squareform(w.w, checks=False)
     if h is not None:
-        recomputed = membership_matrix(h)
-        if not np.allclose(recomputed.w, w.w, rtol=0, atol=1e-12):
+        expected = np.exp(-squareform(first_cooccurrence_scales(h), checks=False))
+        if h.n != w.n or not np.allclose(expected, wc, rtol=0, atol=1e-12):
             raise ValidationError("membership matrix inconsistent with hierarchy")
-    n = w.n
-    pairs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            wij = float(w.w[i, j])
-            if wij == 0.0:
-                if a_min is None:
-                    raise ValidationError(
-                        f"pair ({i}, {j}) never co-clusters (w = 0): its family is "
-                        "non-integrable; pass a_min to truncate"
-                    )
-                wij = a_min
-            pairs[(i, j)] = MdsPairFamily(wij)
-    return FuzzyLossFamily(n, pairs)
+    never = wc == 0.0
+    if never.any():
+        if a_min is None:
+            i, j = np.argwhere(w.w == 0.0)[0]  # row-major: the first pair, i < j
+            raise ValidationError(
+                f"pair ({i}, {j}) never co-clusters (w = 0): its family is "
+                "non-integrable; pass a_min to truncate"
+            )
+        wc[never] = a_min
+    return FuzzyLossFamily(w.n, wc)
 
 
-def family_leq(
-    f1: FuzzyLossFamily, f2: FuzzyLossFamily, grid: GridSpec = GridSpec()
-) -> bool:
-    """f1 <= f2 at every critical strength (and at a = 1)."""
+def family_leq(f1: FuzzyLossFamily, f2: FuzzyLossFamily) -> bool:
+    """f1 <= f2 at every strength a in (0, 1]: w1 <= w2 on every pair.
+
+    At each a, a pair's c falls and its e rises as w grows, because log(a)/a
+    increases on (0, 1]; and where w1 > w2 the strength a = w1 has c1 = x^2
+    below c2. So the order of families is the order of memberships.
+    """
     if f1.n != f2.n:
         raise ValidationError(f"cardinality mismatch: {f1.n} vs {f2.n}")
-    strengths = sorted(set(f1.critical_strengths()) | set(f2.critical_strengths()) | {1.0})
-    return all(loss_leq(f1.loss_object_at(a), f2.loss_object_at(a), grid) for a in strengths)
-
-
-# -- flatten ---------------------------------------------------------------------
+    return bool((f1.w <= f2.w).all())
 
 
 def flatten(family: FuzzyLossFamily) -> LossObject:
     """Integrate c and e over strengths a in (0, 1], pairwise, in closed form.
 
-    Each pair family's `flatten_exact` gives the integrals of its parametric
-    pieces; `MdsPairFamily.check_quadrature` verifies them numerically.
+    The terms are the bytes of `MdsPairFamily.flatten_exact`, whose
+    `check_quadrature` verifies the closed form numerically.
     """
-    terms = {key: fam.flatten_exact() for key, fam in sorted(family.pairs.items())}
-    return LossObject(family.n, terms)
+    logs = _logs(family.w)
+    with np.errstate(over="ignore"):  # a subnormal w has infinite terms
+        c_a, e_b = _flat_terms(family.w, np.array(logs), np.array([v**2 for v in logs]))
+    zero = np.zeros_like(family.w)
+    return LossObject(family.n, c_a, zero, zero, e_b)
 
 
 # -- sign classification -----------------------------------------------------------
@@ -338,7 +297,10 @@ def flatten(family: FuzzyLossFamily) -> LossObject:
 
 @dataclass(frozen=True)
 class SignReport:
-    """Observed sign pattern of a family over a grid of strengths and distances."""
+    """Sign pattern of a family's terms over every strength and every x >= 0.
+
+    `witnesses` names terms with c < 0 or e > 0, up to 10.
+    """
 
     c_nonnegative: bool
     e_nonpositive: bool
@@ -359,30 +321,20 @@ class SignReport:
         return "neither"
 
 
-def sign_classification(family: FuzzyLossFamily, grid: GridSpec = GridSpec()) -> SignReport:
-    """Check c >= 0 / e <= 0 (and the mirrored pattern) over strengths and x."""
-    strengths = set(family.critical_strengths()) | {1.0}
-    for a in sorted(strengths):
-        strengths.add(max(a / 2.0, 1e-12))
-    xs = grid.points()
-    c_nn = e_np = c_np = e_nn = True
-    witnesses = []
-    for a in sorted(strengths):
-        obj = family.loss_object_at(a)
-        for key, (c, e) in sorted(obj.terms.items()):
-            cv = c.value(xs)
-            ev = e.value(xs)
-            if (cv < -SIGN_TOL).any():
-                c_nn = False
-                witnesses.append(f"c<0 at a={a!r} pair={key}")
-            if (ev > SIGN_TOL).any():
-                e_np = False
-                witnesses.append(f"e>0 at a={a!r} pair={key}")
-            if (cv > SIGN_TOL).any():
-                c_np = False
-            if (ev < -SIGN_TOL).any():
-                e_nn = False
-    return SignReport(c_nn, e_np, c_np, e_nn, tuple(witnesses[:10]))
+def sign_classification(family: FuzzyLossFamily) -> SignReport:
+    """Check c >= 0 / e <= 0 (and the mirrored pattern) over every strength and x >= 0.
+
+    Per pair, c = c_a x^2 with c_a running from 1 (a <= w) to 2/w - 1
+    (a = 1), and e is a constant running from 2 log(w)/w (a = 1) to 0
+    (a <= w). So c is never negative and e never positive: every stress
+    family is positive-extensible, with no witnesses. c is nonpositive only
+    when there are no pairs, and e is nonnegative unless some
+    2 log(w)/w < -SIGN_TOL.
+    """
+    w = family.w
+    with np.errstate(over="ignore"):  # a subnormal w has e = -inf
+        e_at_one = 2.0 * np.array(_logs(w)) / w
+    return SignReport(True, True, w.size == 0, not (e_at_one < -SIGN_TOL).any(), ())
 
 
 # -- embedding problems -------------------------------------------------------------

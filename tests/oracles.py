@@ -2,18 +2,20 @@
 
 Everything here enumerates: components by flood fill over explicit edge
 lists, cliques and k-connected sets by subset enumeration, path costs by
-walking every simple path. Exponential, fine for n <= 7. Hand-built loss
-families, the exact interval sup of a form, the JSON round trip of loss
-objects, the cover JSON objects whose `json.dumps` text hierarchy files must
-match, the one-hot Hamming counts, the broadcast Euclidean distances, the
-n x n embedding losses (every pair counted twice), the condensed losses and
-gradients as plain expressions (the reference bytes of the in-place
-kernels), and the permuting and CSV-writing helpers that tests use to build
-inputs live here too.
+walking every simple path. Exponential, fine for n <= 7. Loss objects and
+stress families as tagged forms per pair and per strength (the reference
+of the condensed ones), hand-built loss families, the exact interval sup of
+a form, the JSON round trip of loss objects, the cover JSON objects whose
+`json.dumps` text hierarchy files must match, the one-hot Hamming counts,
+the broadcast Euclidean distances, the n x n embedding losses (every pair
+counted twice), the condensed losses and gradients as plain expressions
+(the reference bytes of the in-place kernels), and the permuting and
+CSV-writing helpers that tests use to build inputs live here too.
 """
 
 import json
 import math
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
@@ -21,7 +23,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from coverembed import ValidationError
 from coverembed.covers import cap_disconnected
-from coverembed.loss import FCE_CLAMP_DEFAULT, Form, LossObject
+from coverembed.loss import FCE_CLAMP_DEFAULT, SIGN_TOL, LossObject, SignReport
 
 
 def threshold_edges(d, delta):
@@ -295,6 +297,76 @@ def oracle_membership(h):
     return w
 
 
+# -- per-pair loss forms and families ----------------------------------------------
+#
+# The loss objects and stress families as they were before they became
+# condensed coefficient arrays: one tagged form per pair term, dicts of
+# pairs, loops over strengths, and a sample grid for the orders of forms that
+# are not affine in x^2. The condensed ones in `coverembed.loss` are checked
+# against these.
+
+ORACLE_GRID = np.linspace(0.0, 10.0, 101)  # samples for orders of non-polynomial forms
+
+
+@dataclass(frozen=True)
+class Form:
+    """Tagged parametric function of the embedded distance x >= 0.
+
+    kinds: "zero"; "const" b; "quad" a*x^2; "affine_x2" a*x^2 + b;
+    "log_barrier" lin*x - bar*log(1 - v(x)) + const with v = clamp(e^-x),
+    the fuzzy cross-entropy pair term.
+    """
+
+    kind: str
+    a: float = 0.0
+    b: float = 0.0
+    lin: float = 0.0
+    bar: float = 0.0
+    clamp: float = FCE_CLAMP_DEFAULT
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.kind == "zero":
+            return np.zeros_like(x)
+        if self.kind == "const":
+            return np.full_like(x, self.b)
+        if self.kind == "quad":
+            return self.a * x * x
+        if self.kind == "affine_x2":
+            return self.a * x * x + self.b
+        if self.kind == "log_barrier":
+            v = np.clip(np.exp(-x), self.clamp, 1.0 - self.clamp)
+            return self.lin * x - self.bar * np.log1p(-v) + self.b
+        raise ValidationError(f"unknown form kind {self.kind!r}")
+
+    def is_polynomial(self) -> bool:
+        return self.kind in ("zero", "const", "quad", "affine_x2")
+
+    def as_affine_x2(self) -> tuple[float, float]:
+        if self.kind == "zero":
+            return 0.0, 0.0
+        if self.kind == "const":
+            return 0.0, self.b
+        if self.kind == "quad":
+            return self.a, 0.0
+        if self.kind == "affine_x2":
+            return self.a, self.b
+        raise ValidationError(f"{self.kind!r} form is not affine in x^2")
+
+    def to_json(self) -> dict:
+        obj = {"kind": self.kind}
+        for name in ("a", "b", "lin", "bar"):
+            val = getattr(self, name)
+            if val != 0.0:
+                obj[name] = val
+        if self.kind == "log_barrier":
+            obj["clamp"] = self.clamp
+        return obj
+
+
+ZERO_FORM = Form("zero")
+
+
 def form_abs_sup(form: Form, radius: float) -> float:
     """Exact sup of |form.value| over [0, radius]."""
     if radius < 0:
@@ -315,6 +387,66 @@ def form_abs_sup(form: Form, radius: float) -> float:
                 candidates.append(xstar)
         return max(abs(float(form.value(x))) for x in candidates)
     raise ValidationError(f"unknown form kind {form.kind!r}")
+
+
+def form_leq(f: Form, g: Form, xs=ORACLE_GRID) -> bool:
+    """f <= g: on every x >= 0 for forms affine in x^2, on the samples `xs` otherwise."""
+    if f.is_polynomial() and g.is_polynomial():
+        fa, fb = f.as_affine_x2()
+        ga, gb = g.as_affine_x2()
+        return fb <= gb and fa <= ga
+    return bool(np.all(f.value(xs) <= g.value(xs)))
+
+
+@dataclass(frozen=True)
+class PairLossObject:
+    """Per-pair (c, e) forms over an n-point ground set; missing pairs are zero."""
+
+    n: int
+    terms: dict = field(default_factory=dict)
+
+    def pair(self, i: int, j: int) -> tuple[Form, Form]:
+        return self.terms.get((min(i, j), max(i, j)), (ZERO_FORM, ZERO_FORM))
+
+
+def oracle_loss_leq(l1: PairLossObject, l2: PairLossObject, xs=ORACLE_GRID) -> bool:
+    """l1 <= l2: c2 <= c1 and e1 <= e2 for every pair, form by form."""
+    if l1.n != l2.n:
+        raise ValidationError(f"cardinality mismatch: {l1.n} vs {l2.n}")
+    for key in sorted(set(l1.terms) | set(l2.terms)):
+        c1, e1 = l1.pair(*key)
+        c2, e2 = l2.pair(*key)
+        if not (form_leq(c2, c1, xs) and form_leq(e1, e2, xs)):
+            return False
+    return True
+
+
+class OracleMdsPair:
+    """One pair's stress family as forms per strength, with math.log throughout."""
+
+    def __init__(self, w: float):
+        if not 0.0 < w <= 1.0:
+            raise ValidationError(f"membership must lie in (0, 1], got {w!r}")
+        self.w = float(w)
+
+    def critical_strengths(self) -> tuple[float, ...]:
+        return (self.w,) if self.w < 1.0 else ()
+
+    def c_form_at(self, a: float) -> Form:
+        if a <= self.w:
+            return Form("quad", a=1.0)
+        return Form("quad", a=1.0 + 2.0 * (1.0 / self.w - 1.0 / a))
+
+    def e_form_at(self, a: float) -> Form:
+        if a <= self.w:
+            return ZERO_FORM
+        return Form("const", b=2.0 * math.log(self.w) / self.w - 2.0 * math.log(a) / a)
+
+    def flatten_exact(self) -> tuple[Form, Form]:
+        w = self.w
+        coeff = 1.0 + 2.0 * (1.0 - w) / w + 2.0 * math.log(w)
+        econst = 2.0 * math.log(w) / w * (1.0 - w) + math.log(w) ** 2
+        return Form("quad", a=coeff), Form("const", b=econst) if econst != 0.0 else ZERO_FORM
 
 
 class PiecewisePairFamily:
@@ -363,6 +495,129 @@ class PiecewisePairFamily:
         return max(form_abs_sup(f, 0.0) for f in self.e_forms)
 
 
+@dataclass(frozen=True)
+class OracleFamily:
+    """Map from strength a in (0, 1] to a PairLossObject, one pair family per pair."""
+
+    n: int
+    pairs: dict = field(default_factory=dict)
+
+    def critical_strengths(self) -> tuple[float, ...]:
+        crit = set()
+        for fam in self.pairs.values():
+            crit.update(fam.critical_strengths())
+        return tuple(sorted(crit))
+
+    def loss_object_at(self, a: float) -> PairLossObject:
+        if not 0.0 < a <= 1.0:
+            raise ValidationError(f"strength must lie in (0, 1], got {a!r}")
+        return PairLossObject(
+            self.n, {key: (fam.c_form_at(a), fam.e_form_at(a)) for key, fam in self.pairs.items()}
+        )
+
+
+def oracle_mds_family(w, a_min=None) -> OracleFamily:
+    """The stress family of the square membership matrix w, pair by pair."""
+    n = w.shape[0]
+    pairs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            wij = float(w[i, j])
+            if wij == 0.0:
+                if a_min is None:
+                    raise ValidationError(f"pair ({i}, {j}) never co-clusters (w = 0)")
+                wij = a_min
+            pairs[(i, j)] = OracleMdsPair(wij)
+    return OracleFamily(n, pairs)
+
+
+def oracle_family_leq(f1: OracleFamily, f2: OracleFamily, xs=ORACLE_GRID) -> bool:
+    """f1 <= f2 at every critical strength (and at a = 1)."""
+    if f1.n != f2.n:
+        raise ValidationError(f"cardinality mismatch: {f1.n} vs {f2.n}")
+    strengths = sorted(set(f1.critical_strengths()) | set(f2.critical_strengths()) | {1.0})
+    return all(oracle_loss_leq(f1.loss_object_at(a), f2.loss_object_at(a), xs) for a in strengths)
+
+
+def oracle_flatten(family: OracleFamily) -> PairLossObject:
+    """Each pair family's `flatten_exact`."""
+    return PairLossObject(
+        family.n, {key: fam.flatten_exact() for key, fam in sorted(family.pairs.items())}
+    )
+
+
+def oracle_sign_classification(family: OracleFamily, xs=ORACLE_GRID) -> SignReport:
+    """Signs of c and e at each critical strength, half of each, and a = 1, on the samples xs."""
+    strengths = set(family.critical_strengths()) | {1.0}
+    for a in sorted(strengths):
+        strengths.add(max(a / 2.0, 1e-12))
+    c_nn = e_np = c_np = e_nn = True
+    witnesses = []
+    for a in sorted(strengths):
+        for key, (c, e) in sorted(family.loss_object_at(a).terms.items()):
+            cv = c.value(xs)
+            ev = e.value(xs)
+            if (cv < -SIGN_TOL).any():
+                c_nn = False
+                witnesses.append(f"c<0 at a={a!r} pair={key}")
+            if (ev > SIGN_TOL).any():
+                e_np = False
+                witnesses.append(f"e>0 at a={a!r} pair={key}")
+            if (cv > SIGN_TOL).any():
+                c_np = False
+            if (ev < -SIGN_TOL).any():
+                e_nn = False
+    return SignReport(c_nn, e_np, c_np, e_nn, tuple(witnesses[:10]))
+
+
+def condensed_loss_object(obj: PairLossObject) -> LossObject:
+    """The library loss object with the coefficients of `obj`'s polynomial forms."""
+    coefficients = [
+        c.as_affine_x2() + e.as_affine_x2()
+        for c, e in (obj.pair(i, j) for i, j in combinations(range(obj.n), 2))
+    ]
+    return LossObject(obj.n, *np.array(coefficients, dtype=float).reshape(-1, 4).T)
+
+
+def coefficient_range(family: OracleFamily) -> tuple[LossObject, LossObject]:
+    """Each coefficient's least and greatest value over the pieces of a family of
+    `PiecewisePairFamily`s, one per pair, as library loss objects (lo, hi)."""
+    per_pair = [
+        np.array([c.as_affine_x2() + e.as_affine_x2() for c, e in zip(fam.c_forms, fam.e_forms)])
+        for fam in (family.pairs[key] for key in combinations(range(family.n), 2))
+    ]
+    lo = np.array([coef.min(axis=0) for coef in per_pair]).reshape(-1, 4)
+    hi = np.array([coef.max(axis=0) for coef in per_pair]).reshape(-1, 4)
+    return LossObject(family.n, *lo.T), LossObject(family.n, *hi.T)
+
+
+def range_sign_report(lo: LossObject, hi: LossObject) -> SignReport:
+    """The sign report of a family whose coefficients range over [lo, hi] per pair.
+
+    `lo` and `hi` hold each coefficient's least and greatest value over the
+    strengths. a x^2 + b drops below -SIGN_TOL somewhere on x >= 0 iff
+    b < -SIGN_TOL or a < 0, and rises above SIGN_TOL iff b > SIGN_TOL or
+    a > 0; so a pattern holds at every strength iff it holds at the ends of
+    the ranges, on all of x >= 0 and not only on a sample grid. Witnesses
+    name up to 10 pairs with c < 0 or e > 0.
+    """
+    if lo.n != hi.n:
+        raise ValidationError(f"cardinality mismatch: {lo.n} vs {hi.n}")
+    c_neg = (lo.c_a < 0.0) | (lo.c_b < -SIGN_TOL)
+    e_pos = (hi.e_a > 0.0) | (hi.e_b > SIGN_TOL)
+    c_pos = (hi.c_a > 0.0) | (hi.c_b > SIGN_TOL)
+    e_neg = (lo.e_a < 0.0) | (lo.e_b < -SIGN_TOL)
+    pairs = list(combinations(range(lo.n), 2))
+    witnesses = [
+        f"{term} at pair={pairs[k]}"
+        for k in np.flatnonzero(c_neg | e_pos)[:10]
+        for term, bad in (("c<0", c_neg), ("e>0", e_pos))
+        if bad[k]
+    ]
+    return SignReport(not c_neg.any(), not e_pos.any(), not c_pos.any(), not e_neg.any(),
+                      tuple(witnesses[:10]))
+
+
 def reference_threshold_hierarchy(d, blocks_of):
     """Threshold scan at 0 and at every distinct finite off-diagonal value of d.
 
@@ -396,22 +651,15 @@ def form_from_json(obj) -> Form:
     )
 
 
+LOSS_COEFFICIENTS = ("c_a", "c_b", "e_a", "e_b")
+
+
 def loss_object_to_json(obj: LossObject) -> dict:
-    return {
-        "n": obj.n,
-        "terms": [
-            {"i": i, "j": j, "c": c.to_json(), "e": e.to_json()}
-            for (i, j), (c, e) in sorted(obj.terms.items())
-        ],
-    }
+    return {"n": obj.n, **{name: getattr(obj, name).tolist() for name in LOSS_COEFFICIENTS}}
 
 
 def loss_object_from_json(obj) -> LossObject:
-    terms = {
-        (int(t["i"]), int(t["j"])): (form_from_json(t["c"]), form_from_json(t["e"]))
-        for t in obj["terms"]
-    }
-    return LossObject(int(obj["n"]), terms)
+    return LossObject(int(obj["n"]), *(obj[name] for name in LOSS_COEFFICIENTS))
 
 
 # -- Hamming distances ---------------------------------------------------------------

@@ -13,7 +13,13 @@ from coverembed import (
     named_spec,
     run_pipeline,
 )
-from coverembed.algorithms import ALGO_TABLE, build_stage, connectivity_radius, stage_targets
+from coverembed.algorithms import (
+    ALGO_TABLE,
+    build_problem,
+    build_stage,
+    connectivity_radius,
+    stage_targets,
+)
 from coverembed.graphs import bottleneck_matrix, hop_bounded_minimax
 from coverembed.loss import StressProblem
 from coverembed.optimize import minimize
@@ -102,6 +108,23 @@ def test_hop_bounded_minimax_memory_is_quadratic():
     assert peak < 5 * n * n * 8
     for i, j in [(0, 1), (5, 150), (199, 17)]:
         assert b[i, j] == oracle_minimax_path(d, i, j, max_hops=3)
+
+
+def test_stress_problem_of_the_ml_stage_holds_no_square_copy():
+    # the ml stage's targets are the space's read-only distances, condensed once
+    n = 400
+    space = from_points_euclidean(np.random.default_rng(3).normal(size=(n, 3)))
+    mmds = named_spec("mmds", m=2)
+    assert stage_targets(space, mmds) is space.d
+    build_problem(space, mmds)
+    tracemalloc.start()
+    try:
+        problem = build_problem(space, mmds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.targets.shape == (n * (n - 1) // 2,)
+    assert peak < n * n * 8
 
 
 def test_vlk_targets_four_cycle():

@@ -2,17 +2,19 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from coverembed import (
     CrossEntropyProblem,
-    GridSpec,
     MembershipMatrix,
     StressProblem,
     ValidationError,
@@ -26,28 +28,40 @@ from coverembed import (
     single_linkage,
 )
 from coverembed.loss import (
-    Form,
     FuzzyLossFamily,
     LossObject,
     MdsPairFamily,
-    ZERO_FORM,
     family_leq,
     pair_distances,
 )
 from coverembed.covers import cap_disconnected, target_distances
 from oracles import (
+    LOSS_COEFFICIENTS,
+    ORACLE_GRID,
+    ZERO_FORM,
+    Form,
+    OracleFamily,
+    PairLossObject,
     PiecewisePairFamily,
     ReferenceCrossEntropy,
     ReferenceStress,
+    coefficient_range,
+    condensed_loss_object,
     form_abs_sup,
     form_from_json,
     loss_object_from_json,
     loss_object_to_json,
+    oracle_family_leq,
+    oracle_flatten,
+    oracle_loss_leq,
+    oracle_mds_family,
+    oracle_sign_classification,
     pairwise_distances,
     plain_fce_grad,
     plain_fce_loss,
     plain_stress_grad,
     plain_stress_loss,
+    range_sign_report,
 )
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
@@ -57,7 +71,22 @@ def member(w):
     return MembershipMatrix(np.array([[1.0, w], [w, 1.0]]))
 
 
-# -- parametric forms -----------------------------------------------------------
+def coefficients(obj: LossObject) -> list[tuple[float, float, float, float]]:
+    """(c_a, c_b, e_a, e_b) of each pair."""
+    return list(zip(*(getattr(obj, name).tolist() for name in LOSS_COEFFICIENTS)))
+
+
+def same_bytes(l1: LossObject, l2: LossObject) -> bool:
+    return l1.n == l2.n and all(
+        getattr(l1, name).tobytes() == getattr(l2, name).tobytes() for name in LOSS_COEFFICIENTS
+    )
+
+
+def one_pair(c: Form, e: Form) -> LossObject:
+    return condensed_loss_object(PairLossObject(2, {(0, 1): (c, e)}))
+
+
+# -- parametric forms (the per-pair reference) ---------------------------------------
 
 
 def test_form_values_and_sups():
@@ -88,48 +117,75 @@ def test_form_json_round_trip():
         assert form_from_json(f.to_json()) == f
 
 
+# -- loss objects ----------------------------------------------------------------------
+
+
+def test_loss_object_rejects_a_wrong_length():
+    one = [1.0]
+    LossObject(2, one, one, one, one)
+    with pytest.raises(ValidationError, match="c_a needs one entry per pair, 3 for n=3"):
+        LossObject(3, one, one, one, one)
+    with pytest.raises(ValidationError, match="e_b needs one entry per pair"):
+        LossObject(2, one, one, one, [1.0, 2.0])
+    with pytest.raises(ValidationError, match=r"got shape \(1, 1\)"):
+        LossObject(2, [[1.0]], one, one, one)
+    with pytest.raises(ValidationError, match="c_a needs one entry per pair, 0 for n=1"):
+        LossObject(1, one, [], [], [])
+    with pytest.raises(ValidationError, match="w needs one entry per pair, 3 for n=3"):
+        FuzzyLossFamily(3, np.array([0.5, 0.5]))
+    for bad in (0.0, 1.5, np.nan):
+        with pytest.raises(ValidationError, match=rf"lie in \(0, 1\], got {bad!r} at pair \(0, 1\)"):
+            FuzzyLossFamily(2, np.array([bad]))
+    with pytest.raises(ValidationError, match=r"got -0.5 at pair \(1, 2\)"):
+        FuzzyLossFamily(3, [0.5, 0.5, -0.5])
+
+
+def test_loss_objects_and_families_hold_read_only_copies():
+    w = np.array([0.5, 0.25, 1.0])
+    fam = FuzzyLossFamily(3, w)
+    w[0] = 2.0  # the caller's array stays the caller's
+    assert fam.w.tolist() == [0.5, 0.25, 1.0]
+    for obj in (fam, fam.loss_object_at(0.5), flatten(fam)):
+        for name in ("w",) if obj is fam else LOSS_COEFFICIENTS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(obj, name)[0] = 0.75
+    for obj in (fam.loss_object_at(0.5), flatten(fam)):
+        assert not np.shares_memory(obj.c_b, obj.e_a)
+
+
 # -- the stress family ------------------------------------------------------------
 
 
 def test_family_coclustered_branch_is_pure_quadratic():
     fam = mds_fuzzy_family(member(1.0))
     for a in (0.1, 0.5, 1.0):
-        obj = fam.loss_object_at(a)
-        c, e = obj.pair(0, 1)
-        assert c == Form("quad", a=1.0)
-        assert e == ZERO_FORM
+        assert coefficients(fam.loss_object_at(a)) == [(1.0, 0.0, 0.0, 0.0)]
 
 
 def test_family_branches_meet_at_the_seam():
     w = math.exp(-1.0)
     fam = mds_fuzzy_family(member(w))
-    at_seam = fam.loss_object_at(w)
-    c, e = at_seam.pair(0, 1)
-    assert c == Form("quad", a=1.0)
-    assert e == ZERO_FORM
+    assert coefficients(fam.loss_object_at(w)) == [(1.0, 0.0, 0.0, 0.0)]
     just_above = fam.loss_object_at(w * 1.00001)
-    c2, e2 = just_above.pair(0, 1)
-    assert c2.a == pytest.approx(1.0, abs=1e-4)
-    assert float(e2.value(np.array(0.0))) == pytest.approx(0.0, abs=1e-3)
+    assert just_above.c_a[0] == pytest.approx(1.0, abs=1e-4)
+    assert just_above.e_b[0] == pytest.approx(0.0, abs=1e-3)
 
 
 def test_family_else_branch_formulas():
     w = 0.5
     fam = mds_fuzzy_family(member(w))
     a = 0.75
-    c, e = fam.loss_object_at(a).pair(0, 1)
-    assert c.a == pytest.approx(1.0 + 2.0 * (1 / w - 1 / a))
-    assert float(e.value(np.array(0.0))) == pytest.approx(
-        2 * math.log(w) / w - 2 * math.log(a) / a
-    )
+    obj = fam.loss_object_at(a)
+    assert obj.c_a[0] == pytest.approx(1.0 + 2.0 * (1 / w - 1 / a))
+    assert obj.e_b[0] == pytest.approx(2 * math.log(w) / w - 2 * math.log(a) / a)
+    assert obj.c_b[0] == obj.e_a[0] == 0.0
 
 
 def test_one_point_space_maps_to_the_zero_object():
     fam = mds_fuzzy_family(MembershipMatrix(np.ones((1, 1))))
-    obj = fam.loss_object_at(0.5)
-    assert obj.terms == {}
-    flat = flatten(fam)
-    assert flat.pair(0, 0) == (ZERO_FORM, ZERO_FORM)
+    for obj in (fam.loss_object_at(0.5), flatten(fam)):
+        assert obj.n == 1 and coefficients(obj) == []
+    assert sign_classification(fam).classification == "both"
 
 
 def test_family_rejects_zero_membership_without_floor():
@@ -137,7 +193,20 @@ def test_family_rejects_zero_membership_without_floor():
     with pytest.raises(ValidationError, match="non-integrable"):
         mds_fuzzy_family(MembershipMatrix(w))
     fam = mds_fuzzy_family(MembershipMatrix(w), a_min=1e-6)
-    assert fam.pairs[(0, 1)].w == 1e-6
+    assert fam.w.tolist() == [1e-6]
+    w3 = np.ones((3, 3))
+    w3[1, 2] = w3[2, 1] = 0.0
+    with pytest.raises(ValidationError, match=r"pair \(1, 2\) never co-clusters"):
+        mds_fuzzy_family(MembershipMatrix(w3))
+
+
+def test_family_rejects_a_floor_outside_the_unit_interval():
+    w = MembershipMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    for a_min in (2.0, math.nan, 0.0, -0.5):
+        with pytest.raises(ValidationError, match=r"a_min must lie in \(0, 1\]"):
+            mds_fuzzy_family(w, a_min=a_min)
+    with pytest.raises(ValidationError, match="a_min"):
+        mds_fuzzy_family(member(0.5), a_min=2.0)  # no pair to floor: still refused
 
 
 def test_family_checks_hierarchy_consistency():
@@ -147,44 +216,47 @@ def test_family_checks_hierarchy_consistency():
     bad = MembershipMatrix(np.exp(-CHAIN.d * 2))
     with pytest.raises(ValidationError, match="inconsistent"):
         mds_fuzzy_family(bad, h)
+    with pytest.raises(ValidationError, match="inconsistent"):
+        mds_fuzzy_family(member(math.exp(-1.0)), h)  # two points against three
 
 
 def test_family_monotone_along_strengths():
     # larger strength = later functor stage: c grows pointwise, e shrinks
     fam = mds_fuzzy_family(member(math.exp(-1.0)))
-    xs = np.linspace(0, 5, 41)
     lo = fam.loss_object_at(0.5)
     hi = fam.loss_object_at(0.9)
-    c_lo, e_lo = lo.pair(0, 1)
-    c_hi, e_hi = hi.pair(0, 1)
-    assert (c_lo.value(xs) <= c_hi.value(xs)).all()
-    assert (e_hi.value(xs) <= e_lo.value(xs)).all()
+    assert lo.c_a[0] <= hi.c_a[0] and lo.c_b[0] == hi.c_b[0] == 0.0
+    assert hi.e_b[0] <= lo.e_b[0] and lo.e_a[0] == hi.e_a[0] == 0.0
 
 
 # -- flatten --------------------------------------------------------------------------
 
 
 def test_flatten_constant_family_has_unit_weight():
-    fam = FuzzyLossFamily(
+    fam = OracleFamily(
         2, {(0, 1): PiecewisePairFamily((), [Form("quad", a=1.0)], [ZERO_FORM])}
     )
-    c, e = flatten(fam).pair(0, 1)
+    c, e = oracle_flatten(fam).pair(0, 1)
     assert c.as_affine_x2() == (1.0, 0.0)
     assert e.as_affine_x2() == (0.0, 0.0)
+    # the stress family of w = 1 is that constant family
+    assert coefficients(flatten(mds_fuzzy_family(member(1.0)))) == [(1.0, 0.0, 0.0, 0.0)]
 
 
 def test_flatten_exact_matches_quadrature():
     for w in (math.exp(-0.5), math.exp(-1.0), math.exp(-2.0)):
-        fam = mds_fuzzy_family(member(w))
-        fam.pairs[(0, 1)].check_quadrature(1e-8)
-        assert flatten(fam).pair(0, 1) == fam.pairs[(0, 1)].flatten_exact()
+        pair = MdsPairFamily(w)
+        pair.check_quadrature(1e-8)
+        flat = flatten(mds_fuzzy_family(member(w)))
+        coeff, econst = pair.flatten_exact()
+        assert same_bytes(flat, LossObject(2, [coeff], [0.0], [0.0], [econst]))
 
 
 def test_quadrature_check_rejects_an_off_closed_form():
     class OffPairFamily(MdsPairFamily):
         def flatten_exact(self):
-            c, e = super().flatten_exact()
-            return Form("quad", a=c.a + 1e-3), e
+            coeff, econst = super().flatten_exact()
+            return coeff + 1e-3, econst
 
     with pytest.raises(ValidationError, match=r"at x=0.5: .* vs "):
         OffPairFamily(math.exp(-1.0)).check_quadrature(1e-8)
@@ -209,8 +281,7 @@ def test_importing_the_package_leaves_scipy_integrate_unloaded():
 def test_flatten_two_point_argmin_vs_grid_oracle():
     # grid-minimize the quadrature values; the argmin sits at 0, not at -log w
     w = math.exp(-1.0)
-    fam = mds_fuzzy_family(member(w))
-    pair = fam.pairs[(0, 1)]
+    pair = MdsPairFamily(w)
     from scipy.integrate import quad
 
     xs = np.linspace(0.0, 3.0, 301)
@@ -224,9 +295,8 @@ def test_flatten_two_point_argmin_vs_grid_oracle():
                         points=[-math.log(w)], epsabs=0.0, epsrel=1e-10, limit=200)
         values.append(got + got_e)
     grid_arg = xs[int(np.argmin(values))]
-    flat = flatten(fam)
-    c, e = flat.pair(0, 1)
-    closed = c.value(xs) + e.value(xs)
+    flat = flatten(mds_fuzzy_family(member(w)))
+    closed = flat.c_a[0] * xs * xs + flat.e_b[0]
     closed_arg = xs[int(np.argmin(closed))]
     assert grid_arg == closed_arg == 0.0  # the recorded argmin mismatch with -log w
 
@@ -315,18 +385,32 @@ def test_sign_classification_of_stress_family():
 
 
 def test_sign_classification_zero_family_degenerate():
-    fam = FuzzyLossFamily(2, {(0, 1): PiecewisePairFamily((), [ZERO_FORM], [ZERO_FORM])})
-    assert sign_classification(fam).classification == "both"
+    fam = OracleFamily(2, {(0, 1): PiecewisePairFamily((), [ZERO_FORM], [ZERO_FORM])})
+    assert range_sign_report(*coefficient_range(fam)).classification == "both"
+    assert oracle_sign_classification(fam).classification == "both"
 
 
 def test_sign_classification_flags_negative_quadratic():
-    fam = FuzzyLossFamily(
+    fam = OracleFamily(
         2, {(0, 1): PiecewisePairFamily((), [Form("quad", a=-1.0)], [ZERO_FORM])}
     )
-    report = sign_classification(fam)
-    assert not report.c_nonnegative
-    assert report.classification == "negative-extensible"
-    assert report.witnesses
+    for report in (range_sign_report(*coefficient_range(fam)), oracle_sign_classification(fam)):
+        assert not report.c_nonnegative
+        assert report.classification == "negative-extensible"
+        assert report.witnesses
+    assert range_sign_report(*coefficient_range(fam)).witnesses == ("c<0 at pair=(0, 1)",)
+
+
+def test_sign_range_is_exact_past_the_grid():
+    # c = -1e-15 x^2 stays above -SIGN_TOL on [0, 10] but not for x > 32
+    fam = OracleFamily(
+        2, {(0, 1): PiecewisePairFamily((0.5,), [Form("quad", a=1.0), Form("affine_x2", a=-1e-15)],
+                                        [ZERO_FORM, Form("const", b=-1.0)])}
+    )
+    assert oracle_sign_classification(fam).c_nonnegative
+    report = range_sign_report(*coefficient_range(fam))
+    assert not report.c_nonnegative and not report.c_nonpositive
+    assert report.e_nonpositive and report.classification == "neither"
 
 
 def test_loss_leq_reflexive_and_orders_chain_families():
@@ -343,31 +427,29 @@ def test_loss_leq_reflexive_and_orders_chain_families():
 
 
 def test_loss_leq_false_for_crossing_curves():
-    l1 = LossObject(2, {(0, 1): (Form("affine_x2", a=1.0, b=0.0), ZERO_FORM)})
-    l2 = LossObject(2, {(0, 1): (Form("affine_x2", a=0.0, b=1.0), ZERO_FORM)})
+    l1 = one_pair(Form("affine_x2", a=1.0, b=0.0), ZERO_FORM)
+    l2 = one_pair(Form("affine_x2", a=0.0, b=1.0), ZERO_FORM)
     # c curves cross at x=1: neither direction holds
-    assert not loss_leq(l1, l2, GridSpec(x_max=4.0))
-    assert not loss_leq(l2, l1, GridSpec(x_max=4.0))
+    assert not loss_leq(l1, l2)
+    assert not loss_leq(l2, l1)
 
 
 def test_loss_leq_compares_affine_forms_past_the_grid():
     # e1 <= e2 on [0, 10], but 0.5 + 0.1 x^2 = 12.60 > 12.39 = 1.5 + 0.09 x^2 at x = 11
     e1, e2 = Form("affine_x2", a=0.1, b=0.5), Form("affine_x2", a=0.09, b=1.5)
     assert float(e1.value(11.0)) > float(e2.value(11.0))
-    assert (e1.value(GridSpec().points()) <= e2.value(GridSpec().points())).all()
+    assert (e1.value(ORACLE_GRID) <= e2.value(ORACLE_GRID)).all()
     quad = Form("quad", a=1.0)
-    l1, l2 = (LossObject(2, {(0, 1): (quad, e)}) for e in (e1, e2))
+    l1, l2 = (one_pair(quad, e) for e in (e1, e2))
     assert not loss_leq(l1, l2)
     assert not loss_leq(l2, l1)  # b: 1.5 > 0.5 at x = 0
     # the same crossing in the c term, which the ordering reverses
-    c1, c2 = (LossObject(2, {(0, 1): (c, ZERO_FORM)}) for c in (e1, e2))
+    c1, c2 = (one_pair(c, ZERO_FORM) for c in (e1, e2))
     assert not loss_leq(c2, c1)
     assert not loss_leq(c1, c2)
-    # both coefficients ordered: the order holds, with or without a grid
-    e3 = Form("affine_x2", a=0.1, b=1.5)
-    l3 = LossObject(2, {(0, 1): (quad, e3)})
+    # both coefficients ordered: the order holds
+    l3 = one_pair(quad, Form("affine_x2", a=0.1, b=1.5))
     assert loss_leq(l1, l3) and loss_leq(l2, l3)
-    assert loss_leq(l1, l3, GridSpec(x_max=1.0))
     assert not loss_leq(l3, l1)
 
 
@@ -375,7 +457,123 @@ def test_loss_object_json_round_trip():
     w = membership_matrix(maximal_linkage(CHAIN))
     flat = flatten(mds_fuzzy_family(w))
     again = loss_object_from_json(loss_object_to_json(flat))
-    assert again == flat
+    assert again.n == flat.n
+    for name in LOSS_COEFFICIENTS:
+        assert getattr(again, name).tobytes() == getattr(flat, name).tobytes()
+
+
+def test_family_order_false_for_crossing_memberships():
+    # pair (0, 1) is stronger in f1 and pair (0, 2) in f2: neither family is below the other
+    w1 = MembershipMatrix(squareform([0.8, 0.2, 0.5]) + np.eye(3))
+    w2 = MembershipMatrix(squareform([0.5, 0.5, 0.5]) + np.eye(3))
+    f1, f2 = mds_fuzzy_family(w1), mds_fuzzy_family(w2)
+    o1, o2 = oracle_mds_family(w1.w), oracle_mds_family(w2.w)
+    assert not family_leq(f1, f2) and not family_leq(f2, f1)
+    assert not oracle_family_leq(o1, o2) and not oracle_family_leq(o2, o1)
+    assert not loss_leq(flatten(f1), flatten(f2)) and not loss_leq(flatten(f2), flatten(f1))
+    assert family_leq(f1, f1) and loss_leq(flatten(f1), flatten(f1))
+    assert family_leq(mds_fuzzy_family(MembershipMatrix(np.minimum(w1.w, w2.w))), f1)
+
+
+def test_family_order_of_memberships_whose_terms_overflow():
+    # 1/w overflows for subnormal w: the terms past w are inf - inf = NaN in
+    # the reference, whose comparisons then fail both ways; the membership
+    # order still orders the families
+    m1, m2 = member(2.2250738585e-313), member(2.225073858507e-311)
+    f1, f2 = mds_fuzzy_family(m1), mds_fuzzy_family(m2)
+    assert np.isinf(flatten(f1).c_a).all() and np.isinf(flatten(f2).c_a).all()
+    assert family_leq(f1, f2) and not family_leq(f2, f1)
+    o1, o2 = oracle_mds_family(m1.w), oracle_mds_family(m2.w)
+    assert not oracle_family_leq(o1, o2) and not oracle_family_leq(o2, o1)
+
+
+# -- the condensed family against the per-pair reference -------------------------------
+
+MEMBERSHIP_TIES = (0.0, 0.05, math.exp(-1.0), 0.5, 1.0)
+FLOORS = (1e-300, 1e-6, 0.3)
+# below about 1e-305 the terms 1/w and 2 log(w)/w overflow, and the
+# reference's comparisons of their differences (NaN) no longer order anything
+# (`test_family_order_of_memberships_whose_terms_overflow`)
+W_FINITE = 1e-300
+
+
+@st.composite
+def membership_pair(draw):
+    """Two condensed membership vectors over one n in 1..6, and a floor for their zeros."""
+    n = draw(st.integers(1, 6))
+    pairs = n * (n - 1) // 2
+    if draw(st.booleans()):
+        value = st.sampled_from(MEMBERSHIP_TIES)
+    else:
+        value = st.one_of(st.floats(W_FINITE, 1.0), st.sampled_from(MEMBERSHIP_TIES))
+    w1, w2 = (draw(st.lists(value, min_size=pairs, max_size=pairs)) for _ in range(2))
+    return n, w1, w2, draw(st.sampled_from(FLOORS))
+
+
+def square(n, w):
+    return MembershipMatrix(squareform(np.array(w, dtype=float), checks=False) + np.eye(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(membership_pair(), st.floats(1e-9, 1.0))
+def test_condensed_family_agrees_with_the_per_pair_reference(case, a):
+    n, w1, w2, a_min = case
+    m1, m2 = square(n, w1), square(n, w2)
+    f1, f2 = (mds_fuzzy_family(m, a_min=a_min) for m in (m1, m2))
+    o1, o2 = (oracle_mds_family(m.w, a_min) for m in (m1, m2))
+    assert family_leq(f1, f2) == oracle_family_leq(o1, o2)
+    assert family_leq(f2, f1) == oracle_family_leq(o2, o1)
+    flat1, flat2 = flatten(f1), flatten(f2)
+    assert loss_leq(flat1, flat2) == oracle_loss_leq(oracle_flatten(o1), oracle_flatten(o2))
+    assert loss_leq(flat2, flat1) == oracle_loss_leq(oracle_flatten(o2), oracle_flatten(o1))
+    for fam, oracle, flat in ((f1, o1, flat1), (f2, o2, flat2)):
+        assert sign_classification(fam) == oracle_sign_classification(oracle)
+        assert same_bytes(flat, condensed_loss_object(oracle_flatten(oracle)))
+        for strength in sorted(set(fam.w.tolist()) | {a, 1.0}):
+            want = condensed_loss_object(oracle.loss_object_at(strength))
+            assert same_bytes(fam.loss_object_at(strength), want)
+
+
+PIECE_A = (-1.0, 0.0, 0.5, 2.0)  # every sign change of a x^2 + b below x = 10
+PIECE_B = (-1.0, 0.0, 1.0)
+
+
+@st.composite
+def piecewise_family(draw):
+    n = draw(st.integers(1, 4))
+    breaks = tuple(sorted(draw(st.sets(st.floats(0.01, 0.99), max_size=2))))
+    form = st.builds(lambda a, b: Form("affine_x2", a=a, b=b),
+                     st.sampled_from(PIECE_A), st.sampled_from(PIECE_B))
+    forms = st.lists(form, min_size=len(breaks) + 1, max_size=len(breaks) + 1)
+    return OracleFamily(n, {
+        (i, j): PiecewisePairFamily(breaks, draw(forms), draw(forms))
+        for i in range(n) for j in range(i + 1, n)
+    })
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_family())
+def test_sign_range_agrees_with_the_sampled_reference(fam):
+    got = range_sign_report(*coefficient_range(fam))
+    want = oracle_sign_classification(fam)
+    assert got.classification == want.classification
+    assert (got.c_nonnegative, got.e_nonpositive, got.c_nonpositive, got.e_nonnegative) == (
+        want.c_nonnegative, want.e_nonpositive, want.c_nonpositive, want.e_nonnegative)
+    assert bool(got.witnesses) == bool(want.witnesses)
+
+
+def test_family_operations_at_the_size_of_the_north_star():
+    # n = 1000: 499,500 pairs, each operation a few numpy passes over them
+    rng = np.random.default_rng(7)
+    space = rng.normal(size=(1000, 3))
+    w_ml = MembershipMatrix(np.exp(-pairwise_distances(space)))
+    fam_ml = mds_fuzzy_family(w_ml)
+    fam_sl = FuzzyLossFamily(1000, np.maximum(fam_ml.w, np.flip(fam_ml.w)))
+    t0 = time.perf_counter()
+    assert family_leq(fam_ml, fam_sl)
+    assert loss_leq(flatten(fam_ml), flatten(fam_sl))
+    assert sign_classification(fam_ml).classification == "positive-extensible"
+    assert time.perf_counter() - t0 < 5.0
 
 
 # -- gradients ------------------------------------------------------------------------
