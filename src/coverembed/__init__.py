@@ -23,16 +23,7 @@ from .covers import (
     refines,
     target_distances,
 )
-from .functors import (
-    fuzzy_simplex,
-    fuzzy_union_membership,
-    geodesic_metric,
-    iso_cluster,
-    l_k_linkage,
-    maximal_linkage,
-    single_linkage,
-    vl_k_linkage,
-)
+from .functors import cluster_hierarchy, first_cooccurrence, fuzzy_union_membership
 from .loss import (
     CrossEntropyProblem,
     FuzzyLossFamily,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import islice
+from itertools import filterfalse, islice
 from operator import and_
 
 import numpy as np
@@ -32,6 +32,14 @@ def _json_int(value) -> int:
     if i != value or isinstance(value, bool):
         raise ValueError(f"{value!r} is not an integer")
     return i
+
+
+def _json_float(value) -> float:
+    """float(value) for a JSON number: 2 or 2.5, not true or "2"."""
+    f = float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return f
 
 
 def _json_block(b) -> tuple[int, ...]:
@@ -58,14 +66,6 @@ class Cover:
         """Bit k set iff block k holds every vertex of b (every bit for an empty b)."""
         return reduce(and_, map(self.vertex_masks.__getitem__, b), (1 << len(self.blocks)) - 1)
 
-    def co_occurrence_edges(self) -> set[tuple[int, int]]:
-        edges = set()
-        for b in self.blocks:
-            for s in range(len(b)):
-                for t in range(s + 1, len(b)):
-                    edges.add((b[s], b[t]))
-        return edges
-
 
 def make_cover(n: int, blocks, validate: bool = True) -> Cover:
     """Canonicalize and (optionally) validate a cover of {0..n-1}.
@@ -81,6 +81,8 @@ def make_cover(n: int, blocks, validate: bool = True) -> Cover:
 def _checked(cover: Cover) -> Cover:
     """`cover`, after make_cover's checks of a canonical cover (ValidationError)."""
     n, blocks = cover.n, cover.blocks
+    if n < 0:
+        raise ValidationError(f"cover size n={n} is negative")
     seen = set()
     for b in blocks:
         if not b:
@@ -88,9 +90,9 @@ def _checked(cover: Cover) -> Cover:
         if b[0] < 0 or b[-1] >= n:
             raise ValidationError(f"block {b} out of range for n={n}")
         seen.update(b)
-    if seen != set(range(n)):
-        missing = sorted(set(range(n)) - seen)
-        raise ValidationError(f"not a cover: elements {missing} uncovered")
+    if len(seen) < n:  # members are in range, so counting them checks coverage
+        first = list(islice(filterfalse(seen.__contains__, range(n)), 10))
+        raise ValidationError(f"not a cover: {n - len(seen)} elements uncovered, first {first}")
     for s, b in enumerate(blocks):
         # blocks are distinct, so another block holding all of b is a strict superset
         others = cover.containing(b) & ~(1 << s)
@@ -105,9 +107,10 @@ def is_flag_cover(cover: Cover) -> bool:
     from .graphs import max_cliques
 
     neighbors = [0] * cover.n
-    for i, j in cover.co_occurrence_edges():
-        neighbors[i] |= 1 << j
-        neighbors[j] |= 1 << i
+    for b in cover.blocks:
+        mask = sum(1 << v for v in b)
+        for v in b:
+            neighbors[v] |= mask ^ (1 << v)
     return tuple(max_cliques(neighbors)) == cover.blocks
 
 
@@ -299,7 +302,8 @@ def _read_cover(obj, canonical) -> Cover:
 
 
 def hierarchy_from_json(obj) -> HierarchicalCover:
-    """The checked hierarchy of a cover JSON object; non-finite scales are refused.
+    """The checked hierarchy of a cover JSON object. Each scale must be a finite
+    JSON number: a string, a bool or a non-finite value is refused.
 
     Covers repeat most blocks, so each distinct raw block of Python ints is
     canonicalized once; the covers and the errors are those of
@@ -320,7 +324,7 @@ def hierarchy_from_json(obj) -> HierarchicalCover:
 
     try:
         n = _json_int(obj["n"])
-        scales = tuple(float(s) for s in obj["scales"])
+        scales = tuple(map(_json_float, obj["scales"]))
         for s in scales:
             if not math.isfinite(s):
                 raise ValidationError(f"bad hierarchical cover JSON: scale {s!r} is not finite")

@@ -9,12 +9,12 @@ the pairs at matrix entry <= delta (edges take effect exactly at their
 value). The scan inserts the pairs as edges in value order, one batch per
 value, and reads the blocks off after each batch:
 
-  sl     single_linkage   bottleneck matrix       connected components
-  ml     maximal_linkage  d                       maximal cliques
-  lk     l_k_linkage      hop-bounded minimax     maximal cliques
-  vlk    vl_k_linkage     d                       maximal k-vertex-connected subgraphs
-  iso    iso_cluster      geodesic metric         maximal cliques
-  fuzzy  fuzzy_simplex    -log fuzzy membership   maximal cliques
+  sl     bottleneck matrix       connected components
+  ml     d                       maximal cliques
+  lk     hop-bounded minimax     maximal cliques
+  vlk    d                       maximal k-vertex-connected subgraphs
+  iso    geodesic metric         maximal cliques
+  fuzzy  -log fuzzy membership   maximal cliques
 
 Except for `vlk`, the scanned matrix is the first-co-occurrence matrix. The
 bottleneck matrix is the single-linkage cophenetic distance: its distinct
@@ -138,13 +138,26 @@ def cluster_hierarchy(
     delta: float | None = None,
     disconnected: str = "error",
 ) -> HierarchicalCover:
-    """The hierarchical cover of a clustering stage, by name.
+    """The hierarchical cover of a clustering stage, by name: the one entry point.
 
     Every stage but `vlk` scans its first-co-occurrence matrix, and `vlk`'s
     is read off its hierarchy, so every membership matrix is
-    exp(-first_cooccurrence). `iso` without delta takes the connectivity
-    radius; `disconnected` is its policy for pairs in different components:
-    "error" raises, "cap" applies `cap_disconnected`.
+    exp(-first_cooccurrence). Per stage:
+
+    - `sl`: components, visited only at the n-1 dendrogram merge heights;
+    - `lk`: k counts the points of a connecting path, so the hop bound is
+      max(1, k-1); k = 1 is `ml` and k >= n is `sl`. This is the library's
+      one k convention; `algorithms.named_spec` turns `kpath`'s hop bound
+      into k = hops + 1;
+    - `vlk`: the maximal min(n, k)-vertex-connected subgraphs, isolated
+      vertices as singletons; cliques count as k-connected for every k, so
+      k >= n is `ml` and k = 1 is `sl`;
+    - `iso`: `ml` over the geodesic metric of the threshold graph at delta
+      (default: the connectivity radius), so the membership makes stress the
+      IsoMap objective; `disconnected` is its policy for pairs in different
+      components: "error" raises, "cap" applies `cap_disconnected`;
+    - `fuzzy`: the flag closure of the graph on pairs of membership >= a,
+      i.e. the scan at -log `fuzzy_union_membership`.
     """
     if stage == "vlk":
         check_stage(stage, k, delta, disconnected)
@@ -191,67 +204,6 @@ def first_cooccurrence(
     )
 
 
-def single_linkage(space: PseudometricSpace) -> HierarchicalCover:
-    """Blocks at scale delta are the connected components of the threshold graph.
-
-    Scanned over the bottleneck matrix, so the only scales visited are the
-    n-1 merge heights of the single-linkage dendrogram, not every distinct
-    distance.
-    """
-    return cluster_hierarchy(space, "sl")
-
-
-def maximal_linkage(space: PseudometricSpace) -> HierarchicalCover:
-    """Blocks at scale delta are the maximal cliques of the threshold graph."""
-    return cluster_hierarchy(space, "ml")
-
-
-def l_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
-    """Blocks are maximal sets of points pairwise reachable within a bounded hop count.
-
-    k counts the points of the connecting sequence, so the hop bound is
-    max(1, k-1); k=1 collapses to the direct edge relation (maximal linkage)
-    and k >= n reproduces single linkage. This is the one k convention of the
-    library and of `PipelineSpec.k`; the named algorithm `kpath` takes a hop
-    bound instead, which `algorithms.named_spec` turns into k = hops + 1.
-    """
-    return cluster_hierarchy(space, "lk", k=k)
-
-
-def vl_k_linkage(space: PseudometricSpace, k: int) -> HierarchicalCover:
-    """Blocks at scale delta are the maximal min(n,k)-vertex-connected subgraphs.
-
-    Isolated vertices appear as singleton blocks; complete subgraphs count as
-    k-vertex-connected for every k, so k >= n reproduces maximal linkage and
-    k = 1 reproduces single linkage.
-    """
-    return cluster_hierarchy(space, "vlk", k=k)
-
-
-def geodesic_metric(
-    space: PseudometricSpace, delta_cap: float | None, disconnected: str = "error"
-) -> PseudometricSpace:
-    """Shortest-path metric of the weighted threshold graph at delta_cap: the `iso`
-    stage's first-co-occurrence matrix (delta_cap None: the connectivity radius).
-
-    Pairs in different components either raise (policy "error") or take the
-    cap rule `cap_disconnected`, 3 times the largest finite geodesic ("cap").
-    """
-    g = first_cooccurrence(space, "iso", delta=delta_cap, disconnected=disconnected)
-    return PseudometricSpace(g, space.labels)
-
-
-def iso_cluster(
-    space: PseudometricSpace, delta_cap: float | None, disconnected: str = "error"
-) -> HierarchicalCover:
-    """Maximal linkage over the geodesic metric at delta_cap.
-
-    The membership matrix is then exp(-geodesic distance), so a stress loss
-    over its target distances is the IsoMap objective.
-    """
-    return cluster_hierarchy(space, "iso", delta=delta_cap, disconnected=disconnected)
-
-
 def fuzzy_union_membership(space: PseudometricSpace) -> MembershipMatrix:
     """Pairwise memberships from locally rescaled distances.
 
@@ -269,13 +221,3 @@ def fuzzy_union_membership(space: PseudometricSpace) -> MembershipMatrix:
     w = 1.0 - (1.0 - directed) * (1.0 - directed.T)
     np.fill_diagonal(w, 1.0)
     return MembershipMatrix(w)
-
-
-def fuzzy_simplex(space: PseudometricSpace) -> tuple[HierarchicalCover, MembershipMatrix]:
-    """Hierarchical cover and membership matrix of the local-rescaling construction.
-
-    The cover at strength a is the flag closure (maximal cliques) of the graph
-    on pairs with membership >= a, i.e. scale delta = -log membership.
-    """
-    membership = fuzzy_union_membership(space)
-    return _threshold_hierarchy(target_distances(membership)), membership

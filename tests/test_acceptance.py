@@ -22,19 +22,16 @@ from coverembed import (
     MembershipMatrix,
     PipelineSpec,
     StressProblem,
+    cluster_hierarchy,
     from_matrix,
     from_points_euclidean,
     grad_check,
     interleaving_distance,
-    l_k_linkage,
-    maximal_linkage,
     membership_matrix,
     minimize,
     named_spec,
     run_pipeline,
-    single_linkage,
     target_distances,
-    vl_k_linkage,
 )
 from coverembed.algorithms import stage_targets
 from coverembed.cli import dispatch
@@ -140,8 +137,8 @@ def test_criterion_04_interleaving_bound_suite():
             eps = float(rng.uniform(0.01, 0.5))
             y = perturbed(rng, x, eps)
             eps_true = isometry_epsilon(x, y)
-            for build in (single_linkage, maximal_linkage):
-                hx, hy = build(x), build(y)
+            for stage in ("sl", "ml"):
+                hx, hy = cluster_hierarchy(x, stage), cluster_hierarchy(y, stage)
                 got = interleaving_distance(hx, hy).epsilon_star
                 assert got <= eps_true + 1e-12
                 worst = max(worst, got - eps_true)
@@ -176,11 +173,11 @@ def test_criterion_06_refinement_spectrum():
         rng = np.random.default_rng(106)
         for trial in range(100):
             space = random_space(rng, n=6)
-            sl = single_linkage(space)
-            ml = maximal_linkage(space)
+            sl = cluster_hierarchy(space, "sl")
+            ml = cluster_hierarchy(space, "ml")
             for k in (1, 2, 3, 6):
-                lk = l_k_linkage(space, k)
-                vlk = vl_k_linkage(space, k)
+                lk = cluster_hierarchy(space, "lk", k=k)
+                vlk = cluster_hierarchy(space, "vlk", k=k)
                 scales = sorted(
                     set(sl.scales) | set(ml.scales) | set(lk.scales) | set(vlk.scales)
                 )
@@ -198,10 +195,10 @@ def test_criterion_06_refinement_spectrum():
                     assert cover_at(ml, delta).blocks == tuple(
                         oracle_max_cliques(6, edges)
                     )
-                    assert cover_at(vl_k_linkage(space, 2), delta).blocks == tuple(
+                    assert cover_at(cluster_hierarchy(space, "vlk", k=2), delta).blocks == tuple(
                         oracle_maximal_j_connected(6, edges, 2)
                     )
-                w = membership_matrix(l_k_linkage(space, 3))
+                w = membership_matrix(cluster_hierarchy(space, "lk", k=3))
                 for i in range(6):
                     for j in range(i + 1, 6):
                         want = oracle_minimax_path(space.d, i, j, max_hops=2)
@@ -236,10 +233,10 @@ def test_criterion_08_degenerate_identities():
         for trial in range(50):
             space = random_space(rng, n=6)
             # VL_1 == SL and L_1 == ML, as covers and as target matrices
-            assert vl_k_linkage(space, 1) == single_linkage(space)
-            assert l_k_linkage(space, 1) == maximal_linkage(space)
-            t_vl1 = target_distances(membership_matrix(vl_k_linkage(space, 1)))
-            t_sl = target_distances(membership_matrix(single_linkage(space)))
+            assert cluster_hierarchy(space, "vlk", k=1) == cluster_hierarchy(space, "sl")
+            assert cluster_hierarchy(space, "lk", k=1) == cluster_hierarchy(space, "ml")
+            t_vl1 = target_distances(membership_matrix(cluster_hierarchy(space, "vlk", k=1)))
+            t_sl = target_distances(membership_matrix(cluster_hierarchy(space, "sl")))
             assert np.array_equal(t_vl1, t_sl)
             # k-path with k >= n-1 has the single-linkage targets
             assert np.array_equal(

@@ -8,7 +8,7 @@ from coverembed import (
     HierarchicalCover,
     NumericalError,
     ValidationError,
-    maximal_linkage,
+    cluster_hierarchy,
     membership_matrix,
 )
 from coverembed.algorithms import connectivity_radius, named_spec
@@ -70,10 +70,8 @@ def test_cluster_and_interleave_round_trip(dist_csv, tmp_path, capsys):
     assert dispatch(["cluster", "--functor", "sl", "--in", str(dist_csv), "--out", str(h1)]) == 0
     assert dispatch(["cluster", "--functor", "ml", "--in", str(dist_csv), "--out", str(h2)]) == 0
     # written JSON reads back to an equal value
-    from coverembed import single_linkage
-
     again = read_hierarchy_json(h1)
-    assert again == single_linkage(from_matrix(CHAIN))
+    assert again == cluster_hierarchy(from_matrix(CHAIN), "sl")
     capsys.readouterr()
     assert dispatch(["interleave", "--a", str(h1), "--b", str(h1)]) == 0
     assert capsys.readouterr().out.strip() == "0"
@@ -507,7 +505,9 @@ def test_malformed_cover_json_is_a_validation_error(tmp_path):
      "1.5 is not an integer"),
     ('{"n": 2, "scales": [0], "covers": [{"n": true, "blocks": [[0, 1]]}]}',
      "True is not an integer"),
-], ids=["block-member", "scale", "fractional-n", "fractional-member", "boolean-n"])
+    ('{"n": -2, "scales": [0.0], "covers": [{"n": -2, "blocks": []}]}',
+     "n=-2 is negative"),
+], ids=["block-member", "scale", "fractional-n", "fractional-member", "boolean-n", "negative-n"])
 def test_a_non_numeric_cover_json_value_is_a_validation_error_naming_it(tmp_path, capsys, text,
                                                                        value):
     bad = tmp_path / "bad.json"
@@ -544,7 +544,7 @@ def test_flatten_check_membership_is_the_maximal_linkage_entry():
     rng = np.random.default_rng(3)
     spaces = [from_matrix(d), from_points_euclidean(rng.normal(size=(5, 2)))]
     for space in spaces:
-        w = membership_matrix(maximal_linkage(space)).w
+        w = membership_matrix(cluster_hierarchy(space, "ml")).w
         for i in range(space.n):
             for j in range(space.n):
                 if i == j:
@@ -556,7 +556,7 @@ def test_flatten_check_membership_is_the_maximal_linkage_entry():
                     assert report["membership"] == 1e-3 and report["truncated"]
                 else:
                     assert flatten_check_report(space, i, j)["membership"] == w[i, j]
-    assert membership_matrix(maximal_linkage(spaces[0])).w[0, 3] == 0.0
+    assert membership_matrix(cluster_hierarchy(spaces[0], "ml")).w[0, 3] == 0.0
 
 
 BENCH_TINY = ["--n", "3", "--m-steps", "3", "--len", "30", "--subs", "3",
@@ -732,7 +732,7 @@ def _no_constants(token):
 
 
 def test_interleave_writes_an_infinite_epsilon_star_as_null(tmp_path, capsys):
-    h = maximal_linkage(from_matrix(CHAIN))
+    h = cluster_hierarchy(from_matrix(CHAIN), "ml")
     paths = [tmp_path / "ml.json", tmp_path / "head.json"]
     write_hierarchy_json(paths[0], h)
     write_hierarchy_json(paths[1], HierarchicalCover(3, h.scales[:2], h.covers[:2]))

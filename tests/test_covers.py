@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from coverembed import (
     NumericalError,
     ValidationError,
+    cluster_hierarchy,
     cover_at,
     from_matrix,
     from_points_euclidean,
     is_flag_cover,
     make_cover,
-    maximal_linkage,
     membership_matrix,
     refines,
-    single_linkage,
     target_distances,
-    vl_k_linkage,
 )
 from coverembed.covers import (
     Cover,
@@ -38,6 +36,7 @@ from oracles import (
     hierarchy_json_bytes,
     hierarchy_to_json,
     oracle_components,
+    oracle_max_cliques,
     oracle_membership,
     oracle_refines,
     random_space,
@@ -58,6 +57,27 @@ def test_make_cover_canonicalizes_and_validates():
         make_cover(2, [[0, 1, 2]])
 
 
+def test_a_negative_cover_size_is_refused():
+    with pytest.raises(ValidationError, match="n=-1"):
+        make_cover(-1, [])
+    with pytest.raises(ValidationError, match="n=-1"):
+        cover_from_json({"n": -1, "blocks": []})
+
+
+def test_uncovered_elements_are_counted_not_listed():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="uncovered") as err:
+            cover_from_json({"n": 10**6, "blocks": []})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert len(message) < 1000
+    assert peak < 2**20
+    assert "1000000" in message and "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]" in message
+
+
 def test_flag_condition():
     assert is_flag_cover(make_cover(3, [[0, 1], [1, 2]]))
     # {0,1},{1,2},{0,2} co-occur pairwise, so the triangle is the only max clique
@@ -68,7 +88,7 @@ def test_vlk_covers_need_not_be_flag():
     rng = np.random.default_rng(0)
     for _ in range(22):
         points = rng.normal(size=(9, 2))
-    h = vl_k_linkage(from_points_euclidean(points), 3)
+    h = cluster_hierarchy(from_points_euclidean(points), "vlk", k=3)
     cover = h.covers[h.scales.index(1.465780125765619)]
     assert cover.blocks == ((0, 5), (0, 8), (1, 2, 3, 4, 5, 7, 8), (6, 7, 8))
     # 0, 5 and 8 co-occur pairwise but share no block
@@ -89,6 +109,18 @@ BLOCKS = st.lists(st.sets(st.integers(0, 127), min_size=1, max_size=8), min_size
 
 
 BLOCKS_OR_NONE = st.lists(st.sets(st.integers(0, 127), max_size=8), max_size=6)
+
+
+@given(n=st.integers(1, 9), blocks=BLOCKS)
+@example(n=3, blocks=[{0, 1}, {1, 2}, {0, 2}])
+@example(n=4, blocks=[{0, 1, 2}, {2, 3}])
+def test_flag_cover_equals_the_clique_oracle(n, blocks):
+    blocks = [{v % n for v in b} for b in blocks]
+    blocks += [{v} for v in set(range(n)).difference(*blocks)]
+    blocks = [b for b in blocks if not any(b < c for c in blocks)]
+    cover = make_cover(n, blocks)
+    edges = {(i, j) for b in cover.blocks for i in b for j in b if i < j}
+    assert is_flag_cover(cover) == (tuple(oracle_max_cliques(n, edges)) == cover.blocks)
 
 
 @given(n=st.integers(1, 70), fine=BLOCKS_OR_NONE, coarse=BLOCKS_OR_NONE)
@@ -138,7 +170,7 @@ def test_nested_block_error_names_the_brute_force_pair(n, blocks):
 
 
 def test_cover_at_interval_conventions():
-    h = single_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "sl")
     # between critical values
     assert cover_at(h, 1.5).blocks == ((0, 1), (2,))
     # exactly at a critical value: the new cover takes effect
@@ -151,7 +183,7 @@ def test_cover_at_interval_conventions():
 
 
 def test_membership_chain_against_component_oracle():
-    h = single_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "sl")
     w = membership_matrix(h)
     # brute force: first threshold at which each pair is co-clustered
     for i in range(3):
@@ -168,7 +200,7 @@ def test_membership_chain_against_component_oracle():
 
 def test_membership_never_coclustered_is_zero():
     # truncate the hierarchy before everything merges
-    h = single_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "sl")
     truncated = HierarchicalCover(3, h.scales[:2], h.covers[:2])
     w = membership_matrix(truncated)
     assert w.w[0, 2] == 0.0
@@ -182,8 +214,8 @@ def test_membership_equals_first_co_occurrence_scan():
         d = np.round(random_space(rng, n=6).d, 1)
         space = from_matrix(d)
         for h in (
-            single_linkage(space),
-            maximal_linkage(space),
+            cluster_hierarchy(space, "sl"),
+            cluster_hierarchy(space, "ml"),
             cluster_hierarchy(space, "lk", k=2),
             cluster_hierarchy(space, "fuzzy"),
         ):
@@ -235,7 +267,7 @@ def test_first_cooccurrence_on_hierarchies_that_do_not_coarsen(covers):
 def test_first_cooccurrence_memory_stays_within_a_few_square_matrices():
     n = 60
     space = from_points_euclidean(np.random.default_rng(5).normal(size=(n, 3)))
-    h = maximal_linkage(space)
+    h = cluster_hierarchy(space, "ml")
     assert len({b for c in h.covers for b in c.blocks}) > 5000
     tracemalloc.start()
     try:
@@ -248,7 +280,7 @@ def test_first_cooccurrence_memory_stays_within_a_few_square_matrices():
 
 
 def test_target_distances_values():
-    h = single_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "sl")
     truncated = HierarchicalCover(3, h.scales[:2], h.covers[:2])
     t = target_distances(membership_matrix(truncated))
     assert t[0, 0] == 0.0
@@ -260,7 +292,7 @@ def test_maximal_linkage_membership_is_exp_of_distance():
     rng = np.random.default_rng(7)
     for _ in range(5):
         space = random_space(rng, n=5)
-        w = membership_matrix(maximal_linkage(space))
+        w = membership_matrix(cluster_hierarchy(space, "ml"))
         assert np.array_equal(w.w, np.exp(-space.d))
 
 
@@ -268,7 +300,7 @@ def test_cover_at_refines_later_scales():
     rng = np.random.default_rng(8)
     for _ in range(5):
         space = random_space(rng, n=5)
-        for h in (single_linkage(space), maximal_linkage(space)):
+        for h in (cluster_hierarchy(space, "sl"), cluster_hierarchy(space, "ml")):
             deltas = list(h.scales) + [h.scales[-1] + 1.0]
             for a in deltas:
                 for b in deltas:
@@ -277,7 +309,7 @@ def test_cover_at_refines_later_scales():
 
 
 def test_refining_a_cover_never_decreases_targets():
-    h = single_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "sl")
     # split the merged top block back apart at the final scale
     finer_top = make_cover(3, [[0, 1], [1, 2]])
     perturbed = HierarchicalCover(3, h.scales, h.covers[:-1] + (finer_top,))
@@ -309,7 +341,7 @@ def test_build_hierarchy_drops_repeats():
 def test_json_round_trip():
     cover = make_cover(3, [[0, 1], [1, 2]])
     assert cover_from_json(json.loads(json.dumps(cover_to_json(cover)))) == cover
-    h = maximal_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "ml")
     again = hierarchy_from_json(json.loads(json.dumps(hierarchy_to_json(h))))
     assert again == h
     with pytest.raises(ValidationError):
@@ -353,14 +385,14 @@ def test_hierarchy_json_refuses_a_non_finite_scale(token):
 
 
 def test_cover_at_refuses_a_nan_scale():
-    h = single_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "sl")
     for delta in (-1.0, math.nan):
         with pytest.raises(ValidationError, match="scale must be nonnegative"):
             cover_at(h, delta)
 
 
 def test_first_cooccurrence_is_computed_once_and_read_only():
-    h = maximal_linkage(from_points_euclidean(np.random.default_rng(9).normal(size=(7, 2))))
+    h = cluster_hierarchy(from_points_euclidean(np.random.default_rng(9).normal(size=(7, 2))), "ml")
     t = first_cooccurrence_scales(h)
     assert first_cooccurrence_scales(h) is t
     assert not t.flags.writeable
@@ -439,6 +471,18 @@ def test_cover_json_reads_integral_floats_as_their_integers():
     assert str(exc.value) == "bad hierarchical cover JSON: 2.9 is not an integer"
 
 
+@pytest.mark.parametrize("scales, value", [
+    (["0", "1.5"], "'0'"),
+    ([False, True], "False"),
+    ([0, " 2 "], "' 2 '"),
+], ids=["strings", "booleans", "padded-string"])
+def test_hierarchy_json_scales_must_be_json_numbers(scales, value):
+    obj = _raw_hierarchy([[[0], [1], [2]], [[0, 1, 2]]], scales=scales)
+    with pytest.raises(ValidationError) as exc:
+        hierarchy_from_json(obj)
+    assert str(exc.value) == f"bad hierarchical cover JSON: {value} is not a number"
+
+
 def test_hierarchy_json_names_a_non_numeric_scale():
     obj = _raw_hierarchy([[[0], [1], [2]], [[0, 1, 2]]], scales=[0, "a"])
     with pytest.raises(ValidationError) as exc:
@@ -486,7 +530,7 @@ def test_only_the_check_marks_constructed_and_read_hierarchies(monkeypatch):
         check(self)
 
     monkeypatch.setattr(HierarchicalCover, "validate_coarsening", recording)
-    h = hierarchy_from_json(hierarchy_to_json(maximal_linkage(CHAIN)))
+    h = hierarchy_from_json(hierarchy_to_json(cluster_hierarchy(CHAIN, "ml")))
     assert unmarked_at_check == [True] and h._coarsens
     with pytest.raises(ValidationError, match="does not refine"):
         hierarchy_from_json(_raw_hierarchy([[[0, 1], [2]], [[0], [1, 2]]]))

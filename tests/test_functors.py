@@ -8,18 +8,12 @@ from coverembed import (
     ValidationError,
     cover_at,
     from_matrix,
+    PseudometricSpace,
     from_points_euclidean,
-    fuzzy_simplex,
     fuzzy_union_membership,
-    geodesic_metric,
     is_flag_cover,
-    iso_cluster,
-    l_k_linkage,
-    maximal_linkage,
     membership_matrix,
     refines,
-    single_linkage,
-    vl_k_linkage,
 )
 
 from coverembed.algorithms import PipelineSpec, connectivity_radius, stage_targets
@@ -56,7 +50,7 @@ CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
 
 
 def test_single_linkage_chain():
-    h = single_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "sl")
     assert h.scales == (0.0, 1.0, 2.0)
     assert [c.blocks for c in h.covers] == [
         ((0,), (1,), (2,)),
@@ -66,13 +60,13 @@ def test_single_linkage_chain():
 
 
 def test_single_linkage_all_identical_points():
-    h = single_linkage(from_matrix(np.zeros((4, 4))))
+    h = cluster_hierarchy(from_matrix(np.zeros((4, 4))), "sl")
     assert h.scales == (0.0,)
     assert h.covers[0].blocks == ((0, 1, 2, 3),)
 
 
 def test_single_linkage_two_points():
-    h = single_linkage(from_matrix([[0, 5], [5, 0]]))
+    h = cluster_hierarchy(from_matrix([[0, 5], [5, 0]]), "sl")
     assert h.scales == (0.0, 5.0)
 
 
@@ -80,7 +74,7 @@ def test_single_linkage_two_points():
 
 
 def test_maximal_linkage_chain_overlap():
-    h = maximal_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "ml")
     assert cover_at(h, 2.5).blocks == ((0, 1), (1, 2))
     assert cover_at(h, 3.0).blocks == ((0, 1, 2),)
     assert cover_at(h, 0.5).blocks == ((0,), (1,), (2,))
@@ -90,7 +84,7 @@ def test_maximal_linkage_matches_clique_oracle():
     rng = np.random.default_rng(11)
     for _ in range(8):
         space = random_space(rng, n=6)
-        h = maximal_linkage(space)
+        h = cluster_hierarchy(space, "ml")
         for delta in h.scales:
             expected = oracle_max_cliques(6, threshold_edges(space.d, delta))
             assert cover_at(h, delta).blocks == tuple(expected)
@@ -101,18 +95,18 @@ def test_maximal_linkage_matches_clique_oracle():
 
 def test_l_k_rejects_zero():
     with pytest.raises(ValidationError):
-        l_k_linkage(CHAIN, 0)
+        cluster_hierarchy(CHAIN, "lk", k=0)
 
 
 def test_l_1_equals_maximal_linkage():
     rng = np.random.default_rng(12)
     for _ in range(6):
         space = random_space(rng, n=5)
-        assert l_k_linkage(space, 1) == maximal_linkage(space)
+        assert cluster_hierarchy(space, "lk", k=1) == cluster_hierarchy(space, "ml")
 
 
 def test_l_3_chain_connects_ends_at_two():
-    h = l_k_linkage(CHAIN, 3)
+    h = cluster_hierarchy(CHAIN, "lk", k=3)
     assert cover_at(h, 2.0).blocks == ((0, 1, 2),)
     assert cover_at(h, 1.5).blocks == ((0, 1), (2,))
 
@@ -121,8 +115,8 @@ def test_l_k_at_least_n_equals_single_linkage():
     rng = np.random.default_rng(13)
     for _ in range(6):
         space = random_space(rng, n=5)
-        assert l_k_linkage(space, 5) == single_linkage(space)
-        assert l_k_linkage(space, 9) == single_linkage(space)
+        assert cluster_hierarchy(space, "lk", k=5) == cluster_hierarchy(space, "sl")
+        assert cluster_hierarchy(space, "lk", k=9) == cluster_hierarchy(space, "sl")
 
 
 def test_l_k_relation_matches_path_oracle():
@@ -130,7 +124,7 @@ def test_l_k_relation_matches_path_oracle():
     for _ in range(4):
         space = random_space(rng, n=5)
         for k in (2, 3):
-            h = l_k_linkage(space, k)
+            h = cluster_hierarchy(space, "lk", k=k)
             w = membership_matrix(h)
             for i in range(5):
                 for j in range(i + 1, 5):
@@ -145,7 +139,7 @@ def test_vl_1_equals_single_linkage():
     rng = np.random.default_rng(15)
     for _ in range(6):
         space = random_space(rng, n=5)
-        assert vl_k_linkage(space, 1) == single_linkage(space)
+        assert cluster_hierarchy(space, "vlk", k=1) == cluster_hierarchy(space, "sl")
 
 
 def test_vl_2_four_cycle_is_one_block():
@@ -155,7 +149,7 @@ def test_vl_2_four_cycle_is_one_block():
     for i, j in ((0, 1), (1, 2), (2, 3), (3, 0)):
         d[i, j] = d[j, i] = 1.0
     space = from_matrix(d)
-    h = vl_k_linkage(space, 2)
+    h = cluster_hierarchy(space, "vlk", k=2)
     assert cover_at(h, 1.0).blocks == ((0, 1, 2, 3),)
     assert cover_at(h, 0.5).blocks == ((0,), (1,), (2,), (3,))
 
@@ -164,7 +158,7 @@ def test_vl_k_at_least_n_equals_maximal_linkage():
     rng = np.random.default_rng(16)
     for _ in range(5):
         space = random_space(rng, n=5)
-        assert vl_k_linkage(space, 5) == maximal_linkage(space)
+        assert cluster_hierarchy(space, "vlk", k=5) == cluster_hierarchy(space, "ml")
 
 
 def test_vl_k_blocks_match_subset_oracle():
@@ -172,7 +166,7 @@ def test_vl_k_blocks_match_subset_oracle():
     for _ in range(3):
         space = random_space(rng, n=6)
         for k in (2, 3):
-            h = vl_k_linkage(space, k)
+            h = cluster_hierarchy(space, "vlk", k=k)
             for delta in h.scales:
                 expected = oracle_maximal_j_connected(
                     6, threshold_edges(space.d, delta), k
@@ -190,7 +184,7 @@ def test_vl_3_block_appears_at_an_edge_inside_an_existing_block():
                  (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6)):
         d[i, j] = d[j, i] = 1.0
     d[0, 1] = d[1, 0] = 2.0
-    h = vl_k_linkage(from_matrix(d), 3)
+    h = cluster_hierarchy(from_matrix(d), "vlk", k=3)
     assert cover_at(h, 1.0).blocks == ((0, 1, 4, 5, 6), (0, 2, 3), (1, 2, 3))
     assert cover_at(h, 2.0).blocks == ((0, 1, 2, 3), (0, 1, 4, 5, 6))
     assert h.scales == (0.0, 1.0, 2.0, 3.0)
@@ -282,40 +276,45 @@ def test_first_j_sources_equal_the_all_pairs_order(monkeypatch):
     assert 0 < calls["first j"] < calls["all pairs"]
 
 
-# -- geodesic metric and iso_cluster ------------------------------------------------
+# -- geodesic metric and the iso stage ----------------------------------------------
 
 
 def test_geodesic_collinear_path_through_middle():
     space = from_points_euclidean([[0.0], [1.0], [2.0]])
-    geo = geodesic_metric(space, 1.0)
+    geo = PseudometricSpace(first_cooccurrence(space, "iso", delta=1.0), space.labels)
     assert geo.d[0, 2] == pytest.approx(2.0)
 
 
 def test_geodesic_identity_at_full_cap():
     rng = np.random.default_rng(18)
     space = from_points_euclidean(rng.normal(size=(5, 2)))
-    geo = geodesic_metric(space, float(space.d.max()))
+    geo = PseudometricSpace(
+        first_cooccurrence(space, "iso", delta=float(space.d.max())), space.labels
+    )
     assert np.allclose(geo.d, space.d)
 
 
 def test_geodesic_disconnection_policies():
     space = from_points_euclidean([[0.0], [1.0], [10.0], [11.0]])
     with pytest.raises(DisconnectedError) as err:
-        geodesic_metric(space, 2.0)
+        PseudometricSpace(first_cooccurrence(space, "iso", delta=2.0), space.labels)
     assert err.value.components == [(0, 1), (2, 3)]
-    capped = geodesic_metric(space, 2.0, disconnected="cap")
+    capped = PseudometricSpace(
+        first_cooccurrence(space, "iso", delta=2.0, disconnected="cap"), space.labels
+    )
     assert capped.d[0, 2] == pytest.approx(3.0 * 1.0)
 
 
 def test_iso_cluster_reduces_to_maximal_linkage_at_full_cap():
     rng = np.random.default_rng(19)
     space = from_points_euclidean(rng.normal(size=(5, 2)))
-    assert iso_cluster(space, float(space.d.max())) == maximal_linkage(space)
+    full_cap = float(space.d.max())
+    assert cluster_hierarchy(space, "iso", delta=full_cap) == cluster_hierarchy(space, "ml")
 
 
 def test_iso_cluster_collinear_membership():
     space = from_points_euclidean([[0.0], [1.0], [2.0]])
-    w = membership_matrix(iso_cluster(space, 1.0))
+    w = membership_matrix(cluster_hierarchy(space, "iso", delta=1.0))
     assert w.w[0, 2] == pytest.approx(np.exp(-2.0))
 
 
@@ -324,7 +323,7 @@ def test_iso_cluster_circle_geodesics_are_chord_sums():
     theta = 2 * np.pi * np.arange(n) / n
     space = from_points_euclidean(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
     chord = 2 * r * np.sin(np.pi / n)
-    geo = geodesic_metric(space, chord * 1.0001)
+    geo = PseudometricSpace(first_cooccurrence(space, "iso", delta=chord * 1.0001), space.labels)
     hops = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     hops = np.minimum(hops, n - hops)
     assert np.allclose(geo.d, chord * hops, atol=1e-12)
@@ -356,7 +355,7 @@ def test_fuzzy_symmetric_triple():
 
 def test_fuzzy_needs_two_points():
     with pytest.raises(ValidationError):
-        fuzzy_simplex(from_matrix([[0.0]]))
+        cluster_hierarchy(from_matrix([[0.0]]), "fuzzy")
 
 
 def test_every_stage_gives_no_blocks_on_the_empty_space():
@@ -374,7 +373,7 @@ def test_every_stage_gives_no_blocks_on_the_empty_space():
 def test_fuzzy_hierarchy_consistent_with_membership():
     rng = np.random.default_rng(20)
     space = random_space(rng, n=5)
-    h, w = fuzzy_simplex(space)
+    h, w = cluster_hierarchy(space, "fuzzy"), fuzzy_union_membership(space)
     again = membership_matrix(h)
     assert np.allclose(again.w, w.w, rtol=1e-12)
 
@@ -393,10 +392,10 @@ def test_fuzzy_membership_permutation_equivariant():
 
 def _hierarchies(space, k):
     return {
-        "sl": single_linkage(space),
-        "ml": maximal_linkage(space),
-        "lk": l_k_linkage(space, k),
-        "vlk": vl_k_linkage(space, k),
+        "sl": cluster_hierarchy(space, "sl"),
+        "ml": cluster_hierarchy(space, "ml"),
+        "lk": cluster_hierarchy(space, "lk", k=k),
+        "vlk": cluster_hierarchy(space, "vlk", k=k),
     }
 
 
@@ -425,14 +424,14 @@ def test_all_constructors_produce_flag_coarsening_hierarchies():
         a = np.triu(rng.integers(0, 3, size=(6, 6)), 1).astype(float)
         spaces.append(from_matrix(a + a.T))
     for space in spaces:
-        vl_k_linkage(space, 2).validate_coarsening()
+        cluster_hierarchy(space, "vlk", k=2).validate_coarsening()
         for h in (
-            single_linkage(space),
-            maximal_linkage(space),
-            l_k_linkage(space, 2),
-            l_k_linkage(space, 3),
-            iso_cluster(space, float(space.d.max())),
-            fuzzy_simplex(space)[0],
+            cluster_hierarchy(space, "sl"),
+            cluster_hierarchy(space, "ml"),
+            cluster_hierarchy(space, "lk", k=2),
+            cluster_hierarchy(space, "lk", k=3),
+            cluster_hierarchy(space, "iso", delta=float(space.d.max())),
+            cluster_hierarchy(space, "fuzzy"),
         ):
             h.validate_coarsening()
             assert all(is_flag_cover(cover) for cover in h.covers)
@@ -459,8 +458,8 @@ def test_single_linkage_respects_point_collapse():
         keep = [0, 2, 3, 4]  # drop index 1, now identified with 0
         quotient = from_matrix(glued[np.ix_(keep, keep)])
         qmap = {0: 0, 1: 0, 2: 1, 3: 2, 4: 3}
-        hx = single_linkage(space)
-        hq = single_linkage(quotient)
+        hx = cluster_hierarchy(space, "sl")
+        hq = cluster_hierarchy(quotient, "sl")
         for delta in sorted(set(hx.scales) | set(hq.scales)):
             q_blocks = [set(b) for b in cover_at(hq, delta).blocks]
             for block in cover_at(hx, delta).blocks:
@@ -473,9 +472,9 @@ def test_uniform_shift_moves_covers_rigidly():
     space = random_space(rng, n=5)
     eps = 0.35
     shifted = space.shifted(eps)
-    for build in (single_linkage, maximal_linkage):
-        h = build(space)
-        h_shift = build(shifted)
+    for stage in ("sl", "ml"):
+        h = cluster_hierarchy(space, stage)
+        h_shift = cluster_hierarchy(shifted, stage)
         for delta in list(h.scales) + [max(h.scales) + 1.0]:
             assert cover_at(h_shift, delta + eps) == cover_at(h, delta)
 
@@ -494,24 +493,27 @@ def _reference_cases(space, delta):
     """(name, functor hierarchy, reference hierarchy) for all six functors."""
     n, d = space.n, space.d
     cases = [
-        ("sl", single_linkage(space), reference_threshold_hierarchy(d, oracle_components)),
-        ("ml", maximal_linkage(space), reference_threshold_hierarchy(d, oracle_max_cliques)),
+        ("sl", cluster_hierarchy(space, "sl"), reference_threshold_hierarchy(d, oracle_components)),
+        ("ml", cluster_hierarchy(space, "ml"),
+         reference_threshold_hierarchy(d, oracle_max_cliques)),
     ]
     for k in sorted({1, 2, n}):
         lk_dist = _minimax_oracle_matrix(d, max(1, k - 1))
         cases.append(
-            (f"lk{k}", l_k_linkage(space, k),
+            (f"lk{k}", cluster_hierarchy(space, "lk", k=k),
              reference_threshold_hierarchy(lk_dist, oracle_max_cliques))
         )
         cases.append(
-            (f"vlk{k}", vl_k_linkage(space, k),
+            (f"vlk{k}", cluster_hierarchy(space, "vlk", k=k),
              reference_threshold_hierarchy(
                  d, lambda n_, edges: oracle_maximal_j_connected(n_, edges, min(n, k))
              ))
         )
-    geo = geodesic_metric(space, delta, disconnected="cap")
+    geo = PseudometricSpace(
+        first_cooccurrence(space, "iso", delta=delta, disconnected="cap"), space.labels
+    )
     cases.append(
-        ("iso", iso_cluster(space, delta, disconnected="cap"),
+        ("iso", cluster_hierarchy(space, "iso", delta=delta, disconnected="cap"),
          reference_threshold_hierarchy(geo.d, oracle_max_cliques))
     )
     if n >= 2:
@@ -521,7 +523,7 @@ def _reference_cases(space, delta):
         np.fill_diagonal(fuzzy_dist, 0.0)
         fuzzy_dist = np.maximum(fuzzy_dist, 0.0)
         cases.append(
-            ("fuzzy", fuzzy_simplex(space)[0],
+            ("fuzzy", cluster_hierarchy(space, "fuzzy"),
              reference_threshold_hierarchy(fuzzy_dist, oracle_max_cliques))
         )
     return cases

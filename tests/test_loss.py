@@ -18,14 +18,13 @@ from coverembed import (
     MembershipMatrix,
     StressProblem,
     ValidationError,
+    cluster_hierarchy,
     flatten,
     from_matrix,
     loss_leq,
-    maximal_linkage,
     mds_fuzzy_family,
     membership_matrix,
     sign_classification,
-    single_linkage,
 )
 from coverembed.loss import (
     FuzzyLossFamily,
@@ -210,7 +209,7 @@ def test_family_rejects_a_floor_outside_the_unit_interval():
 
 
 def test_family_checks_hierarchy_consistency():
-    h = maximal_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "ml")
     good = membership_matrix(h)
     mds_fuzzy_family(good, h)
     bad = MembershipMatrix(np.exp(-CHAIN.d * 2))
@@ -302,8 +301,8 @@ def test_flatten_two_point_argmin_vs_grid_oracle():
 
 
 def test_flatten_is_monotone():
-    w_sl = membership_matrix(single_linkage(CHAIN))
-    w_ml = membership_matrix(maximal_linkage(CHAIN))
+    w_sl = membership_matrix(cluster_hierarchy(CHAIN, "sl"))
+    w_ml = membership_matrix(cluster_hierarchy(CHAIN, "ml"))
     fam_sl = mds_fuzzy_family(w_sl)
     fam_ml = mds_fuzzy_family(w_ml)
     assert family_leq(fam_ml, fam_sl)
@@ -378,7 +377,7 @@ def test_fce_loss_nonnegative_and_zero_at_match():
 
 
 def test_sign_classification_of_stress_family():
-    w = membership_matrix(maximal_linkage(CHAIN))
+    w = membership_matrix(cluster_hierarchy(CHAIN, "ml"))
     report = sign_classification(mds_fuzzy_family(w))
     assert report.classification == "positive-extensible"
     assert report.c_nonnegative and report.e_nonpositive
@@ -414,8 +413,8 @@ def test_sign_range_is_exact_past_the_grid():
 
 
 def test_loss_leq_reflexive_and_orders_chain_families():
-    w_sl = membership_matrix(single_linkage(CHAIN))
-    w_ml = membership_matrix(maximal_linkage(CHAIN))
+    w_sl = membership_matrix(cluster_hierarchy(CHAIN, "sl"))
+    w_ml = membership_matrix(cluster_hierarchy(CHAIN, "ml"))
     fam_sl = mds_fuzzy_family(w_sl)
     fam_ml = mds_fuzzy_family(w_ml)
     for a in (0.2, math.exp(-1.0), 0.9, 1.0):
@@ -454,7 +453,7 @@ def test_loss_leq_compares_affine_forms_past_the_grid():
 
 
 def test_loss_object_json_round_trip():
-    w = membership_matrix(maximal_linkage(CHAIN))
+    w = membership_matrix(cluster_hierarchy(CHAIN, "ml"))
     flat = flatten(mds_fuzzy_family(w))
     again = loss_object_from_json(loss_object_to_json(flat))
     assert again.n == flat.n

@@ -13,11 +13,9 @@ from coverembed import (
     from_matrix,
     from_points_euclidean,
     interleaving_distance,
-    maximal_linkage,
-    single_linkage,
 )
 from coverembed.covers import HierarchicalCover, make_cover, refines
-from coverembed.functors import cluster_hierarchy, fuzzy_simplex
+from coverembed.functors import cluster_hierarchy
 
 from coverembed.covers import hierarchy_from_json
 
@@ -56,13 +54,13 @@ def _exact_report(h1, h2):
 
 
 def test_interleaving_identity():
-    h = single_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "sl")
     assert _exact_report(h, h).epsilon_star == 0.0
 
 
 def test_interleaving_two_point_spaces():
-    a = single_linkage(from_matrix([[0, 1], [1, 0]]))
-    b = single_linkage(from_matrix([[0, 2], [2, 0]]))
+    a = cluster_hierarchy(from_matrix([[0, 1], [1, 0]]), "sl")
+    b = cluster_hierarchy(from_matrix([[0, 2], [2, 0]]), "sl")
     report = _exact_report(a, b)
     assert report.epsilon_star == 1.0
     # a's pair {0, 1} forms at 1 and first fits in a block of b at 2
@@ -72,19 +70,21 @@ def test_interleaving_two_point_spaces():
 
 def test_interleaving_of_shifted_functor_output():
     rng = np.random.default_rng(1)
-    for build in (single_linkage, maximal_linkage):
+    for stage in ("sl", "ml"):
         space = random_space(rng, n=5, low=0.5, high=2.0)
         gaps = np.diff(np.unique(space.d))
         eps = float(min(0.3, gaps[gaps > 0].min() * 0.9)) if (gaps > 0).any() else 0.1
-        report = _exact_report(build(space), build(space.shifted(eps)))
+        report = _exact_report(
+            cluster_hierarchy(space, stage), cluster_hierarchy(space.shifted(eps), stage)
+        )
         assert report.epsilon_star == pytest.approx(eps, abs=1e-12)
 
 
 def test_interleaving_matches_exhaustive_oracle():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        h1 = single_linkage(random_space(rng, n=5))
-        h2 = maximal_linkage(random_space(rng, n=5))
+        h1 = cluster_hierarchy(random_space(rng, n=5), "sl")
+        h2 = cluster_hierarchy(random_space(rng, n=5), "ml")
         _exact_report(h1, h2)
 
 
@@ -118,12 +118,12 @@ def test_interleaving_report_matches_reference_search():
 
 
 def test_interleaving_report_matches_reference_small_and_infinite():
-    one = single_linkage(from_matrix([[0.0]]))
+    one = cluster_hierarchy(from_matrix([[0.0]]), "sl")
     assert _exact_report(one, one).epsilon_star == 0.0
-    a = single_linkage(from_matrix([[0, 1], [1, 0]]))
-    b = maximal_linkage(from_matrix([[0, 2], [2, 0]]))
+    a = cluster_hierarchy(from_matrix([[0, 1], [1, 0]]), "sl")
+    b = cluster_hierarchy(from_matrix([[0, 2], [2, 0]]), "ml")
     assert _exact_report(a, b).epsilon_star == 1.0
-    h = maximal_linkage(CHAIN)
+    h = cluster_hierarchy(CHAIN, "ml")
     truncated = HierarchicalCover(3, h.scales[:2], h.covers[:2])
     report = _exact_report(h, truncated)
     assert math.isinf(report.epsilon_star)
@@ -134,9 +134,9 @@ def test_interleaving_symmetry_and_triangle():
     rng = np.random.default_rng(3)
     for _ in range(5):
         hs = [
-            single_linkage(random_space(rng, n=5)),
-            maximal_linkage(random_space(rng, n=5)),
-            single_linkage(random_space(rng, n=5)),
+            cluster_hierarchy(random_space(rng, n=5), "sl"),
+            cluster_hierarchy(random_space(rng, n=5), "ml"),
+            cluster_hierarchy(random_space(rng, n=5), "sl"),
         ]
         d01 = _exact_report(hs[0], hs[1]).epsilon_star
         d10 = _exact_report(hs[1], hs[0]).epsilon_star
@@ -151,15 +151,15 @@ def test_interleaving_invariant_under_joint_relabeling():
     x = random_space(rng, n=6)
     y = perturbed(rng, x, 0.2)
     perm = rng.permutation(6)
-    base = _exact_report(single_linkage(x), single_linkage(y)).epsilon_star
+    base = _exact_report(cluster_hierarchy(x, "sl"), cluster_hierarchy(y, "sl")).epsilon_star
     moved = _exact_report(
-        single_linkage(permuted(x, perm)), single_linkage(permuted(y, perm))
+        cluster_hierarchy(permuted(x, perm), "sl"), cluster_hierarchy(permuted(y, perm), "sl")
     ).epsilon_star
     assert base == moved
 
 
 def test_interleaving_infinite_when_never_refining():
-    h1 = single_linkage(CHAIN)  # eventually one block
+    h1 = cluster_hierarchy(CHAIN, "sl")  # eventually one block
     frozen = HierarchicalCover(3, (0.0,), (make_cover(3, [[0], [1], [2]]),))
     report = _exact_report(h1, frozen)
     assert math.isinf(report.epsilon_star)
@@ -180,8 +180,8 @@ def test_interleaving_exact_where_a_rounded_shift_falls_short():
             pts = np.round(pts, 1)
         noise = rng.normal(scale=0.05, size=pts.shape)
     assert n == 5
-    h1 = fuzzy_simplex(from_points_euclidean(pts))[0]
-    h2 = fuzzy_simplex(from_points_euclidean(pts + noise))[0]
+    h1 = cluster_hierarchy(from_points_euclidean(pts), "fuzzy")
+    h2 = cluster_hierarchy(from_points_euclidean(pts + noise), "fuzzy")
     report = _exact_report(h1, h2)
     assert report.epsilon_star == 0.07380911786982597
     side, i, j = report.witness
@@ -198,7 +198,7 @@ def test_interleaving_rejects_a_hierarchy_that_does_not_coarsen():
         make_cover(3, [[0, 1], [2]]),
         make_cover(3, [[0], [1, 2]]),
     ))
-    good = single_linkage(CHAIN)
+    good = cluster_hierarchy(CHAIN, "sl")
     for h1, h2 in ((split, good), (good, split)):
         with pytest.raises(ValidationError, match="does not refine"):
             interleaving_distance(h1, h2)
@@ -207,15 +207,17 @@ def test_interleaving_rejects_a_hierarchy_that_does_not_coarsen():
 def test_interleaving_ground_set_mismatch():
     with pytest.raises(ValidationError):
         interleaving_distance(
-            single_linkage(CHAIN), single_linkage(from_matrix([[0, 1], [1, 0]]))
+            cluster_hierarchy(CHAIN, "sl"), cluster_hierarchy(from_matrix([[0, 1], [1, 0]]), "sl")
         )
 
 
 def test_shift_bound_trivial_and_uniform():
     x = CHAIN
-    assert check_interleaving_bound(single_linkage, x, x).epsilon_star == 0.0
-    rep = check_interleaving_bound(single_linkage, x, x.shifted(0.5))
-    assert rep.interleaving == _exact_report(single_linkage(x), single_linkage(x.shifted(0.5)))
+    assert check_interleaving_bound(lambda s: cluster_hierarchy(s, "sl"), x, x).epsilon_star == 0.0
+    rep = check_interleaving_bound(lambda s: cluster_hierarchy(s, "sl"), x, x.shifted(0.5))
+    assert rep.interleaving == _exact_report(
+        cluster_hierarchy(x, "sl"), cluster_hierarchy(x.shifted(0.5), "sl")
+    )
     assert rep.epsilon == pytest.approx(0.5)
     assert rep.epsilon_star == pytest.approx(0.5)
     assert rep.passed
@@ -226,8 +228,10 @@ def test_shift_bound_random_perturbations():
     for _ in range(25):
         x = random_space(rng, n=6)
         y = perturbed(rng, x, 0.1)
-        rep = check_interleaving_bound(maximal_linkage, x, y)
-        assert rep.interleaving == _exact_report(maximal_linkage(x), maximal_linkage(y))
+        rep = check_interleaving_bound(lambda s: cluster_hierarchy(s, "ml"), x, y)
+        assert rep.interleaving == _exact_report(
+            cluster_hierarchy(x, "ml"), cluster_hierarchy(y, "ml")
+        )
         assert rep.passed
 
 
