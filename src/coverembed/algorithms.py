@@ -14,13 +14,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import squareform
 
 from .covers import MembershipMatrix, target_distances
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .functors import check_stage, first_cooccurrence, fuzzy_union_membership
 from .functors import connectivity_radius  # noqa: F401 (re-exported)
-from .loss import CrossEntropyProblem, StressProblem, check_policy
+from .loss import CrossEntropyProblem, StressProblem, _square, check_policy
 from .metric import PseudometricSpace
 from .optimize import Embedding, MinimizeResult, OptimizerConfig, minimize
 
@@ -44,6 +43,7 @@ class PipelineSpec:
         if self.loss not in LOSS_STAGES:
             raise ValidationError(f"unknown loss stage {self.loss!r}")
         check_policy(self.policy)
+        _check_int("embedding dimension", self.m)
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {self.m}")
 
@@ -77,6 +77,7 @@ def named_spec(algo: str, m: int = 2, k: int | None = None, **fields) -> Pipelin
     elif k is None:
         raise ValidationError(f"algorithm {algo!r} needs k")
     elif k_rule == "hops":
+        _check_int("k", k)
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         k += 1
@@ -131,7 +132,7 @@ def _summarize_targets(problem) -> dict[str, float]:
     the mean's rounding.
     """
     if isinstance(problem, StressProblem):
-        fit = squareform(problem.weights) > 0  # weight 0: diagonal, dropped
+        fit = _square(problem.weights, problem.n) > 0  # weight 0: diagonal, dropped
         capped = problem.capped_pairs
         infinite = capped + int((problem.weights == 0).sum())
     else:

@@ -39,7 +39,7 @@ from .fileio import (
     write_trace_csv,
 )
 from .functors import CLUSTER_STAGES, cluster_hierarchy, connectivity_radius
-from .loss import TARGET_POLICIES, MdsPairFamily
+from .loss import TARGET_POLICIES, FuzzyLossFamily, check_quadrature, flatten
 from .metric import PseudometricSpace
 from .optimize import Embedding, OptimizerConfig
 from .stability import check_interleaving_bound, check_loss_transfer, interleaving_distance
@@ -277,9 +277,9 @@ def _flattens_finitely(w: float) -> bool:
     """
     if not 0.0 < w <= 1.0:
         return False
-    coeff, econst = MdsPairFamily(w).flatten_exact()
+    flat = flatten(FuzzyLossFamily(2, [w]))
     x_end = max(-2.0 * math.log(w), 1.0)
-    return math.isfinite(coeff * x_end * x_end + econst)
+    return math.isfinite(flat.c_a.item() * x_end * x_end + flat.e_b.item())
 
 
 def flatten_check_report(space: PseudometricSpace, i: int, j: int,
@@ -321,9 +321,10 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
             raise ValidationError(f"--a-min {a_min!r} has no finite flattened loss")
         wij = a_min
         truncated = True
-    family = MdsPairFamily(wij)
-    family.check_quadrature(rel_tol)
-    coeff, econst = family.flatten_exact()
+    family = FuzzyLossFamily(2, [wij])
+    check_quadrature(family, rel_tol)
+    flat = flatten(family)
+    coeff, econst = flat.c_a.item(), flat.e_b.item()
     target = -math.log(wij)
     xs = np.linspace(0.0, max(2.0 * target, 1.0), 2001)
     values = coeff * xs * xs + econst

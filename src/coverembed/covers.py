@@ -22,10 +22,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _canonical_block(b) -> tuple[int, ...]:
-    return tuple(sorted(set(map(int, b))))
-
-
 def _json_int(value) -> int:
     """int(value) for a value that int() keeps: 2 or 2.0, not 2.9, true or "2"."""
     i = int(value)
@@ -67,15 +63,16 @@ class Cover:
         return reduce(and_, map(self.vertex_masks.__getitem__, b), (1 << len(self.blocks)) - 1)
 
 
-def make_cover(n: int, blocks, validate: bool = True) -> Cover:
-    """Canonicalize and (optionally) validate a cover of {0..n-1}.
+def make_cover(n: int, blocks) -> Cover:
+    """Canonicalize and validate a cover of {0..n-1}.
 
-    Validation checks index range, that the blocks cover the ground set, and
-    the non-nested condition. The flag condition is more expensive and is
-    checked separately via is_flag_cover.
+    `n` and every block member must be integers, as in `cover_from_json`: a
+    value that int() would change (1.5, True, "2") is a ValidationError
+    naming it. Validation checks index range, that the blocks cover the
+    ground set, and the non-nested condition. The flag condition is more
+    expensive and is checked separately via is_flag_cover.
     """
-    cover = Cover(n, tuple(sorted(set(map(_canonical_block, blocks)))))
-    return _checked(cover) if validate else cover
+    return _read_cover({"n": n, "blocks": blocks}, _json_block, "cover")
 
 
 def _checked(cover: Cover) -> Cover:
@@ -291,13 +288,13 @@ def cover_from_json(obj) -> Cover:
     return _read_cover(obj, _json_block)
 
 
-def _read_cover(obj, canonical) -> Cover:
+def _read_cover(obj, canonical, what: str = "cover JSON") -> Cover:
     """The checked cover of a cover JSON object, each raw block through `canonical`."""
     try:
         n = _json_int(obj["n"])
         blocks = tuple(sorted(set(map(canonical, obj["blocks"]))))
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: int("x") names "x"
-        raise ValidationError(f"bad cover JSON: {exc}") from exc
+        raise ValidationError(f"bad {what}: {exc}") from exc
     return _checked(Cover(n, blocks))
 
 
@@ -319,7 +316,7 @@ def hierarchy_from_json(obj) -> HierarchicalCover:
         try:
             return memo[key]
         except KeyError:
-            memo[key] = block = _canonical_block(key)
+            memo[key] = block = tuple(sorted(set(key)))
             return block
 
     try:

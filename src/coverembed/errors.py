@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+from numbers import Integral
 
 
 class ValidationError(ValueError):
@@ -19,3 +21,9 @@ class NumericalError(RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def _check_int(name: str, value) -> None:
+    """ValidationError naming `value` unless it is an int or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -48,7 +48,7 @@ from .covers import (
     first_cooccurrence_scales,
     target_distances,
 )
-from .errors import DisconnectedError, ValidationError
+from .errors import DisconnectedError, ValidationError, _check_int
 from .graphs import (
     bottleneck_matrix,
     components_of_inf,
@@ -69,6 +69,8 @@ def check_stage(
     """The one parameter check of every clustering entry point (ValidationError)."""
     if stage not in CLUSTER_STAGES:
         raise ValidationError(f"unknown clustering stage {stage!r}")
+    if k is not None:
+        _check_int("k", k)
     if stage in ("lk", "vlk") and (k is None or k < 1):
         raise ValidationError(f"stage {stage!r} needs parameter k >= 1, got {k!r}")
     if delta is not None and not (math.isfinite(delta) and delta >= 0):

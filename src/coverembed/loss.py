@@ -10,8 +10,8 @@ The stress family assigns a loss object to every strength a in (0, 1] and is
 stored as one condensed vector of memberships w. Its order, its flattening
 (c and e integrated over a) and its sign classification are closed forms in
 w, with no sample grid; adaptive quadrature only verifies the flattening
-(`MdsPairFamily.check_quadrature`). The interval suprema the stability
-checker needs are closed forms of one pair's family (`MdsPairFamily`).
+(`check_quadrature`), and the stability checker's suprema are its terms at
+a = 1 (`stability.check_loss_transfer`).
 
 The embedding problems keep their pair data condensed: one entry per
 unordered pair {i, j}, i < j, in the row-major order of the upper triangle
@@ -43,7 +43,7 @@ from .covers import (
     cap_disconnected,
     first_cooccurrence_scales,
 )
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 
 FCE_CLAMP_DEFAULT = 1e-6
 TARGET_POLICIES = ("strict", "cap", "drop")
@@ -118,85 +118,11 @@ def _flat_terms(w, log_w, log_w_sq):
 def _logs(w: np.ndarray) -> list[float]:
     """math.log of each membership.
 
-    The condensed family takes its logs (and their squares, by float pow)
-    entry by entry, as `MdsPairFamily` does, so both give the same bytes:
-    numpy's vectorized log and square round differently on some entries.
+    The family takes its logs (and their squares, by float pow) entry by
+    entry: numpy's vectorized log and square round differently on some
+    entries, and these are the bytes `flatten-check` has always reported.
     """
     return list(map(math.log, w.tolist()))
-
-
-class MdsPairFamily:
-    """The stress-derived (c, e) family for one pair with membership w in (0, 1].
-
-    For strengths a <= w the pair is co-clustered: c = x^2, e = 0. Beyond w,
-    c = (1 + 2 (1/w - 1/a)) x^2 and e = 2 log(w)/w - 2 log(a)/a. Terms are
-    returned as (c's x^2 coefficient, e).
-    """
-
-    def __init__(self, w: float):
-        if not 0.0 < w <= 1.0:
-            raise ValidationError(f"membership must lie in (0, 1], got {w!r}")
-        self.w = float(w)
-
-    def terms_at(self, a: float) -> tuple[float, float]:
-        """(c's x^2 coefficient, e) at strength a."""
-        if a <= self.w:
-            return 1.0, 0.0
-        return _terms_past(self.w, math.log(self.w), a)
-
-    def flatten_exact(self) -> tuple[float, float]:
-        """(c's x^2 coefficient, e) integrated over a in (0, 1]."""
-        log_w = math.log(self.w)
-        return _flat_terms(self.w, log_w, log_w**2)
-
-    def check_quadrature(self, rel_tol: float = 1e-8) -> None:
-        """Verify `flatten_exact` by adaptive quadrature over strengths.
-
-        Substitutes a = exp(-t) and integrates t over [0, T], T = -log w +
-        QUADRATURE_TAIL_MARGIN, with a breakpoint at -log w; the c tail past
-        T, on the co-clustered branch, is added analytically. The c term is
-        compared at each distance in QUADRATURE_X_PROBE, then the e term; a
-        probe fails when the two differ by more than 10 * rel_tol relative
-        (absolute below 1), and raises ValidationError naming it.
-        """
-        from scipy.integrate import quad  # deferred: only this check integrates
-
-        coeff, econst = self.flatten_exact()
-        target = -math.log(self.w)
-        t_max = target + QUADRATURE_TAIL_MARGIN
-        breaks = [target] if 0.0 < target < t_max else []
-        # (probe, integrand, its extra args, closed form, analytic tail)
-        probes = [
-            (f"at x={x}", self.c_integrand_t, (x,), coeff * x * x, x * x * math.exp(-t_max))
-            for x in QUADRATURE_X_PROBE
-        ]
-        probes.append(("(e term)", self.e_integrand_t, (), econst, 0.0))
-        for probe, integrand, args, want, tail in probes:
-            got, _ = quad(integrand, 0.0, t_max, args=args, points=breaks,
-                          epsabs=0.0, epsrel=rel_tol, limit=200)
-            got += tail
-            if abs(got - want) > rel_tol * max(1.0, abs(want)) * 10:
-                raise ValidationError(
-                    f"quadrature disagrees with closed form for w={self.w!r} {probe}: "
-                    f"{got!r} vs {want!r}"
-                )
-
-    def sup_abs_c(self, radius: float) -> float:
-        """sup over a in (0,1] and x in [0, radius] of |c|; attained at a = 1."""
-        return (2.0 / self.w - 1.0) * radius * radius
-
-    def sup_abs_e(self) -> float:
-        """sup over a in (0,1] of |e|; attained at a = 1."""
-        return abs(2.0 * math.log(self.w) / self.w)
-
-    def c_integrand_t(self, t: float, x: float) -> float:
-        """c(a, x) * da/dt under the substitution a = exp(-t)."""
-        a = math.exp(-t)
-        return self.terms_at(a)[0] * x * x * a
-
-    def e_integrand_t(self, t: float) -> float:
-        a = math.exp(-t)
-        return self.terms_at(a)[1] * a
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +130,9 @@ class FuzzyLossFamily:
     """The stress family over n points: one membership w in (0, 1] per pair.
 
     `w` is condensed (`pair_distances` order) and read-only. At strength a
-    in (0, 1] each pair's terms are those of `MdsPairFamily(w)`, so every
-    operation on the family is one numpy expression over `w`.
+    in (0, 1] a pair is co-clustered while a <= w: c = x^2, e = 0. Beyond
+    w, c = (1 + 2 (1/w - 1/a)) x^2 and e = 2 log(w)/w - 2 log(a)/a. So
+    every operation on the family is one numpy expression over `w`.
     """
 
     n: int
@@ -223,7 +150,7 @@ class FuzzyLossFamily:
         object.__setattr__(self, "w", w)
 
     def loss_object_at(self, a: float) -> LossObject:
-        """The loss object at strength a: `MdsPairFamily.terms_at` on every pair."""
+        """The loss object at strength a: each pair's terms at a (see the class)."""
         if not 0.0 < a <= 1.0:
             raise ValidationError(f"strength must lie in (0, 1], got {a!r}")
         w = self.w
@@ -282,7 +209,6 @@ def family_leq(f1: FuzzyLossFamily, f2: FuzzyLossFamily) -> bool:
 def flatten(family: FuzzyLossFamily) -> LossObject:
     """Integrate c and e over strengths a in (0, 1], pairwise, in closed form.
 
-    The terms are the bytes of `MdsPairFamily.flatten_exact`, whose
     `check_quadrature` verifies the closed form numerically.
     """
     logs = _logs(family.w)
@@ -290,6 +216,49 @@ def flatten(family: FuzzyLossFamily) -> LossObject:
         c_a, e_b = _flat_terms(family.w, np.array(logs), np.array([v**2 for v in logs]))
     zero = np.zeros_like(family.w)
     return LossObject(family.n, c_a, zero, zero, e_b)
+
+
+def _integrand(t: float, w: float, log_w: float, x: float | None = None) -> float:
+    """c at distance x (e if x is None) at strength a = exp(-t), times |da/dt| = a."""
+    a = math.exp(-t)
+    c, e = _terms_past(w, log_w, a) if a > w else (1.0, 0.0)
+    return e * a if x is None else c * x * x * a
+
+
+def check_quadrature(family: FuzzyLossFamily, rel_tol: float = 1e-8) -> None:
+    """Verify `flatten(family)` pair by pair, by adaptive quadrature over strengths.
+
+    Substitutes a = exp(-t) and integrates t over [0, T], T = -log w +
+    QUADRATURE_TAIL_MARGIN, with a breakpoint at -log w; the c tail past
+    T, on the co-clustered branch, is added analytically. The c term is
+    compared at each distance in QUADRATURE_X_PROBE, then the e term; a
+    probe fails when the two differ by more than 10 * rel_tol relative
+    (absolute below 1), or are not finite (a subnormal w), and raises
+    ValidationError naming w and the probe.
+    """
+    from scipy.integrate import quad  # deferred: only this check integrates
+
+    flat = flatten(family)
+    for w, log_w, coeff, econst in zip(
+        family.w.tolist(), _logs(family.w), flat.c_a.tolist(), flat.e_b.tolist()
+    ):
+        t_max = -log_w + QUADRATURE_TAIL_MARGIN
+        breaks = [-log_w] if 0.0 < -log_w < t_max else []
+        # (probe, the integrand's extra args, closed form, analytic tail)
+        probes = [
+            (f"at x={x}", (w, log_w, x), coeff * x * x, x * x * math.exp(-t_max))
+            for x in QUADRATURE_X_PROBE
+        ]
+        probes.append(("(e term)", (w, log_w), econst, 0.0))
+        for probe, args, want, tail in probes:
+            got, _ = quad(_integrand, 0.0, t_max, args=args, points=breaks,
+                          epsabs=0.0, epsrel=rel_tol, limit=200)
+            got += tail
+            if not abs(got - want) <= rel_tol * max(1.0, abs(want)) * 10:  # NaN fails
+                raise ValidationError(
+                    f"quadrature disagrees with closed form for w={w!r} {probe}: "
+                    f"{got!r} vs {want!r}"
+                )
 
 
 # -- sign classification -----------------------------------------------------------
@@ -354,6 +323,11 @@ def pair_distances(a: np.ndarray) -> np.ndarray:
     own loop, not BLAS.
     """
     return pdist_euclidean(a)
+
+
+def _square(condensed: np.ndarray, n: int) -> np.ndarray:
+    """`squareform(condensed)`, n x n: squareform alone makes n = 0 a 1 x 1 matrix."""
+    return squareform(condensed) if n else np.zeros((0, 0))
 
 
 def _pair_gradient(
@@ -439,6 +413,7 @@ class StressProblem:
             self._weights = weights
         self.capped_pairs = capped
         self.n = len(targets)
+        _check_int("embedding dimension", m)
         self.m = int(m)
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {m}")
@@ -469,7 +444,7 @@ class StressProblem:
         return _pair_gradient(a, delta, slope, delta > 0)
 
     def init_targets(self) -> np.ndarray:
-        return squareform(self.targets)
+        return _square(self.targets, self.n)
 
 
 class CrossEntropyProblem:
@@ -488,6 +463,7 @@ class CrossEntropyProblem:
 
     def __init__(self, w: MembershipMatrix, m: int):
         self.n = w.n
+        _check_int("embedding dimension", m)
         self.m = int(m)
         if self.m < 1:
             raise ValidationError(f"embedding dimension must be >= 1, got {m}")
@@ -542,5 +518,5 @@ class CrossEntropyProblem:
     def init_targets(self) -> np.ndarray:
         """Capped -log w, the stage's target distances."""
         with np.errstate(divide="ignore"):
-            return cap_disconnected(squareform(-np.log(self.w)))
+            return cap_disconnected(_square(-np.log(self.w), self.n))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_int
 from .loss import pair_distances
 
 
@@ -58,6 +58,8 @@ class OptimizerConfig:
     init_coords: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        _check_int("max_iters", self.max_iters)
+        _check_int("seed", self.seed)
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
         if self.seed < 0:
@@ -234,6 +236,8 @@ def classical_mds_init(targets: np.ndarray, m: int) -> Embedding:
         raise ValidationError("classical MDS needs finite targets; apply a policy first")
     if m < 1:
         raise ValidationError(f"embedding dimension must be >= 1, got {m}")
+    if t.shape[0] == 0:  # the empty space: no rows, no eigenpairs
+        return Embedding(np.zeros((0, m)))
     with np.errstate(over="ignore", invalid="ignore"):
         gram = double_centered_gram(t)
     if not (math.isfinite(gram.min(initial=0.0)) and math.isfinite(gram.max(initial=0.0))):

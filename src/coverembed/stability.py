@@ -33,7 +33,7 @@ import numpy as np
 from .algorithms import PipelineSpec, build_stage
 from .covers import HierarchicalCover, first_cooccurrence_scales, refines
 from .errors import ValidationError
-from .loss import MdsPairFamily, StressProblem, pair_distances
+from .loss import StressProblem, pair_distances
 from .metric import PseudometricSpace, isometry_epsilon
 from .optimize import minimize
 
@@ -181,9 +181,9 @@ def check_loss_transfer(
         if positive.size == 0:
             raise ValidationError("no co-clustering strength to certify against")
         w_min = min(w_min, float(positive.min()))
-    family = MdsPairFamily(w_min)
-    k_c = 2.0 * family.sup_abs_c(r)
-    k_e = 2.0 * family.sup_abs_e()
+    # sup |c| over a in (0, 1] and x in [0, r], and sup |e|: both at a = 1
+    k_c = 2.0 * ((2.0 / w_min - 1.0) * r * r)
+    k_e = 2.0 * abs(2.0 * math.log(w_min) / w_min)
     bound = loss_base + k_c * n * n * (1.0 - math.exp(-eps))
     passed = loss_cross <= bound + LOSS_TRANSFER_REL_SLACK * max(1.0, abs(bound))
     return StabilityReport(

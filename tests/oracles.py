@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from coverembed import ValidationError
-from coverembed.covers import cap_disconnected
+from coverembed.covers import Cover, cap_disconnected
 from coverembed.loss import FCE_CLAMP_DEFAULT, SIGN_TOL, LossObject, SignReport
 
 
@@ -618,6 +618,12 @@ def range_sign_report(lo: LossObject, hi: LossObject) -> SignReport:
                       tuple(witnesses[:10]))
 
 
+def canonical_cover(n, blocks) -> Cover:
+    """The `Cover` of `blocks`, canonicalized but unchecked: blocks may be
+    empty or nested, and need not cover {0..n-1}."""
+    return Cover(n, tuple(sorted({tuple(sorted(set(b))) for b in blocks})))
+
+
 def reference_threshold_hierarchy(d, blocks_of):
     """Threshold scan at 0 and at every distinct finite off-diagonal value of d.
 
@@ -626,7 +632,7 @@ def reference_threshold_hierarchy(d, blocks_of):
     example `oracle_components` or `oracle_max_cliques`), stopping at the
     first single block.
     """
-    from coverembed.covers import build_hierarchy, make_cover
+    from coverembed.covers import build_hierarchy
 
     n = d.shape[0]
     vals = np.unique(d[~np.eye(n, dtype=bool)])
@@ -634,7 +640,7 @@ def reference_threshold_hierarchy(d, blocks_of):
     staged = []
     for delta in [0.0] + [float(v) for v in vals if v > 0]:
         blocks = blocks_of(n, threshold_edges(d, delta))
-        staged.append((delta, make_cover(n, blocks, validate=False)))
+        staged.append((delta, canonical_cover(n, blocks)))
         if len(blocks) == 1:
             break
     return build_hierarchy(n, staged)

@@ -441,6 +441,38 @@ def test_pipeline_validation():
         named_spec("kpath", 2, 0)
 
 
+@pytest.mark.parametrize("cluster, fields, name, value", [
+    ("sl", {"m": 2.5}, "embedding dimension", 2.5),
+    ("ml", {"m": True}, "embedding dimension", True),
+    ("lk", {"k": 2.5}, "k", 2.5),
+    ("vlk", {"k": 2.5}, "k", 2.5),
+    ("lk", {"k": True}, "k", True),
+])
+def test_pipeline_parameters_must_be_integers(cluster, fields, name, value):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got {value!r}$"):
+        PipelineSpec(cluster, **fields)
+
+
+@pytest.mark.parametrize("k", [1.5, True])
+def test_kpath_hop_bound_must_be_an_integer(k):
+    with pytest.raises(ValidationError, match=f"^k must be an integer, got {k!r}$"):
+        named_spec("kpath", 2, k)
+
+
+def test_pipeline_parameters_may_be_numpy_integers():
+    spec = PipelineSpec("lk", m=np.int64(2), k=np.int32(3))
+    emb, _ = run_pipeline(spec, from_matrix([[0.0, 1.0], [1.0, 0.0]]))
+    assert emb.coords.shape == (2, 2)
+
+
+def test_an_empty_space_embeds_as_no_rows():
+    empty = from_matrix(np.zeros((0, 0)))
+    for algo in ("mmds", "sls", "isomap", "kvertex"):
+        emb, report = run_pipeline(named_spec(algo, 3, k=2), empty)
+        assert emb.coords.shape == (0, 3)
+        assert report.target_summary["max"] == 0.0
+
+
 def test_permutation_equivariance_of_pipelines():
     rng = np.random.default_rng(12)
     space = random_euclidean(rng, n=6, dim=2)

@@ -32,6 +32,7 @@ from coverembed.fileio import write_hierarchy_json
 from coverembed.functors import cluster_hierarchy
 
 from oracles import (
+    canonical_cover,
     cover_to_json,
     hierarchy_json_bytes,
     hierarchy_to_json,
@@ -55,6 +56,14 @@ def test_make_cover_canonicalizes_and_validates():
         make_cover(3, [[0, 1, 2], [0, 1]])
     with pytest.raises(ValidationError, match="range"):
         make_cover(2, [[0, 1, 2]])
+
+
+def test_make_cover_refuses_members_that_are_not_integers():
+    # int() would keep 1 of 1.5 and of True; the cover readers refuse both
+    for bad in (1.5, True):
+        with pytest.raises(ValidationError, match=f"{bad!r} is not an integer"):
+            make_cover(3, [[0, bad], [2]])
+    assert make_cover(3, [[0, 1.0], [np.int64(2)]]).blocks == ((0, 1), (2,))
 
 
 def test_a_negative_cover_size_is_refused():
@@ -136,9 +145,9 @@ def test_flag_cover_equals_the_clique_oracle(n, blocks):
 @example(n=6, fine=[{0, 1}, {0, 1, 2}, {4}], coarse=[{0, 1, 2}, {0, 1, 2, 3}, {3, 4}])
 def test_refines_equals_set_containment(n, fine, coarse):
     # block members are drawn from 0..127 and folded into the ground set; blocks
-    # may be empty and nested, and a cover may have no blocks (validate=False)
-    fine_cover = make_cover(n, [{v % n for v in b} for b in fine], validate=False)
-    coarse_cover = make_cover(n, [{v % n for v in b} for b in coarse], validate=False)
+    # may be empty and nested, and a cover may have no blocks (canonical_cover)
+    fine_cover = canonical_cover(n, [{v % n for v in b} for b in fine])
+    coarse_cover = canonical_cover(n, [{v % n for v in b} for b in coarse])
     assert refines(fine_cover, coarse_cover) == oracle_refines(fine_cover, coarse_cover)
     assert refines(fine_cover, fine_cover)
     for cover in (fine_cover, coarse_cover):
@@ -156,7 +165,7 @@ def test_refines_equals_set_containment(n, fine, coarse):
 def test_nested_block_error_names_the_brute_force_pair(n, blocks):
     blocks = [{v % n for v in b} for b in blocks]
     blocks += [{v} for v in set(range(n)).difference(*blocks)]
-    canonical = make_cover(n, blocks, validate=False).blocks
+    canonical = canonical_cover(n, blocks).blocks
     nested = [
         (b, c) for b in canonical for c in canonical if b != c and set(b) < set(c)
     ]
@@ -259,7 +268,7 @@ def test_first_cooccurrence_on_hierarchies_that_do_not_coarsen(covers):
     h = HierarchicalCover(
         6,
         tuple(float(s) for s in range(len(covers))),
-        tuple(make_cover(6, c, validate=False) for c in covers),
+        tuple(canonical_cover(6, c) for c in covers),
     )
     assert np.array_equal(membership_matrix(h).w, oracle_membership(h))
 

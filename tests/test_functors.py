@@ -98,6 +98,13 @@ def test_l_k_rejects_zero():
         cluster_hierarchy(CHAIN, "lk", k=0)
 
 
+def test_k_stages_refuse_a_k_that_is_not_an_integer():
+    for stage in ("lk", "vlk"):
+        for k in (2.5, True, "2"):
+            with pytest.raises(ValidationError, match=f"k must be an integer, got {k!r}"):
+                cluster_hierarchy(CHAIN, stage, k=k)
+
+
 def test_l_1_equals_maximal_linkage():
     rng = np.random.default_rng(12)
     for _ in range(6):

@@ -26,10 +26,11 @@ from coverembed import (
     membership_matrix,
     sign_classification,
 )
+from coverembed import loss as loss_module
 from coverembed.loss import (
     FuzzyLossFamily,
     LossObject,
-    MdsPairFamily,
+    check_quadrature,
     family_leq,
     pair_distances,
 )
@@ -40,6 +41,7 @@ from oracles import (
     ZERO_FORM,
     Form,
     OracleFamily,
+    OracleMdsPair,
     PairLossObject,
     PiecewisePairFamily,
     ReferenceCrossEntropy,
@@ -244,29 +246,51 @@ def test_flatten_constant_family_has_unit_weight():
 
 def test_flatten_exact_matches_quadrature():
     for w in (math.exp(-0.5), math.exp(-1.0), math.exp(-2.0)):
-        pair = MdsPairFamily(w)
-        pair.check_quadrature(1e-8)
-        flat = flatten(mds_fuzzy_family(member(w)))
-        coeff, econst = pair.flatten_exact()
+        family = mds_fuzzy_family(member(w))
+        check_quadrature(family, 1e-8)
+        flat = flatten(family)
+        c, e = OracleMdsPair(w).flatten_exact()
+        coeff, econst = c.as_affine_x2()[0], e.as_affine_x2()[1]
         assert same_bytes(flat, LossObject(2, [coeff], [0.0], [0.0], [econst]))
 
 
-def test_quadrature_check_rejects_an_off_closed_form():
-    class OffPairFamily(MdsPairFamily):
-        def flatten_exact(self):
-            coeff, econst = super().flatten_exact()
-            return coeff + 1e-3, econst
+def test_quadrature_checks_every_pair_of_a_random_family():
+    rng = np.random.default_rng(11)
+    w = np.exp(-rng.uniform(0.0, 3.0, size=(6, 6)))
+    w = np.minimum(w, w.T)
+    w[0, 1] = w[1, 0] = 1.0
+    np.fill_diagonal(w, 1.0)
+    family = mds_fuzzy_family(MembershipMatrix(w))
+    assert family.w.size == 15 and (family.w == 1.0).sum() == 1
+    check_quadrature(family, 1e-8)
 
+
+def test_quadrature_check_rejects_an_off_closed_form(monkeypatch):
+    flat_terms = loss_module._flat_terms
+
+    def off_flat_terms(w, log_w, log_w_sq):
+        coeff, econst = flat_terms(w, log_w, log_w_sq)
+        return coeff + 1e-3, econst
+
+    monkeypatch.setattr(loss_module, "_flat_terms", off_flat_terms)
     with pytest.raises(ValidationError, match=r"at x=0.5: .* vs "):
-        OffPairFamily(math.exp(-1.0)).check_quadrature(1e-8)
+        check_quadrature(mds_fuzzy_family(member(math.exp(-1.0))), 1e-8)
+
+
+def test_quadrature_check_fails_on_an_infinite_closed_form():
+    # a subnormal membership flattens to inf; inf - inf must not pass as agreement
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # QUADPACK's roundoff warnings
+        with pytest.raises(ValidationError, match=r"w=5e-324 at x=0.0: nan vs nan"):
+            check_quadrature(FuzzyLossFamily(2, [5e-324]))
 
 
 def test_importing_the_package_leaves_scipy_integrate_unloaded():
     script = (
         "import sys\n"
-        "from coverembed.loss import MdsPairFamily\n"
+        "from coverembed.loss import FuzzyLossFamily, check_quadrature\n"
         "print('scipy.integrate' in sys.modules)\n"
-        "MdsPairFamily(0.5).check_quadrature()\n"
+        "check_quadrature(FuzzyLossFamily(2, [0.5]))\n"
         "print('scipy.integrate' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -280,17 +304,23 @@ def test_importing_the_package_leaves_scipy_integrate_unloaded():
 def test_flatten_two_point_argmin_vs_grid_oracle():
     # grid-minimize the quadrature values; the argmin sits at 0, not at -log w
     w = math.exp(-1.0)
-    pair = MdsPairFamily(w)
+    pair = OracleMdsPair(w)
     from scipy.integrate import quad
+
+    def c_integrand_t(t, x):  # c(a, x) * da/dt under a = exp(-t)
+        return float(pair.c_form_at(math.exp(-t)).value(x)) * math.exp(-t)
+
+    def e_integrand_t(t):
+        return float(pair.e_form_at(math.exp(-t)).value(0.0)) * math.exp(-t)
 
     xs = np.linspace(0.0, 3.0, 301)
     t_max = -math.log(w) + 20.0
     values = []
     for x in xs:
-        got, _ = quad(pair.c_integrand_t, 0.0, t_max, args=(float(x),),
+        got, _ = quad(c_integrand_t, 0.0, t_max, args=(float(x),),
                       points=[-math.log(w)], epsabs=0.0, epsrel=1e-10, limit=200)
         got += x * x * math.exp(-t_max)
-        got_e, _ = quad(pair.e_integrand_t, 0.0, t_max,
+        got_e, _ = quad(e_integrand_t, 0.0, t_max,
                         points=[-math.log(w)], epsabs=0.0, epsrel=1e-10, limit=200)
         values.append(got + got_e)
     grid_arg = xs[int(np.argmin(values))]

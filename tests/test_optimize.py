@@ -226,6 +226,34 @@ def test_classical_init_zero_targets():
     assert np.allclose(emb.coords, 0.0)
 
 
+def test_an_empty_problem_embeds_as_no_rows():
+    assert classical_mds_init(np.zeros((0, 0)), 2).coords.shape == (0, 2)
+    empty_w = MembershipMatrix(np.zeros((0, 0)))
+    for problem in (StressProblem(np.zeros((0, 0)), 2), CrossEntropyProblem(empty_w, 2)):
+        assert problem.init_targets().shape == (0, 0)
+        for init in ("classical", "random"):
+            result = minimize(problem, OptimizerConfig(init=init))
+            assert result.embedding.coords.shape == (0, 2)
+            assert result.loss == 0.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 2.5), ("max_iters", True), ("seed", 1.5), ("seed", True),
+])
+def test_optimizer_config_counts_must_be_integers(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value!r}$"):
+        OptimizerConfig(**{field: value})
+    assert OptimizerConfig(**{field: np.int64(3)})
+
+
+@pytest.mark.parametrize("m", [2.5, True, "2"])
+def test_problems_refuse_a_non_integer_dimension(m):
+    w = MembershipMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    for make in (lambda: StressProblem(np.zeros((2, 2)), m), lambda: CrossEntropyProblem(w, m)):
+        with pytest.raises(ValidationError, match=f"embedding dimension must be an integer, got {m!r}"):
+            make()
+
+
 def test_classical_init_rejects_infinite():
     t = np.array([[0.0, np.inf], [np.inf, 0.0]])
     with pytest.raises(ValidationError):
