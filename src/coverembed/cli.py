@@ -294,6 +294,7 @@ def flatten_check_report(space: PseudometricSpace, i: int, j: int,
     replaces it.
     """
     if space.n == 1:
+        check_quadrature(FuzzyLossFamily(1, []), rel_tol)  # no pairs: checks rel_tol only
         return {
             "n": 1,
             "membership": None,

@@ -69,6 +69,19 @@ def _read_table(path, label_row: bool) -> tuple[tuple[str, ...] | None, np.ndarr
         raise ValidationError(f"{path}: non-numeric entry ({exc})") from exc
 
 
+def _unreadable_labels(labels) -> str | None:
+    """What in `labels`, as a CSV's first column, `_read_table` would not read back."""
+    for label in labels:
+        if label != label.strip() or label.startswith("#") or any(c in label for c in ",\n\r"):
+            return f"label {label!r}"
+    try:
+        [float(label) for label in labels]
+    except ValueError:
+        return None
+    shown = ", ".join(map(repr, labels[:3])) + (", ..." if len(labels) > 3 else "")
+    return f"labels {shown} (all read as numbers)" if labels else None
+
+
 def read_distance_csv(path) -> PseudometricSpace:
     """Square matrix CSV; an optional first row of labels is auto-detected."""
     labels, d = _read_table(path, label_row=True)
@@ -82,10 +95,12 @@ def read_points_csv(path) -> PseudometricSpace:
 
 
 def read_sequences(path) -> PseudometricSpace:
-    """One sequence per line, all of one length, in any alphabet."""
+    """One sequence per line, all of one length, in any alphabet; up to 64 take
+    their own text as labels when those read back from an embedding CSV."""
     seqs = [line.strip() for line in read_text(path).split("\n") if line.strip()]
+    keep = len(seqs) <= 64 and _unreadable_labels(seqs) is None
     try:
-        return from_sequences_hamming(seqs, labels=seqs if len(seqs) <= 64 else None)
+        return from_sequences_hamming(seqs, labels=seqs if keep else None)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -101,7 +116,11 @@ def read_space(path, kind: str = "dist") -> PseudometricSpace:
 
 
 def write_embedding_csv(path, embedding: Embedding):
-    """One row per point: optional label column first, then m coordinates."""
+    """One row per point: optional label column first, then m coordinates.
+    Labels that would not read back are refused before anything is written."""
+    problem = None if embedding.labels is None else _unreadable_labels(embedding.labels)
+    if problem is not None:
+        raise ValidationError(f"{path}: {problem} would not read back from the CSV")
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(embedding.n):
             cells = [] if embedding.labels is None else [embedding.labels[i]]

@@ -51,7 +51,6 @@ from .covers import (
 from .errors import DisconnectedError, ValidationError, _check_int
 from .graphs import (
     bottleneck_matrix,
-    components_of_inf,
     connected_components,
     geodesic_matrix,
     hop_bounded_minimax,
@@ -179,8 +178,10 @@ def first_cooccurrence(
     """The stage's first-co-occurrence matrix, inf for pairs that never share a block.
 
     Parameters are those of `cluster_hierarchy`; `disconnected` None leaves
-    `iso` pairs in different components inf. The matrix may be read-only:
-    `ml`'s is the space's own distance matrix, `vlk`'s its hierarchy's cache.
+    `iso` pairs in different components inf, and "error" names the
+    components: each row's finite entries are its point's. The matrix may be
+    read-only: `ml`'s is the space's own distance matrix, `vlk`'s its
+    hierarchy's cache.
     """
     check_stage(stage, k, delta, disconnected)
     if stage == "sl":
@@ -200,7 +201,7 @@ def first_cooccurrence(
         return g
     if disconnected == "cap":
         return cap_disconnected(g)
-    comps = components_of_inf(g)
+    comps = sorted({tuple(np.flatnonzero(row).tolist()) for row in np.isfinite(g)})
     raise DisconnectedError(
         f"threshold graph at {delta!r} has {len(comps)} components: {comps}", components=comps
     )

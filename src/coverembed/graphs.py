@@ -171,22 +171,17 @@ def hop_bounded_minimax(d: np.ndarray, hops: int) -> np.ndarray:
 def geodesic_matrix(d: np.ndarray, delta_cap: float) -> np.ndarray:
     """All-pairs shortest-path lengths in the threshold graph at delta_cap.
 
-    Entries are inf for pairs in different components.
+    Entries are inf for pairs in different components, and none is -0.0 (a
+    -0.0 length reads as 0.0). SciPy's compiled Floyd-Warshall relaxes in the
+    textbook k, i, j order, with no BLAS call. It takes a sparse graph: a
+    dense one would read a zero length as a missing edge.
     """
-    n = d.shape[0]
-    g = np.where(d <= delta_cap, d, np.inf)
-    np.fill_diagonal(g, 0.0)
-    for k in range(n):
-        np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
-    return g
+    from scipy.sparse.csgraph import csgraph_from_masked, floyd_warshall  # deferred: iso only
 
-
-def components_of_inf(g: np.ndarray) -> list[tuple[int, ...]]:
-    """Components implied by a matrix with inf marking unreachable pairs."""
-    finite = np.isfinite(g)
-    np.fill_diagonal(finite, False)
-    rows = np.packbits(finite, axis=1, bitorder="little")
-    return connected_components([int.from_bytes(r.tobytes(), "little") for r in rows])
+    # shrink=False keeps a mask with no pair above the cap an array, as SciPy needs;
+    # the dense lengths are freed before the relaxation allocates its output
+    graph = csgraph_from_masked(np.ma.MaskedArray(d + 0.0, mask=d > delta_cap, shrink=False))
+    return floyd_warshall(graph, directed=False)
 
 
 # -- vertex connectivity on the vertex-split network -------------------------

@@ -103,6 +103,8 @@ def loss_leq(l1: LossObject, l2: LossObject) -> bool:
 QUADRATURE_TAIL_MARGIN = 20.0
 # embedded distances at which the quadrature check compares the closed-form c term
 QUADRATURE_X_PROBE = (0.0, 0.5, 1.0, 2.0)
+# the least relative tolerance `quad` accepts without an absolute one: 50 eps
+QUADRATURE_REL_TOL_MIN = 50 * math.ulp(1.0)
 
 
 def _terms_past(w, log_w, a: float):
@@ -234,8 +236,13 @@ def check_quadrature(family: FuzzyLossFamily, rel_tol: float = 1e-8) -> None:
     compared at each distance in QUADRATURE_X_PROBE, then the e term; a
     probe fails when the two differ by more than 10 * rel_tol relative
     (absolute below 1), or are not finite (a subnormal w), and raises
-    ValidationError naming w and the probe.
+    ValidationError naming w and the probe. A rel_tol that is not finite or
+    below QUADRATURE_REL_TOL_MIN is a ValidationError naming it.
     """
+    if not (math.isfinite(rel_tol) and rel_tol >= QUADRATURE_REL_TOL_MIN):
+        raise ValidationError(
+            f"rel_tol must be finite and >= {QUADRATURE_REL_TOL_MIN!r}, got {rel_tol!r}"
+        )
     from scipy.integrate import quad  # deferred: only this check integrates
 
     flat = flatten(family)

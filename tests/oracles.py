@@ -9,7 +9,8 @@ a form, the JSON round trip of loss objects, the cover JSON objects whose
 `json.dumps` text hierarchy files must match, the one-hot Hamming counts,
 the broadcast Euclidean distances, the n x n embedding losses (every pair
 counted twice), the condensed losses and gradients as plain expressions
-(the reference bytes of the in-place kernels), and the permuting and
+(the reference bytes of the in-place kernels), Floyd-Warshall as numpy
+passes (the reference bytes of the geodesic kernel), and the permuting and
 CSV-writing helpers that tests use to build inputs live here too.
 """
 
@@ -666,6 +667,23 @@ def loss_object_to_json(obj: LossObject) -> dict:
 
 def loss_object_from_json(obj) -> LossObject:
     return LossObject(int(obj["n"]), *(obj[name] for name in LOSS_COEFFICIENTS))
+
+
+# -- geodesic metric -----------------------------------------------------------------
+
+
+def oracle_geodesic_matrix(d, delta_cap):
+    """Floyd-Warshall as n numpy passes over the threshold graph at delta_cap, the
+    reference bytes of `graphs.geodesic_matrix`: pass k relaxes every pair
+    through k with `np.minimum`, which takes the candidate on a tie, so a -0.0
+    input can leave -0.0 where the kernel writes 0.0. Pairs in different
+    components stay inf."""
+    n = d.shape[0]
+    g = np.where(d <= delta_cap, d, np.inf)
+    np.fill_diagonal(g, 0.0)
+    for k in range(n):
+        np.minimum(g, g[:, k, None] + g[None, k, :], out=g)
+    return g
 
 
 # -- Hamming distances ---------------------------------------------------------------

@@ -19,14 +19,18 @@ from coverembed.fileio import (
     read_embedding_csv,
     read_hierarchy_json,
     read_json,
+    write_embedding_csv,
     write_hierarchy_json,
     write_json,
 )
 from coverembed.metric import from_matrix, from_points_euclidean
+from coverembed.optimize import Embedding
 
 from oracles import write_distance_csv
 
 CHAIN = [[0, 1, 3], [1, 0, 2], [3, 2, 0]]
+# quad's floor on a relative tolerance is 50 machine epsilons
+REL_TOL_REFUSED = "rel_tol must be finite and >= 1.1102230246251565e-14, got "
 
 
 @pytest.fixture
@@ -180,6 +184,10 @@ def test_flatten_check_one_point_space(tmp_path):
     report = flatten_check_report(read_distance_csv(path), 0, 1)
     assert report["n"] == 1
     assert report["quadrature_converged"]
+    # no pair to integrate, and still no tolerance quad would refuse
+    with pytest.raises(ValidationError) as exc:
+        flatten_check_report(read_distance_csv(path), 0, 1, rel_tol=0.0)
+    assert str(exc.value) == REL_TOL_REFUSED + "0.0"
 
 
 def test_flatten_check_untruncated_for_positive_membership():
@@ -255,15 +263,22 @@ def test_exit_codes_and_json_errors(tmp_path, capsys):
     (["embed", "--algo", "mmds", "--in", "DIR"], "Is a directory"),
     (["embed", "--algo", "mmds", "--config", "DIR"], "Is a directory"),
     (["embed", "--algo", "mmds", "--out", "DIR"], "Is a directory"),
+    (["flatten-check", "--rel-tol", "0"], REL_TOL_REFUSED + "0.0"),
+    (["flatten-check", "--rel-tol", "-1"], REL_TOL_REFUSED + "-1.0"),
+    (["flatten-check", "--rel-tol", "1e-300"], REL_TOL_REFUSED + "1e-300"),
+    (["flatten-check", "--rel-tol", "nan"], REL_TOL_REFUSED + "nan"),
+    (["flatten-check", "--rel-tol", "inf"], REL_TOL_REFUSED + "inf"),
 ], ids=["pipeline-key-without-value", "dim-not-an-integer", "unknown-algo",
         "negative-subs", "negative-bench-seed", "negative-embed-seed",
-        "in-is-a-directory", "config-is-a-directory", "out-is-a-directory"])
+        "in-is-a-directory", "config-is-a-directory", "out-is-a-directory",
+        "zero-rel-tol", "negative-rel-tol", "rel-tol-below-quad-floor", "nan-rel-tol",
+        "infinite-rel-tol"])
 def test_a_malformed_option_value_exits_one(dist_csv, tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
     directory = tmp_path / "dir"
     directory.mkdir()
     argv = [str(directory) if token == "DIR" else token for token in argv]
-    if argv[0] == "embed" and "--in" not in argv:
+    if argv[0] in ("embed", "flatten-check") and "--in" not in argv:
         argv = argv + ["--in", str(dist_csv)]
     if "--out" not in argv:
         argv = argv + ["--out", str(out)]
@@ -469,6 +484,35 @@ def test_embed_reads_sequences_beyond_ascii(tmp_path):
         "--in", str(seqs), "--out", str(out),
     ]) == 0
     assert read_embedding_csv(out).labels == ("ACGÉ", "ACGT", "TTTT")
+
+
+@pytest.mark.parametrize("text", ["A,CG\nACGT\nAAGT\n", "#ACG\nACGT\nAAGT\n", "1001\n1011\n0110\n"],
+                         ids=["comma", "hash", "all-digits"])
+def test_sequence_labels_that_would_not_read_back_are_dropped(tmp_path, text):
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text(text)
+    out = tmp_path / "emb.csv"
+    assert dispatch([
+        "embed", "--algo", "mmds", "--m", "2", "--input-kind", "seqs",
+        "--in", str(seqs), "--out", str(out),
+    ]) == 0
+    emb = read_embedding_csv(out)
+    assert emb.coords.shape == (3, 2)
+    assert emb.labels is None
+
+
+@pytest.mark.parametrize("labels, named", [
+    (("A,CG", "ACGT"), "label 'A,CG'"),
+    (("ACGT", "#ACG"), "label '#ACG'"),
+    (("ACGT", " ACG"), "label ' ACG'"),
+    (("1001", "1011", "0110", "1e3"), "labels '1001', '1011', '0110', ... (all read as numbers)"),
+], ids=["comma", "hash", "whitespace", "all-numbers"])
+def test_embedding_csv_refuses_labels_that_would_not_read_back(tmp_path, labels, named):
+    out = tmp_path / "emb.csv"
+    with pytest.raises(ValidationError) as exc:
+        write_embedding_csv(out, Embedding(np.zeros((len(labels), 2)), labels))
+    assert str(exc.value) == f"{out}: {named} would not read back from the CSV"
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

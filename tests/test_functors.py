@@ -22,6 +22,7 @@ from coverembed.fileio import write_hierarchy_json
 from coverembed.functors import CLUSTER_STAGES, cluster_hierarchy, first_cooccurrence
 from coverembed.graphs import (
     _separator,
+    geodesic_matrix,
     insert_clique_edge,
     max_cliques,
     maximal_j_connected_sets,
@@ -34,6 +35,7 @@ from oracles import (
     hierarchy_json_bytes,
     hierarchy_to_json,
     oracle_components,
+    oracle_geodesic_matrix,
     oracle_max_cliques,
     oracle_maximal_j_connected,
     oracle_minimax_path,
@@ -310,6 +312,66 @@ def test_geodesic_disconnection_policies():
         first_cooccurrence(space, "iso", delta=2.0, disconnected="cap"), space.labels
     )
     assert capped.d[0, 2] == pytest.approx(3.0 * 1.0)
+
+
+@st.composite
+def geodesic_cases(draw):
+    """A distance matrix and a cap: 0-8 points, each taken 1-3 times (duplicates at
+    distance 0), with integer distances in 0..3 (ties and zero off-diagonals) or
+    Gaussian Euclidean ones, capped at 0, a quarter, a half, all or twice the
+    largest distance, so that some threshold graphs are disconnected."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        d = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(float)
+        d += d.T
+    else:
+        p = rng.normal(size=(n, 2))
+        d = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2))
+    take = np.repeat(np.arange(n), rng.integers(1, draw(st.integers(1, 3)) + 1, size=n))
+    d = d[np.ix_(take, take)]
+    return d, draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])) * d.max(initial=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=geodesic_cases())
+@example(case=(np.zeros((0, 0)), 0.0))
+@example(case=(np.zeros((3, 3)), 0.0))
+@example(case=(np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]]), 1.0))
+def test_geodesic_matrix_has_the_bytes_of_the_numpy_passes(case):
+    d, cap = case
+    got, want = geodesic_matrix(d, cap), oracle_geodesic_matrix(d, cap)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=geodesic_cases())
+@example(case=(np.array([[-0.0, -0.0], [-0.0, -0.0]]), 0.0))
+def test_geodesic_matrix_writes_no_negative_zero(case):
+    # the numpy passes keep -0.0 where a tie takes the candidate; the kernel's
+    # values are theirs, and its bytes those of the same matrix with +0.0
+    d, cap = case
+    negative = np.where(d == 0.0, -0.0, d)
+    got = geodesic_matrix(negative, cap)
+    assert np.array_equal(got, oracle_geodesic_matrix(negative, cap))
+    assert not np.signbit(got).any()
+    assert got.tobytes() == geodesic_matrix(d + 0.0, cap).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=geodesic_cases())
+@example(case=(np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 9.0], [9.0, 9.0, 0.0]]), 2.0))
+def test_disconnected_error_names_the_oracle_components(case):
+    d, cap = case
+    comps = oracle_components(d.shape[0], threshold_edges(d, cap))
+    if len(comps) <= 1:
+        assert np.isfinite(first_cooccurrence(from_matrix(d), "iso", delta=cap)).all()
+        return
+    with pytest.raises(DisconnectedError) as err:
+        first_cooccurrence(from_matrix(d), "iso", delta=cap)
+    assert str(err.value) == f"threshold graph at {cap!r} has {len(comps)} components: {comps}"
+    assert err.value.components == comps
 
 
 def test_iso_cluster_reduces_to_maximal_linkage_at_full_cap():

@@ -286,19 +286,25 @@ def test_quadrature_check_fails_on_an_infinite_closed_form():
 
 
 def test_importing_the_package_leaves_scipy_integrate_unloaded():
+    # each deferred SciPy module loads with the one check or kernel that needs it
     script = (
         "import sys\n"
+        "import coverembed.cli\n"
+        "from coverembed import first_cooccurrence, from_matrix\n"
         "from coverembed.loss import FuzzyLossFamily, check_quadrature\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "loaded = lambda: [m in sys.modules for m in ('scipy.integrate', 'scipy.sparse.csgraph')]\n"
+        "print(*loaded())\n"
         "check_quadrature(FuzzyLossFamily(2, [0.5]))\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "print(*loaded())\n"
+        "first_cooccurrence(from_matrix([[0, 1], [1, 0]]), 'iso')\n"
+        "print(*loaded())\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["False", "False", "True", "False", "True", "True"]
 
 
 def test_flatten_two_point_argmin_vs_grid_oracle():
