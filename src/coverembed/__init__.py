@@ -38,7 +38,6 @@ from .optimize import (
     Embedding,
     OptimizerConfig,
     classical_mds_init,
-    grad_check,
     minimize,
 )
 from .algorithms import ALGO_TABLE, PipelineSpec, named_spec, run_pipeline

@@ -26,6 +26,7 @@ from .algorithms import ALGO_TABLE, PipelineSpec, named_spec, run_pipeline
 from .dna import BenchConfig, run_bench
 from .errors import NumericalError, ValidationError
 from .fileio import (
+    check_embedding_labels,
     fmt,
     read_hierarchy_json,
     read_json,
@@ -105,6 +106,7 @@ def _write_manifest(args, subcommand, inputs, outputs, extra=None):
 def cmd_embed(args):
     space = read_space(args.infile, args.input_kind)
     spec = _spec_from_args(args)
+    check_embedding_labels(args.out, space.labels)  # before the run, not after it
     embedding, report = run_pipeline(spec, space)
     write_embedding_csv(args.out, embedding)
     outputs = [args.out]

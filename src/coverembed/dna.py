@@ -118,17 +118,14 @@ class AccuracyResult:
     value: float
     tie_lists: tuple[int, ...]  # lists whose nearest-original distance was tied
 
-    def __float__(self):
-        return self.value
 
-
-def accuracy(embedding: Embedding | np.ndarray, dataset: DnaDataset) -> AccuracyResult:
+def accuracy(embedding: Embedding, dataset: DnaDataset) -> AccuracyResult:
     """Fraction of lists whose last element is embedded nearest its own original.
 
     Distance ties among originals break toward the smaller index and count as
     misses unless the tie set is exactly the true original.
     """
-    coords = embedding.coords if isinstance(embedding, Embedding) else np.asarray(embedding)
+    coords = embedding.coords
     expected = dataset.n_lists * dataset.list_len
     if coords.shape[0] != expected:
         raise ValidationError(

@@ -115,12 +115,17 @@ def read_space(path, kind: str = "dist") -> PseudometricSpace:
     raise ValidationError(f"unknown input kind {kind!r}")
 
 
+def check_embedding_labels(path, labels) -> None:
+    """Refuse labels that would not read back from an embedding CSV at `path`."""
+    problem = None if labels is None else _unreadable_labels(labels)
+    if problem is not None:
+        raise ValidationError(f"{path}: {problem} would not read back from the CSV")
+
+
 def write_embedding_csv(path, embedding: Embedding):
     """One row per point: optional label column first, then m coordinates.
     Labels that would not read back are refused before anything is written."""
-    problem = None if embedding.labels is None else _unreadable_labels(embedding.labels)
-    if problem is not None:
-        raise ValidationError(f"{path}: {problem} would not read back from the CSV")
+    check_embedding_labels(path, embedding.labels)
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(embedding.n):
             cells = [] if embedding.labels is None else [embedding.labels[i]]

@@ -88,16 +88,15 @@ def _clique_masks(neighbors: list[int], p: int) -> list[int]:
     return out
 
 
-def max_cliques(neighbors: list[int], vertices: int | None = None) -> list[tuple[int, ...]]:
-    """All maximal cliques of the subgraph on mask `vertices` (default: every
-    vertex), via Bron-Kerbosch with pivoting on bitmasks, canonically ordered.
+def max_cliques(neighbors: list[int]) -> list[tuple[int, ...]]:
+    """All maximal cliques of the graph, via Bron-Kerbosch with pivoting on
+    bitmasks, canonically ordered.
 
-    Exponential in the worst case. The threshold scans call it only on the
-    common neighborhood of an inserted edge (`insert_clique_edge`).
+    Exponential in the worst case. `covers.is_flag_cover` calls it; the
+    threshold scans run the same search only on the common neighborhood of an
+    inserted edge (`insert_clique_edge`).
     """
-    if vertices is None:
-        vertices = (1 << len(neighbors)) - 1
-    return sorted(map(members, _clique_masks(neighbors, vertices)))
+    return sorted(map(members, _clique_masks(neighbors, (1 << len(neighbors)) - 1)))
 
 
 def insert_clique_edge(neighbors: list[int], through: list[dict], u: int, v: int):

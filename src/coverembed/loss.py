@@ -37,12 +37,7 @@ import numpy as np
 from scipy.spatial._distance_pybind import pdist_euclidean
 from scipy.spatial.distance import squareform
 
-from .covers import (
-    HierarchicalCover,
-    MembershipMatrix,
-    cap_disconnected,
-    first_cooccurrence_scales,
-)
+from .covers import MembershipMatrix, cap_disconnected
 from .errors import ValidationError, _check_int
 
 FCE_CLAMP_DEFAULT = 1e-6
@@ -165,25 +160,16 @@ class FuzzyLossFamily:
         return LossObject(self.n, c_a, zero, zero, e_b)
 
 
-def mds_fuzzy_family(
-    w: MembershipMatrix,
-    h: HierarchicalCover | None = None,
-    a_min: float | None = None,
-) -> FuzzyLossFamily:
+def mds_fuzzy_family(w: MembershipMatrix, a_min: float | None = None) -> FuzzyLossFamily:
     """Strength-indexed stress family for a membership matrix.
 
-    If the hierarchy is supplied, w must be exp(-T) of its cached
-    first-co-occurrence scales T. Pairs with w = 0 have a non-integrable
-    family and are rejected unless a_min, in (0, 1], requests truncation,
-    which floors their membership at a_min.
+    Pairs with w = 0 have a non-integrable family and are rejected unless
+    a_min, in (0, 1], requests truncation, which floors their membership at
+    a_min.
     """
     if a_min is not None and not 0.0 < a_min <= 1.0:
         raise ValidationError(f"a_min must lie in (0, 1], got {a_min!r}")
     wc = squareform(w.w, checks=False)
-    if h is not None:
-        expected = np.exp(-squareform(first_cooccurrence_scales(h), checks=False))
-        if h.n != w.n or not np.allclose(expected, wc, rtol=0, atol=1e-12):
-            raise ValidationError("membership matrix inconsistent with hierarchy")
     never = wc == 0.0
     if never.any():
         if a_min is None:

@@ -1,11 +1,12 @@
 """Embedding optimization: classical-MDS initialization and deterministic descent.
 
 The initialization needs only the top m eigenpairs, which come from a
-Householder tridiagonalization written without BLAS calls. The descent is
-full-batch gradient descent with backtracking line search over losses whose
-gradients are assembled without BLAS calls too, so no result depends on the
-BLAS thread count, at any n. Each trial point's distances are computed once,
-one per unordered pair (`loss.pair_distances`), and handed to the problem.
+Householder tridiagonalization written without BLAS calls; `top_eigenpairs`
+trusts its input, which `classical_mds_init` checks. The descent is full-batch
+gradient descent with backtracking line search over losses whose gradients are
+assembled without BLAS calls too, so no result depends on the BLAS thread
+count, at any n. Each trial point's distances are computed once, one per
+unordered pair (`loss.pair_distances`), and handed to the problem.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class Embedding:
 STEP0 = 0.1  # the first line search starts from twice this step
 CONV_WINDOW = 10  # convergence compares the loss with the one this many steps back
 MIN_STEP = 1e-18  # a line search halving the step below this ends the run
-GRAD_CHECK_STEP = 1e-5  # central-difference step of `grad_check`
 
 
 @dataclass(frozen=True)
@@ -166,13 +166,12 @@ def _apply_reflectors(reflectors, z: np.ndarray) -> np.ndarray:
     return y
 
 
-def top_eigenpairs(matrix: np.ndarray, m: int):
-    """The top min(m, n) eigenpairs of a symmetric matrix, by descending eigenvalue.
+def top_eigenpairs(a: np.ndarray, m: int):
+    """The top min(m, n) eigenpairs of a finite, exactly symmetric float matrix,
+    by descending eigenvalue. The matrix is overwritten; the caller checks it
+    (`classical_mds_init` builds it from checked targets).
 
-    The input must be square and finite (a `ValidationError` names the first
-    non-finite entry) and symmetric to within 1e-12 times its largest
-    magnitude; it is copied and symmetrized as (a + a^T)/2, then solved by
-    Householder tridiagonalization and the top eigenpairs of the
+    Householder tridiagonalization, then the top eigenpairs of the
     tridiagonal matrix (LAPACK bisection and inverse iteration on O(n) data,
     `scipy.linalg.eigh_tridiagonal`), transformed back. Nothing there runs on
     the BLAS thread pool, so the bytes do not depend on the BLAS thread count.
@@ -185,21 +184,6 @@ def top_eigenpairs(matrix: np.ndarray, m: int):
 
     Returns (eigenvalues, eigenvectors as columns).
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix must be square, got {a.shape}")
-    if not np.isfinite(a).all():
-        i, j = np.argwhere(~np.isfinite(a))[0]
-        raise ValidationError(f"non-finite matrix entry at ({i}, {j}): {float(a[i, j])!r}")
-    if not np.allclose(a, a.T, rtol=0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise ValidationError("matrix must be symmetric")
-    if m < 1:
-        raise ValidationError(f"number of eigenpairs must be >= 1, got {m}")
-    return _top_eigenpairs((a + a.T) / 2.0, m)
-
-
-def _top_eigenpairs(a: np.ndarray, m: int):
-    """`top_eigenpairs` of a finite, exactly symmetric matrix, which it overwrites."""
     n = a.shape[0]
     take = min(m, n)
     diag, off, reflectors = _householder_tridiagonal(a)
@@ -218,13 +202,15 @@ def _top_eigenpairs(a: np.ndarray, m: int):
 def classical_mds_init(targets: np.ndarray, m: int) -> Embedding:
     """Classical multidimensional scaling of a finite target-distance matrix.
 
-    Double centering (`double_centered_gram`, whose fresh, exactly symmetric
-    Gram matrix the eigensolver then overwrites) followed by the top-m
-    eigenpairs (`top_eigenpairs`), scaled by the square root of the
+    The targets must be square and finite and m at least 1 (else
+    `ValidationError`); targets whose squares or their means overflow raise
+    `NumericalError`. These are the only checks between outside input and
+    the eigensolver. Double centering (`double_centered_gram`, whose fresh,
+    exactly symmetric Gram matrix `top_eigenpairs` then overwrites) is
+    followed by the top-m eigenpairs, scaled by the square root of the
     (clipped) eigenvalues. Exact for targets realizable in m dimensions, up
     to rotation and translation. Asymmetric targets are embedded by the
-    symmetric part of their Gram matrix. Targets whose squares or their
-    means overflow raise `NumericalError`. The bytes do not depend on the
+    symmetric part of their Gram matrix. The bytes do not depend on the
     BLAS thread count. When the m-th and (m+1)-th eigenvalues are equal, the
     coordinates for that eigenvalue use a deterministic orthonormal set
     inside its eigenspace.
@@ -247,7 +233,7 @@ def classical_mds_init(targets: np.ndarray, m: int) -> Embedding:
             i, j = overflow[0]
             raise NumericalError(f"squared target at ({i}, {j}) overflows: {float(t[i, j])!r}")
         raise NumericalError("the means of the squared targets overflow")
-    evals, evecs = _top_eigenpairs(gram, m)
+    evals, evecs = top_eigenpairs(gram, m)
     n = t.shape[0]
     take = evals.shape[0]
     coords = evecs * np.sqrt(np.clip(evals, 0.0, None))
@@ -334,36 +320,3 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
         trace=tuple(trace),
     )
 
-
-@dataclass(frozen=True)
-class GradCheckResult:
-    max_rel_error: float
-    skipped_rows: tuple[int, ...]  # rows touching a coincident pair (loss kink)
-
-
-def grad_check(problem, coords: np.ndarray) -> GradCheckResult:
-    """Compare the analytic gradient against central finite differences.
-
-    Rows involved in a coincident pair sit on the distance kink and are
-    excluded from the comparison (and reported).
-    """
-    a = np.array(coords, dtype=float)
-    first, second = np.triu_indices(a.shape[0], 1)  # the condensed pair order
-    close = pair_distances(a) < 10 * GRAD_CHECK_STEP
-    kink_rows = sorted(set(first[close].tolist()) | set(second[close].tolist()))
-    analytic = problem.grad(a)
-    numeric = np.zeros_like(a)
-    for i in range(a.shape[0]):
-        if i in kink_rows:
-            continue
-        for j in range(a.shape[1]):
-            bump = np.zeros_like(a)
-            bump[i, j] = GRAD_CHECK_STEP
-            rise = problem.loss(a + bump) - problem.loss(a - bump)
-            numeric[i, j] = rise / (2 * GRAD_CHECK_STEP)
-    rows = [i for i in range(a.shape[0]) if i not in kink_rows]
-    if not rows:
-        return GradCheckResult(0.0, tuple(kink_rows))
-    diff = np.abs(analytic[rows] - numeric[rows])
-    scale = np.maximum(np.abs(analytic[rows]) + np.abs(numeric[rows]), 1e-8)
-    return GradCheckResult(float((diff / scale).max()), tuple(kink_rows))

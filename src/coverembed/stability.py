@@ -49,9 +49,6 @@ class InterleavingReport:
     # of the other at the shift that attains eps*; j is None when eps* is inf
     witness: tuple[int, int, int | None]
 
-    def __float__(self):
-        return self.epsilon_star
-
 
 def interleaving_distance(h1: HierarchicalCover, h2: HierarchicalCover) -> InterleavingReport:
     """Least eps such that the two step functions are mutually eps-shifted refinements.
@@ -147,7 +144,6 @@ def check_loss_transfer(
     spec: PipelineSpec,
     x: PseudometricSpace,
     y: PseudometricSpace,
-    radius: float | None = None,
 ) -> StabilityReport:
     """Certified loss-transfer bound for a stress-family pipeline on eps-isometric inputs.
 
@@ -155,9 +151,11 @@ def check_loss_transfer(
     evaluates X's objective at Y's embedding, and checks it against the
     X-optimum plus K_c * n^2 * (1 - exp(-eps)), where K_c is twice the exact
     supremum of the family's contractive term over strengths and over
-    distances in [0, radius]. The expansive term of a stress family is
-    constant in the distance, so the tighter bound (no K_e term) applies; K_e
-    is still certified and reported.
+    distances in [0, r]. The evaluation radius r is 1.1 times the largest
+    embedded distance of either embedding, and is reported; r = 0 (both
+    embeddings collapse to a point) is a ValidationError. The expansive term
+    of a stress family is constant in the distance, so the tighter bound (no
+    K_e term) applies; K_e is still certified and reported.
     """
     if spec.loss != "mds":
         raise ValidationError("the loss-transfer checker needs a stress-family pipeline")
@@ -167,10 +165,7 @@ def check_loss_transfer(
     emb_x, emb_y = (minimize(p, spec.optimizer).embedding.coords for p in problems)
     loss_base = problems[0].loss(emb_x)
     loss_cross = problems[0].loss(emb_y)
-    if radius is None:
-        r = float(max(pair_distances(e).max(initial=0.0) for e in (emb_x, emb_y))) * 1.1
-    else:
-        r = float(radius)
+    r = float(max(pair_distances(e).max(initial=0.0) for e in (emb_x, emb_y))) * 1.1
     if r <= 0:
         raise ValidationError(f"evaluation radius must be positive, got {r!r}")
     n = x.n

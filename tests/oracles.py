@@ -10,8 +10,9 @@ a form, the JSON round trip of loss objects, the cover JSON objects whose
 the broadcast Euclidean distances, the n x n embedding losses (every pair
 counted twice), the condensed losses and gradients as plain expressions
 (the reference bytes of the in-place kernels), Floyd-Warshall as numpy
-passes (the reference bytes of the geodesic kernel), and the permuting and
-CSV-writing helpers that tests use to build inputs live here too.
+passes (the reference bytes of the geodesic kernel), the central-difference
+gradient check of the embedding problems, and the permuting and CSV-writing
+helpers that tests use to build inputs live here too.
 """
 
 import json
@@ -24,7 +25,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from coverembed import ValidationError
 from coverembed.covers import Cover, cap_disconnected
-from coverembed.loss import FCE_CLAMP_DEFAULT, SIGN_TOL, LossObject, SignReport
+from coverembed.loss import FCE_CLAMP_DEFAULT, SIGN_TOL, LossObject, SignReport, pair_distances
 
 
 def threshold_edges(d, delta):
@@ -844,3 +845,40 @@ def plain_fce_grad(prob, a):
     # because each unordered pair appears twice in the total
     slope = np.where(clamped, 0.0, 2.0 * (prob.w - prob._1mw * v / (1.0 - v)))
     return plain_pair_gradient(a, delta, slope)
+
+
+GRAD_CHECK_STEP = 1e-5  # central-difference step of `grad_check`
+
+
+@dataclass(frozen=True)
+class GradCheckResult:
+    max_rel_error: float
+    skipped_rows: tuple[int, ...]  # rows touching a coincident pair (loss kink)
+
+
+def grad_check(problem, coords: np.ndarray) -> GradCheckResult:
+    """Compare the analytic gradient against central finite differences.
+
+    Rows involved in a coincident pair sit on the distance kink and are
+    excluded from the comparison (and reported).
+    """
+    a = np.array(coords, dtype=float)
+    first, second = np.triu_indices(a.shape[0], 1)  # the condensed pair order
+    close = pair_distances(a) < 10 * GRAD_CHECK_STEP
+    kink_rows = sorted(set(first[close].tolist()) | set(second[close].tolist()))
+    analytic = problem.grad(a)
+    numeric = np.zeros_like(a)
+    for i in range(a.shape[0]):
+        if i in kink_rows:
+            continue
+        for j in range(a.shape[1]):
+            bump = np.zeros_like(a)
+            bump[i, j] = GRAD_CHECK_STEP
+            rise = problem.loss(a + bump) - problem.loss(a - bump)
+            numeric[i, j] = rise / (2 * GRAD_CHECK_STEP)
+    rows = [i for i in range(a.shape[0]) if i not in kink_rows]
+    if not rows:
+        return GradCheckResult(0.0, tuple(kink_rows))
+    diff = np.abs(analytic[rows] - numeric[rows])
+    scale = np.maximum(np.abs(analytic[rows]) + np.abs(numeric[rows]), 1e-8)
+    return GradCheckResult(float((diff / scale).max()), tuple(kink_rows))

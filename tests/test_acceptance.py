@@ -25,7 +25,6 @@ from coverembed import (
     cluster_hierarchy,
     from_matrix,
     from_points_euclidean,
-    grad_check,
     interleaving_distance,
     membership_matrix,
     minimize,
@@ -43,6 +42,7 @@ from coverembed.metric import isometry_epsilon
 
 from oracles import (
     exact_interleaving_epsilon,
+    grad_check,
     oracle_max_cliques,
     oracle_maximal_j_connected,
     oracle_minimax_path,

@@ -210,7 +210,7 @@ def test_target_summary_counts_inf_pairs_before_the_policy():
 
 
 def test_drop_policy_gradient_matches_finite_differences():
-    from coverembed import grad_check
+    from oracles import grad_check
 
     t = np.array(
         [

@@ -515,6 +515,31 @@ def test_embedding_csv_refuses_labels_that_would_not_read_back(tmp_path, labels,
     assert not out.exists()
 
 
+def test_embed_refuses_unreadable_labels_before_running_the_pipeline(
+    tmp_path, monkeypatch, capsys
+):
+    import coverembed.cli as cli
+
+    dist = tmp_path / "dist.csv"
+    dist.write_text("a,#b,c\n0,1,3\n1,0,2\n3,2,0\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "run_pipeline", never)
+    out = tmp_path / "emb.csv"
+    capsys.readouterr()
+    assert dispatch(["embed", "--algo", "mmds", "--in", str(dist), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"coverembed: validation error: {out}: label '#b' would not read back from the CSV\n"
+    )
+    assert list(tmp_path.iterdir()) == [dist]
+    # reading such a file is fine: other subcommands still take it
+    cover = tmp_path / "cover.json"
+    assert dispatch(["cluster", "--functor", "sl", "--in", str(dist), "--out", str(cover)]) == 0
+    assert read_hierarchy_json(cover).n == 3
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["--version"])

@@ -115,6 +115,16 @@ def test_interleaving_report_matches_reference_search():
             jx, jy = _json_round_trip(hx), _json_round_trip(hy)
             assert _exact_report(jx, jy) == first
             assert _exact_report(jx, hy) == first
+        # a vlk side, which need not be flag, against each flag side, both ways
+        for k in (2, 3):
+            hv = cluster_hierarchy(x, "vlk", k=k)
+            jv = _json_round_trip(hv)
+            for stage in ("sl", "ml", "lk", "fuzzy"):
+                hf = cluster_hierarchy(y, stage, **params[stage])
+                ahead, behind = _exact_report(hv, hf), _exact_report(hf, hv)
+                assert ahead.epsilon_star == behind.epsilon_star
+                assert _exact_report(jv, hf) == ahead
+                assert _exact_report(hf, jv) == behind
 
 
 def test_interleaving_report_matches_reference_small_and_infinite():
@@ -275,10 +285,10 @@ def test_loss_transfer_validations():
     spec = PipelineSpec("fuzzy", "fce", 2)
     with pytest.raises(ValidationError, match="stress-family"):
         check_loss_transfer(spec, CHAIN, CHAIN)
-    with pytest.raises(ValidationError, match="radius"):
-        check_loss_transfer(
-            PipelineSpec("ml", "mds", 2), CHAIN, CHAIN, radius=-1.0
-        )
+    # every distance 0: both embeddings collapse to a point, and the derived radius is 0
+    point = from_matrix(np.zeros((3, 3)))
+    with pytest.raises(ValidationError, match=r"^evaluation radius must be positive, got 0\.0$"):
+        check_loss_transfer(PipelineSpec("ml", "mds", 2), point, point)
 
 
 def test_loss_transfer_random_pairs():
