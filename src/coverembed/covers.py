@@ -7,6 +7,11 @@ blocks are exactly the maximal cliques of their co-occurrence graph
 a right-continuous step function from distance scale delta in [0, inf) to
 Cover, stored as critical scales plus one cover per scale; in strength
 coordinates a = exp(-delta) it is a fuzzy cover.
+
+A hierarchy that a threshold scan of flag covers built carries a flag mark
+and, as its first-co-occurrence cache, the matrix the scan sorted
+(`build_hierarchy`); any other hierarchy reads that matrix off its blocks
+on first use.
 """
 
 from __future__ import annotations
@@ -131,13 +136,16 @@ class HierarchicalCover:
     coarsen as the scale grows). The constructor does not check that;
     `validate_coarsening` does, once: a hierarchy it has checked, or one that
     `build_hierarchy` assembled from a threshold scan, is marked as
-    coarsening. The mark is no constructor parameter and no equality reads it.
+    coarsening. A scan of flag covers also marks it as flag: every cover is
+    flag and the first-co-occurrence cache holds the scanned matrix. No mark
+    is a constructor parameter and no equality reads one.
     """
 
     n: int
     scales: tuple[float, ...]
     covers: tuple[Cover, ...]
     _coarsens: bool = field(default=False, init=False, repr=False, compare=False)
+    _flag: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.scales) != len(self.covers) or not self.scales:
@@ -166,7 +174,8 @@ class HierarchicalCover:
 
     @cached_property
     def _first_cooccurrence(self) -> np.ndarray:
-        """`first_cooccurrence_scales(self)`, computed on first use, read-only."""
+        """`first_cooccurrence_scales(self)`, computed on first use unless a flag
+        scan stored it; read-only."""
         n = self.n
         t = np.full((n, n), np.inf)
         np.fill_diagonal(t, 0.0)
@@ -182,13 +191,20 @@ class HierarchicalCover:
         return t
 
 
-def build_hierarchy(n: int, staged) -> HierarchicalCover:
+def build_hierarchy(n: int, staged, scanned: np.ndarray | None = None) -> HierarchicalCover:
     """Assemble the (scale, cover) pairs of a threshold scan into a HierarchicalCover.
 
     Drops scales whose cover equals the previous one, so critical scales are
     exactly the scales where the cover changes. A scan only adds edges, so
     each cover refines the next: the result is marked as coarsening, and
     `validate_coarsening` does not check it again.
+
+    `scanned` is the matrix a scan of flag covers sorted. A flag cover is
+    the maximal cliques of its pair graph, so each distinct value the scan
+    inserts changes the cover, and a pair first shares a block at its
+    entry: the matrix, with -0.0 read as 0.0 like the first scale, is the
+    hierarchy's first-co-occurrence matrix. It becomes the read-only cache,
+    and the result is marked as flag.
     """
     scales: list[float] = []
     covers: list[Cover] = []
@@ -199,6 +215,11 @@ def build_hierarchy(n: int, staged) -> HierarchicalCover:
         covers.append(cover)
     h = HierarchicalCover(n, tuple(scales), tuple(covers))
     object.__setattr__(h, "_coarsens", True)
+    if scanned is not None:
+        t = scanned + 0.0
+        t.flags.writeable = False
+        h.__dict__["_first_cooccurrence"] = t
+        object.__setattr__(h, "_flag", True)
     return h
 
 
@@ -242,7 +263,8 @@ def first_cooccurrence_scales(h: HierarchicalCover) -> np.ndarray:
     `vertex_masks` is its first common block, and frexp reads the bit's index
     exactly (-1, birth inf, when none). Extra memory: a few n x n arrays and
     one cover's block set, whatever the block count. Computed at most once
-    per hierarchy; the array is read-only.
+    per hierarchy, and not at all for one a flag scan built, which keeps the
+    matrix it scanned; the array is read-only.
     """
     return h._first_cooccurrence
 

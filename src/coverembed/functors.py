@@ -27,7 +27,10 @@ bitmask per vertex, which the clique updates, `sl`'s components and `vlk`'s
 separator searches all read. Each clique's sorted tuple is made once, when
 it is born, and the clique scans keep their sorted block list current by the
 cliques each insertion kills and creates. Every hierarchy a scan builds is
-marked as coarsening, so the interleaving never checks it again.
+marked as coarsening, so the interleaving never checks it again. Every
+stage but `vlk` emits flag covers: its hierarchy is also marked as flag and
+keeps the scanned matrix as its first-co-occurrence cache, so neither its
+membership matrix nor an interleaving toward it reads its blocks.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def connectivity_radius(space: PseudometricSpace) -> float:
     return float(linkage(squareform(space.d, checks=False), "single")[-1, 2] + 0.0)
 
 
-def _threshold_hierarchy(dist: np.ndarray, blocks_of=None) -> HierarchicalCover:
+def _threshold_hierarchy(dist: np.ndarray, blocks_of=None, flag: bool = True) -> HierarchicalCover:
     """Blocks of the threshold graphs of `dist`, at 0 and each distinct finite value.
 
     `dist` is the functor's symmetric first-co-occurrence matrix: two points
@@ -99,7 +102,8 @@ def _threshold_hierarchy(dist: np.ndarray, blocks_of=None) -> HierarchicalCover:
     adjacency bitmasks to the blocks; without it the blocks are the maximal
     cliques, a sorted list updated per inserted edge. The scan stops at the
     first single block. It only adds edges, so each cover refines the next,
-    and `build_hierarchy` marks the result as coarsening.
+    and `build_hierarchy` marks the result as coarsening; when the blocks are
+    `flag` covers, it also keeps `dist` as the first-co-occurrence cache.
     """
     n = dist.shape[0]
     rows, cols = np.triu_indices(n, 1)
@@ -128,7 +132,7 @@ def _threshold_hierarchy(dist: np.ndarray, blocks_of=None) -> HierarchicalCover:
             blocks = blocks_of(neighbors)
         staged.append((delta, Cover(n, tuple(blocks))))  # blocks come sorted
         if len(blocks) == 1 or pos == len(vals):
-            return build_hierarchy(n, staged)
+            return build_hierarchy(n, staged, dist if flag else None)
         delta = vals[pos]
 
 
@@ -163,7 +167,7 @@ def cluster_hierarchy(
     if stage == "vlk":
         check_stage(stage, k, delta, disconnected)
         j = min(space.n, k)
-        return _threshold_hierarchy(space.d, lambda nb: maximal_j_connected_sets(nb, j))
+        return _threshold_hierarchy(space.d, lambda nb: maximal_j_connected_sets(nb, j), flag=False)
     d = first_cooccurrence(space, stage, k, delta, disconnected)
     return _threshold_hierarchy(d, connected_components if stage == "sl" else None)
 
@@ -179,7 +183,10 @@ def first_cooccurrence(
 
     Parameters are those of `cluster_hierarchy`; `disconnected` None leaves
     `iso` pairs in different components inf, and "error" names the
-    components: each row's finite entries are its point's. The matrix may be
+    components: each row's finite entries are its point's. Every stage but
+    `vlk` computes it without covers, and `cluster_hierarchy` scans it and
+    keeps it, -0.0 read as 0.0, as the hierarchy's first-co-occurrence
+    cache; `vlk`'s is read off its hierarchy's blocks. The matrix may be
     read-only: `ml`'s is the space's own distance matrix, `vlk`'s its
     hierarchy's cache.
     """

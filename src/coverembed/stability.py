@@ -16,11 +16,14 @@ The scan starts cover i at the first j whose scale reaches M_i, the largest
 first-co-occurrence scale on the other side of a pair that cover i already
 joins (`_search_starts`: each side's cached `first_cooccurrence_scales`,
 one stable argsort, a running max and one searchsorted), so every cover that
-scale excludes is skipped untested. Each remaining step is one `refines`
-test, at most |S1| + |S2| per direction. A `refines` test skips the blocks
-the two covers share (consecutive covers share almost all) and ANDs the
-other side's per-vertex block masks over each remaining block: |b| big-int
-ANDs per block b.
+scale excludes is skipped untested. A flag scan's hierarchy (every stage
+but `vlk`) holds that matrix from its build, and toward it the start is
+j(i) itself: no `refines` test runs, so two such sides cost O(n^2 log n)
+with no block read. Toward any other side each remaining step is one
+`refines` test, at most |S1| + |S2| per direction. A `refines` test skips
+the blocks the two covers share (consecutive covers share almost all) and
+ANDs the other side's per-vertex block masks over each remaining block: |b|
+big-int ANDs per block b.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ def interleaving_distance(h1: HierarchicalCover, h2: HierarchicalCover) -> Inter
         j, starts = 0, _search_starts(ha, hb)
         for i, (s, cover) in enumerate(zip(ha.scales, ha.covers)):
             # nothing before j(i - 1) can serve (cover i - 1 refines cover i),
-            # nor any cover below the start bound
+            # nor any cover below the start bound; toward a flag side the start
+            # serves: each block of cover i is a clique of pairs that share a
+            # block of cover j, so it lies in a maximal clique, a block there
             j = max(j, starts[i])
-            while j < len(hb.covers) and not refines(cover, hb.covers[j]):
+            while not hb._flag and j < len(hb.covers) and not refines(cover, hb.covers[j]):
                 j += 1
             if j == len(hb.covers):
                 return InterleavingReport(math.inf, tuple(shifts), (side, i, None))

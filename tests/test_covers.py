@@ -276,7 +276,8 @@ def test_first_cooccurrence_on_hierarchies_that_do_not_coarsen(covers):
 def test_first_cooccurrence_memory_stays_within_a_few_square_matrices():
     n = 60
     space = from_points_euclidean(np.random.default_rng(5).normal(size=(n, 3)))
-    h = cluster_hierarchy(space, "ml")
+    scanned = cluster_hierarchy(space, "ml")
+    h = HierarchicalCover(n, scanned.scales, scanned.covers)  # no cache: read off the blocks
     assert len({b for c in h.covers for b in c.blocks}) > 5000
     tracemalloc.start()
     try:
@@ -401,11 +402,14 @@ def test_cover_at_refuses_a_nan_scale():
 
 
 def test_first_cooccurrence_is_computed_once_and_read_only():
-    h = cluster_hierarchy(from_points_euclidean(np.random.default_rng(9).normal(size=(7, 2))), "ml")
-    t = first_cooccurrence_scales(h)
-    assert first_cooccurrence_scales(h) is t
-    assert not t.flags.writeable
-    assert np.array_equal(membership_matrix(h).w, np.exp(-t))
+    points = np.random.default_rng(9).normal(size=(7, 2))
+    scanned = cluster_hierarchy(from_points_euclidean(points), "ml")
+    unmarked = HierarchicalCover(scanned.n, scanned.scales, scanned.covers)
+    for h in (scanned, unmarked):  # the scan's cache, then the matrix read off the blocks
+        t = first_cooccurrence_scales(h)
+        assert first_cooccurrence_scales(h) is t
+        assert not t.flags.writeable
+        assert np.array_equal(membership_matrix(h).w, np.exp(-t))
 
 
 def _raw_hierarchy(covers, scales=None):
@@ -502,6 +506,7 @@ def test_hierarchy_json_names_a_non_numeric_scale():
 def _every_stage(space):
     yield from (("sl", {}), ("ml", {}), ("lk", {"k": 3}), ("vlk", {"k": 2}))
     yield "iso", {"disconnected": "cap"}
+    yield "iso", {"delta": 0.5, "disconnected": None}  # pairs in different components: inf
     if space.n >= 2:
         yield "fuzzy", {}
 
@@ -514,23 +519,43 @@ def _mark_cases():
         d = np.zeros((n, n))
         d[np.triu_indices(n, 1)] = upper
         yield from_matrix(d + d.T)  # ties and zero distances
+        d[np.triu_indices(n, 1)] = rng.integers(0, 4, size=n * (n - 1) // 2)
+        yield from_matrix(np.where(d + d.T == 0, -0.0, d + d.T))  # every zero is -0.0
+        points = rng.normal(size=(n, 2))
+        yield from_points_euclidean(points[rng.integers(0, n, size=n)])  # duplicate points
+        points[: n // 2] += 1000.0  # two far clusters: fuzzy memberships underflow to 0
+        yield from_points_euclidean(points)
 
 
 def test_scan_built_hierarchies_are_marked_and_coarsen():
+    infinite = set()
     for space in _mark_cases():
         for stage, params in _every_stage(space):
             h = cluster_hierarchy(space, stage, **params)
-            assert h._coarsens, (space.n, stage)
+            assert h._coarsens and h._flag == (stage != "vlk"), (space.n, stage)
             copy = HierarchicalCover(h.n, h.scales, h.covers)
-            assert not copy._coarsens and copy == h
+            assert not copy._coarsens and not copy._flag and copy == h
+            # a flag scan's cache is the matrix the unmarked copy reads off its blocks
+            t = first_cooccurrence_scales(h)
+            assert t.tobytes() == first_cooccurrence_scales(copy).tobytes(), (space.n, stage)
+            assert not t.flags.writeable
+            if np.isinf(t).any():
+                infinite.add(stage)
             copy.validate_coarsening()  # the full check, on an unmarked copy
             assert copy._coarsens
+    assert {"iso", "fuzzy"} <= infinite
 
 
 def test_only_the_check_marks_constructed_and_read_hierarchies(monkeypatch):
     c = make_cover(2, [[0], [1]])
     merged = make_cover(2, [[0, 1]])
-    assert not HierarchicalCover(2, (0.0, 1.0), (c, merged))._coarsens
+    built = HierarchicalCover(2, (0.0, 1.0), (c, merged))
+    assert not built._coarsens and not built._flag
+    for mark in ("_coarsens", "_flag"):
+        with pytest.raises(TypeError):
+            HierarchicalCover(2, (0.0,), (merged,), **{mark: True})
+    scanned = cluster_hierarchy(from_matrix([[0, 1], [1, 0]]), "ml")
+    assert scanned._flag and scanned == built and hash(scanned) == hash(built)
     unmarked_at_check = []
     check = HierarchicalCover.validate_coarsening
 
@@ -541,6 +566,7 @@ def test_only_the_check_marks_constructed_and_read_hierarchies(monkeypatch):
     monkeypatch.setattr(HierarchicalCover, "validate_coarsening", recording)
     h = hierarchy_from_json(hierarchy_to_json(cluster_hierarchy(CHAIN, "ml")))
     assert unmarked_at_check == [True] and h._coarsens
+    assert not h._flag and h == cluster_hierarchy(CHAIN, "ml")  # read back: never flag
     with pytest.raises(ValidationError, match="does not refine"):
         hierarchy_from_json(_raw_hierarchy([[[0, 1], [2]], [[0], [1, 2]]]))
     bad = HierarchicalCover(2, (0.0, 1.0), (merged, c))

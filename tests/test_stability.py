@@ -127,6 +127,41 @@ def test_interleaving_report_matches_reference_search():
                 assert _exact_report(hf, jv) == behind
 
 
+def test_no_refines_test_goes_toward_a_flag_side(monkeypatch):
+    """Toward a scan-built flag side the start bound is the first refined cover:
+    `refines` runs only toward a `vlk` side or a hierarchy read back from JSON,
+    and the reports equal those of the search."""
+    calls = []
+
+    def counted(fine, coarse):
+        calls.append((fine, coarse))
+        return refines(fine, coarse)
+
+    monkeypatch.setattr("coverembed.stability.refines", counted)
+    rng = np.random.default_rng(28)
+    params = {"sl": {}, "ml": {}, "lk": {"k": 2}, "fuzzy": {}, "iso": {"disconnected": "cap"}}
+    for _ in range(3):
+        x = _rounded(random_space(rng, n=7))
+        y = _rounded(perturbed(rng, x, 0.3))
+        hv = cluster_hierarchy(x, "vlk", k=2)
+        for stage, kwargs in params.items():
+            hx, hy = cluster_hierarchy(x, stage, **kwargs), cluster_hierarchy(y, stage, **kwargs)
+            calls.clear()
+            report = interleaving_distance(hx, hy)
+            assert calls == [], stage
+            jx, jy = _json_round_trip(hx), _json_round_trip(hy)
+            assert interleaving_distance(jx, jy) == report and calls, stage
+            # against vlk: every test asks whether a cover of the flag side refines one of vlk's
+            for ha, hb in ((hv, hy), (hy, hv)):
+                calls.clear()
+                report = interleaving_distance(ha, hb)
+                assert calls and all(
+                    any(fine is c for c in hy.covers) and any(coarse is c for c in hv.covers)
+                    for fine, coarse in calls
+                ), stage
+                assert interleaving_distance(_json_round_trip(ha), _json_round_trip(hb)) == report
+
+
 def test_interleaving_report_matches_reference_small_and_infinite():
     one = cluster_hierarchy(from_matrix([[0.0]]), "sl")
     assert _exact_report(one, one).epsilon_star == 0.0
