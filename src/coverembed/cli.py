@@ -121,6 +121,7 @@ def cmd_embed(args):
         extra={
             "final_loss": report.final_loss,
             "exit_reason": report.exit_reason,
+            "n_iters": report.n_iters,
             "target_summary": report.target_summary,
         },
     )

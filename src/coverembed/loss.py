@@ -412,6 +412,15 @@ class StressProblem:
             raise ValidationError(f"embedding dimension must be >= 1, got {m}")
 
     @property
+    def majorizing_step(self) -> float:
+        """1/(4n), a step along -grad that never raises the loss in exact arithmetic.
+
+        It minimizes de Leeuw's (1977) majorizer, a quadratic with Hessian 4V (V the
+        weight Laplacian, V <= nI - 11^T) and gradient `grad` at a: with unit
+        weights, the Guttman (SMACOF) transform up to a translation."""
+        return 1.0 / (4 * max(self.n, 1))
+
+    @property
     def weights(self) -> np.ndarray:
         """Condensed pair weights: 0 for a dropped pair, 1 elsewhere."""
         return np.ones_like(self.targets) if self._weights is None else self._weights

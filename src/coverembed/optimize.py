@@ -5,14 +5,16 @@ Householder tridiagonalization written without BLAS calls; `top_eigenpairs`
 trusts its input, which `classical_mds_init` checks. The descent is full-batch
 gradient descent with backtracking line search over losses whose gradients are
 assembled without BLAS calls too, so no result depends on the BLAS thread
-count, at any n. Each trial point's distances are computed once, one per
-unordered pair (`loss.pair_distances`), and handed to the problem.
+count, at any n; the stress loss's searches start from its SMACOF majorization
+step. Each trial point's distances are computed once, one per unordered pair
+(`loss.pair_distances`), and handed to the problem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -44,7 +46,7 @@ class Embedding:
         return self.coords.shape[1]
 
 
-STEP0 = 0.1  # the first line search starts from twice this step
+STEP0 = 0.1  # without a majorizing step, the first line search starts from twice this
 CONV_WINDOW = 10  # convergence compares the loss with the one this many steps back
 MIN_STEP = 1e-18  # a line search halving the step below this ends the run
 
@@ -64,6 +66,9 @@ class OptimizerConfig:
             raise ValidationError("max_iters must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        rel = self.conv_rel  # nan or < 0 never converges, inf or True always does
+        if isinstance(rel, bool) or not isinstance(rel, Real) or not 0.0 <= rel < math.inf:
+            raise ValidationError(f"conv_rel must be a finite real >= 0, got {rel!r}")
         if self.init not in ("classical", "random", "given"):
             raise ValidationError(f"unknown init mode {self.init!r}")
 
@@ -266,8 +271,9 @@ def initial_coords(problem, cfg: OptimizerConfig) -> np.ndarray:
 def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
     """Full-batch gradient descent with backtracking halving line search.
 
-    Accepted steps never increase the loss; the carried step doubles before
-    each line search so the step size adapts in both directions. Each trial
+    Accepted steps never increase the loss. Each line search starts from the
+    problem's `majorizing_step` if it has one (a step that never raises the
+    loss: `StressProblem`), else from twice the carried step. Each trial
     point's condensed pair distances are computed once and handed to
     `problem.loss`, and the accepted point's also to `problem.grad`.
     Deterministic for fixed config and inputs.
@@ -278,6 +284,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
     if not math.isfinite(f):
         raise NumericalError(f"loss at initialization is {f!r}", trace=[])
     step = STEP0
+    majorizing_step = getattr(problem, "majorizing_step", None)
     g = problem.grad(a, delta)
     gnorm = float(np.abs(g).max(initial=0.0))
     trace = [(0, f, step, gnorm)]
@@ -289,7 +296,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
         if gnorm == 0.0:
             exit_reason = "stationary"
             break
-        step = step * 2.0
+        step = step * 2.0 if majorizing_step is None else majorizing_step
         while True:
             candidate = a - step * g
             candidate_delta = pair_distances(candidate)

@@ -119,8 +119,17 @@ def test_criterion_03_benchmark_ordering():
         mmds5 = result.row("ml", 5).mean
         sls2 = result.row("sl", 2).mean
         sls5 = result.row("sl", 5).mean
+        rows = [("MMDS", "ml", 2), ("MMDS", "ml", 5), ("SLS", "sl", 2), ("SLS", "sl", 5)]
+        reps = "; ".join(
+            f"rep {rep}: " + ", ".join(
+                f"{name} m={m} {result.row(cluster, m).accuracies[rep]:.2f}"
+                for name, cluster, m in rows
+            )
+            for rep in range(cfg.repetitions)
+        )
         out["detail"] = (
-            f"MMDS m=2 {mmds2:.3f}, m=5 {mmds5:.3f}; SLS m=2 {sls2:.3f}, m=5 {sls5:.3f}"
+            f"MMDS m=2 {mmds2:.3f}, m=5 {mmds5:.3f}; SLS m=2 {sls2:.3f}, m=5 {sls5:.3f} "
+            f"({reps})"
         )
         assert sls2 > mmds2
         assert sls5 > mmds5

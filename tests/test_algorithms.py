@@ -423,11 +423,20 @@ def test_named_spec_reads_the_algorithm_table():
 def test_run_pipeline_report_contents():
     space = from_points_euclidean([[0.0], [1.0], [2.0]])
     _, report = run_pipeline(spec("sl", m=1), space)
-    assert set(report.stage_seconds) == {"targets", "optimize"}
+    assert set(report.stage_seconds) == {"targets", "init", "optimize"}
     assert report.target_summary["max"] == 1.0
     assert report.target_summary["infinite_pairs"] == 0.0
     assert report.exit_reason in ("converged", "stationary", "max_iters")
     assert report.trace[0][0] == 0
+    # the init is timed on its own and handed to `minimize`, which then makes the
+    # bytes that computing it inside `minimize` makes
+    points = from_points_euclidean(np.random.default_rng(4).normal(size=(12, 3)))
+    for algo, init in (("mmds", "classical"), ("umap", "classical"), ("sls", "random")):
+        pipeline = named_spec(algo, optimizer=OptimizerConfig(max_iters=30, init=init))
+        embedding, report = run_pipeline(pipeline, points)
+        direct = minimize(build_problem(points, pipeline), pipeline.optimizer)
+        assert np.array_equal(embedding.coords, direct.embedding.coords)
+        assert report.trace == direct.trace
 
 
 def test_pipeline_validation():

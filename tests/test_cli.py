@@ -11,7 +11,7 @@ from coverembed import (
     cluster_hierarchy,
     membership_matrix,
 )
-from coverembed.algorithms import connectivity_radius, named_spec
+from coverembed.algorithms import connectivity_radius, named_spec, run_pipeline
 from coverembed.cli import build_hash, dispatch, flatten_check_report
 from coverembed.fileio import (
     fmt,
@@ -24,7 +24,7 @@ from coverembed.fileio import (
     write_json,
 )
 from coverembed.metric import from_matrix, from_points_euclidean
-from coverembed.optimize import Embedding
+from coverembed.optimize import Embedding, OptimizerConfig
 
 from oracles import write_distance_csv
 
@@ -56,6 +56,30 @@ def test_embed_happy_path(dist_csv, tmp_path):
     manifest = read_json(str(out) + ".manifest.json")
     assert manifest["subcommand"] == "embed"
     assert str(dist_csv) in manifest["inputs"]
+
+
+def test_embed_manifest_records_the_iteration_count(tmp_path):
+    d = np.random.default_rng(2).uniform(0.5, 2.0, size=(6, 6))
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    path = tmp_path / "dist.csv"
+    write_distance_csv(path, from_matrix(d))
+    for algo, max_iters in (("mmds", 2000), ("umap", 2000), ("sls", 4)):
+        out, trace = tmp_path / f"{algo}.csv", tmp_path / f"{algo}.trace.csv"
+        assert dispatch([
+            "embed", "--algo", algo, "--in", str(path), "--out", str(out),
+            "--trace-out", str(trace), "--max-iters", str(max_iters),
+        ]) == 0
+        manifest = read_json(str(out) + ".manifest.json")
+        _, report = run_pipeline(
+            named_spec(algo, optimizer=OptimizerConfig(max_iters=max_iters)),
+            read_distance_csv(path),
+        )
+        assert manifest["n_iters"] == report.n_iters > 0
+        assert manifest["exit_reason"] == report.exit_reason != "stationary"
+        # the trace's last row is the last accepted iteration
+        assert trace.read_text().splitlines()[-1].startswith(f"{manifest['n_iters']},")
+    assert manifest["exit_reason"] == "max_iters" and manifest["n_iters"] == 4
 
 
 def test_embed_pipeline_recombination(dist_csv, tmp_path):

@@ -646,6 +646,30 @@ def test_loss_and_grad_take_the_callers_distances_bit_for_bit():
         assert np.array_equal(prob.grad(a, delta), prob.grad(a))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    m=st.integers(1, 3),
+    policy=st.sampled_from(("strict", "cap", "drop")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_majorizing_step_never_raises_the_stress(n, m, policy, seed):
+    """loss(a - grad(a) / (4n)) <= loss(a), up to a few ulps of the loss, with
+    infinite targets (capped or dropped), zero targets and coincident rows."""
+    rng = np.random.default_rng(seed)
+    d = rng.choice([0.0, 0.5, 1.0, 2.0, 3.5], size=(n, n)) * rng.uniform(0.5, 2.0)
+    if policy != "strict":
+        d[rng.random((n, n)) < 0.3] = np.inf
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    problem = StressProblem(d, m, policy)
+    a = rng.integers(-2, 3, size=(n, m)) * rng.uniform(0.1, 3.0)  # coincident rows
+    a[rng.random(n) < 0.5] += rng.normal(size=m)
+    f, g = problem.loss(a), problem.grad(a)
+    assert problem.majorizing_step == 1.0 / (4 * n)
+    assert problem.loss(a - g * problem.majorizing_step) <= f + 8 * math.ulp(f)
+
+
 def test_pairwise_distances_matches_direct_formula():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(6, 3))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -217,6 +218,17 @@ def test_optimizer_config_counts_must_be_integers(field, value):
     assert OptimizerConfig(**{field: np.int64(3)})
 
 
+@pytest.mark.parametrize("value", [float("nan"), -1.0, -0.5, float("inf"), True, "1e-9", None])
+def test_optimizer_config_refuses_a_conv_rel_that_is_not_a_finite_real_at_least_zero(value):
+    # nan and negative values would disable convergence, inf and True end every run at
+    # iteration CONV_WINDOW
+    with pytest.raises(ValidationError, match=re.escape(f"conv_rel must be a finite real >= 0, "
+                                                        f"got {value!r}")):
+        OptimizerConfig(conv_rel=value)
+    for fine in (0, 0.0, 1e-9, np.float64(0.5)):
+        assert OptimizerConfig(conv_rel=fine).conv_rel == fine
+
+
 @pytest.mark.parametrize("m", [2.5, True, "2"])
 def test_problems_refuse_a_non_integer_dimension(m):
     w = MembershipMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -381,10 +393,44 @@ def test_minimize_computes_one_distance_matrix_per_loss_evaluation(monkeypatch):
     d = rng.uniform(0.5, 2.0, size=(6, 6))
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
+    # Counted forwards no `majorizing_step`, so this run takes the doubling search
     res = minimize(Counted(StressProblem(d, 2)), OptimizerConfig(max_iters=50))
     assert counts["grad"] == len(res.trace) > 10
     assert counts["loss"] > counts["grad"]
     assert counts["distances"] == counts["loss"]
+
+
+def test_a_stress_run_computes_distances_once_per_iteration(monkeypatch):
+    """Each line search of a `StressProblem` starts from its majorizing step, which
+    never raises the loss, so a run computes the distances of its start and of one
+    trial per iteration: no trial is rejected."""
+    import coverembed.optimize
+
+    calls = []
+
+    def counted_distances(a):
+        calls.append(a.shape)
+        return pair_distances(a)
+
+    monkeypatch.setattr(coverembed.optimize, "pair_distances", counted_distances)
+    rng = np.random.default_rng(3)
+    d = rng.uniform(0.5, 2.0, size=(6, 6))
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0.0)
+    dropped = d.copy()
+    dropped[0, 4] = dropped[4, 0] = np.inf
+    for problem in (StressProblem(d, 2), StressProblem(dropped, 3, policy="drop")):
+        calls.clear()
+        res = minimize(problem, OptimizerConfig(max_iters=200))
+        assert res.exit_reason in ("converged", "max_iters") and res.n_iters > 10
+        assert len(calls) == res.n_iters + 1
+        assert {row[2] for row in res.trace[1:]} == {problem.majorizing_step} == {1 / 24}
+    # a read-only attribute, not a method, which proxies forwarding non-callables pass on
+    assert not callable(problem.majorizing_step)
+    with pytest.raises(AttributeError):
+        problem.majorizing_step = 1.0
+    w = MembershipMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert not hasattr(CrossEntropyProblem(w, 1), "majorizing_step")
 
 
 def test_random_init_range_and_determinism():
