@@ -1,11 +1,11 @@
 """Embedding pipelines: a clustering stage composed with a loss stage.
 
 `ALGO_TABLE` names the paper's algorithms as such compositions; a named
-algorithm runs as `run_pipeline(named_spec(name, m), space)`. Every
-stress-family pipeline routes through an explicit target-distance
-matrix (the closed form of its composed objective) rather than through the
-strength integral, which keeps oracles direct; the fuzzy cross-entropy
-pipeline routes through a membership matrix.
+algorithm runs as `run_pipeline(named_spec(name, m), space)`. Every pipeline
+reaches its stage by one route, its first-co-occurrence matrix T
+(`stage_targets`): stress fits T as explicit target distances (the closed
+form of its composed objective, which keeps oracles direct), and the fuzzy
+cross-entropy loss fits the memberships exp(-T).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .covers import MembershipMatrix, target_distances
+from .covers import MembershipMatrix
 from .errors import ValidationError, _check_int
-from .functors import check_stage, first_cooccurrence, fuzzy_union_membership
+from .functors import check_stage, first_cooccurrence
 from .functors import connectivity_radius  # noqa: F401 (re-exported)
 from .loss import CrossEntropyProblem, StressProblem, _square, check_policy
 from .metric import PseudometricSpace
@@ -106,22 +106,6 @@ def stage_targets(space: PseudometricSpace, spec: PipelineSpec) -> np.ndarray:
     return first_cooccurrence(space, spec.cluster, spec.k, spec.delta, disconnected)
 
 
-def build_stage(
-    space: PseudometricSpace, spec: PipelineSpec
-) -> tuple[np.ndarray, MembershipMatrix]:
-    """Target distances and membership matrix of the clustering stage, from one build.
-
-    `fuzzy` keeps its union membership; other stages take exp(-targets).
-    """
-    if spec.cluster == "fuzzy":
-        w = fuzzy_union_membership(space)
-        return target_distances(w), w
-    targets = stage_targets(space, spec)
-    w = np.exp(-targets)
-    np.fill_diagonal(w, 1.0)
-    return targets, MembershipMatrix(w)
-
-
 def _summarize_targets(problem) -> dict[str, float]:
     """The targets the loss fits, and the stage's pairs at inf before the policy.
 
@@ -149,9 +133,11 @@ def _summarize_targets(problem) -> dict[str, float]:
 
 
 def build_problem(space: PseudometricSpace, spec: PipelineSpec):
+    """The loss stage's problem: stress fits the stage targets T, fce the memberships exp(-T)."""
+    targets = stage_targets(space, spec)
     if spec.loss == "mds":
-        return StressProblem(stage_targets(space, spec), spec.m, spec.policy)
-    return CrossEntropyProblem(build_stage(space, spec)[1], spec.m)
+        return StressProblem(targets, spec.m, spec.policy)
+    return CrossEntropyProblem(MembershipMatrix(np.exp(-targets)), spec.m)
 
 
 def run_pipeline(spec: PipelineSpec, space: PseudometricSpace) -> tuple[Embedding, PipelineReport]:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .fileio import (
     write_json,
     write_trace_csv,
 )
-from .functors import CLUSTER_STAGES, cluster_hierarchy, connectivity_radius
+from .functors import CLUSTER_STAGES, cluster_hierarchy
 from .loss import TARGET_POLICIES, FuzzyLossFamily, check_quadrature, flatten
 from .metric import PseudometricSpace
 from .optimize import Embedding, OptimizerConfig
@@ -171,15 +171,7 @@ def cmd_stability(args):
     x = read_space(args.x, args.input_kind)
     y = read_space(args.y, args.input_kind)
     spec = _spec_from_args(args)
-    if spec.cluster == "iso" and spec.delta is None:
-        # one delta for both spaces, at which both threshold graphs are connected
-        spec = replace(spec, delta=max(connectivity_radius(x), connectivity_radius(y)))
-
-    def stage(space):
-        return cluster_hierarchy(space, spec.cluster, k=spec.k, delta=spec.delta,
-                                 disconnected="cap")
-
-    shift = check_interleaving_bound(stage, x, y)
+    shift = check_interleaving_bound(spec, x, y)
     payload = {
         "epsilon": shift.epsilon,
         "interleaving": {

@@ -297,10 +297,11 @@ def target_distances(m: MembershipMatrix) -> np.ndarray:
 
 
 def cap_disconnected(t: np.ndarray) -> np.ndarray:
-    """`t` with each inf entry set to 3 times its largest finite entry: the one cap
-    rule for pairs that never share a block, of every "cap" policy."""
+    """`t` with each inf entry set to 3 times its largest finite entry (1 if none
+    is positive): the one cap rule for pairs that never share a block."""
     finite = np.isfinite(t)
-    return np.where(finite, t, 3.0 * t[finite].max(initial=0.0))
+    top = t[finite].max(initial=0.0)
+    return np.where(finite, t, 3.0 * (top if top > 0 else 1.0))
 
 
 def cover_from_json(obj) -> Cover:

@@ -219,7 +219,8 @@ def fuzzy_union_membership(space: PseudometricSpace) -> MembershipMatrix:
 
     Around each point i the distances are shifted down by rho_i, the distance
     to its nearest distinct point (clamped at 0 so strengths stay <= 1); the
-    two directed strengths exp(-shifted distance) combine by probabilistic sum.
+    two directed strengths exp(-shifted distance) combine by probabilistic sum,
+    hi + lo (1 - hi): w > 0 unless both underflow, and no w rounds above 1.
     """
     n = space.n
     if n < 2:
@@ -228,6 +229,5 @@ def fuzzy_union_membership(space: PseudometricSpace) -> MembershipMatrix:
     masked = d + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
     rho = masked.min(axis=1)
     directed = np.exp(-np.maximum(d - rho[:, None], 0.0))
-    w = 1.0 - (1.0 - directed) * (1.0 - directed.T)
-    np.fill_diagonal(w, 1.0)
-    return MembershipMatrix(w)
+    hi, lo = np.maximum(directed, directed.T), np.minimum(directed, directed.T)
+    return MembershipMatrix(hi + lo * (1.0 - hi))

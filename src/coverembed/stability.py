@@ -1,5 +1,14 @@
 """Interleaving distance between hierarchical covers and loss-transfer bounds.
 
+Both checks take a `PipelineSpec` and read its stage as one matrix T
+(`first_cooccurrence`, strengths exp(-T)); an unset `iso` delta is the larger
+connectivity radius of the two spaces, so one functor clusters both. Between
+flag stages (all but `vlk`) the interleaving distance is max |T_x - T_y| over
+the pairs either side joins, inf when only one does, 0 at least: a flag
+scan's scales are 0 and T's distinct finite entries, and the started scan
+below takes t_j(i) = M_i (Carlsson & Memoli's sup-norm bound, JMLR 2010).
+So `check_interleaving_bound` builds covers for `vlk` alone.
+
 Interleavings are restricted to identity point maps on a shared ground set:
 two step functions are eps-interleaved when each cover at scale delta refines
 the other's cover at delta + eps, in both directions. Both sides must coarsen
@@ -29,13 +38,14 @@ big-int ANDs per block b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import PipelineSpec, build_stage
+from .algorithms import PipelineSpec, stage_targets
 from .covers import HierarchicalCover, first_cooccurrence_scales, refines
 from .errors import ValidationError
+from .functors import cluster_hierarchy, connectivity_radius, first_cooccurrence
 from .loss import StressProblem, pair_distances
 from .metric import PseudometricSpace, isometry_epsilon
 from .optimize import minimize
@@ -104,32 +114,40 @@ def _search_starts(ha: HierarchicalCover, hb: HierarchicalCover) -> list[int]:
     return np.searchsorted(hb.scales, m, side="left").tolist()
 
 
+def _one_delta(spec: PipelineSpec, x: PseudometricSpace, y: PseudometricSpace) -> PipelineSpec:
+    """`spec`, with an unset `iso` delta at the larger connectivity radius of x and y."""
+    if spec.cluster == "iso" and spec.delta is None:
+        return replace(spec, delta=max(connectivity_radius(x), connectivity_radius(y)))
+    return spec
+
+
 @dataclass(frozen=True)
 class ShiftStabilityReport:
     epsilon: float
     epsilon_star: float
     passed: bool
-    interleaving: InterleavingReport
 
 
 def check_interleaving_bound(
-    build_hierarchy,
+    spec: PipelineSpec,
     x: PseudometricSpace,
     y: PseudometricSpace,
 ) -> ShiftStabilityReport:
-    """Interleaving distance of two clusterings vs the isometry defect of their inputs.
-
-    `build_hierarchy` maps a space to a HierarchicalCover. Passes when the
-    interleaving distance is at most the pairwise max distance difference.
-    """
+    """eps* of the spec's clustering stage on x and y vs their isometry defect eps;
+    passes when eps* <= eps. A flag stage reads eps* off the two matrices,
+    capping `iso` pairs across components ("strict" raises)."""
+    spec = _one_delta(spec, x, y)
     eps = isometry_epsilon(x, y)
-    report = interleaving_distance(build_hierarchy(x), build_hierarchy(y))
-    return ShiftStabilityReport(
-        epsilon=eps,
-        epsilon_star=report.epsilon_star,
-        passed=report.epsilon_star <= eps + INTERLEAVING_SLACK,
-        interleaving=report,
-    )
+    if spec.cluster == "vlk":
+        hx, hy = (cluster_hierarchy(s, "vlk", spec.k) for s in (x, y))
+        eps_star = interleaving_distance(hx, hy).epsilon_star
+    else:
+        disconnected = "error" if spec.policy == "strict" else "cap"
+        tx, ty = (first_cooccurrence(s, spec.cluster, spec.k, spec.delta, disconnected)
+                  for s in (x, y))
+        with np.errstate(invalid="ignore"):  # inf - inf: a pair neither side joins
+            eps_star = float(np.nanmax(np.abs(tx - ty), initial=0.0))
+    return ShiftStabilityReport(eps, eps_star, passed=eps_star <= eps + INTERLEAVING_SLACK)
 
 
 @dataclass(frozen=True)
@@ -152,21 +170,23 @@ def check_loss_transfer(
 ) -> StabilityReport:
     """Certified loss-transfer bound for a stress-family pipeline on eps-isometric inputs.
 
-    Builds each space's clustering stage once, optimizes both spaces,
+    Builds each space's stage targets T once, optimizes both spaces,
     evaluates X's objective at Y's embedding, and checks it against the
     X-optimum plus K_c * n^2 * (1 - exp(-eps)), where K_c is twice the exact
-    supremum of the family's contractive term over strengths and over
-    distances in [0, r]. The evaluation radius r is 1.1 times the largest
-    embedded distance of either embedding, and is reported; r = 0 (both
-    embeddings collapse to a point) is a ValidationError. The expansive term
-    of a stress family is constant in the distance, so the tighter bound (no
-    K_e term) applies; K_e is still certified and reported.
+    supremum of the family's contractive term over strengths down to the
+    least positive exp(-T) and over distances in [0, r]. The evaluation
+    radius r is 1.1 times the largest embedded distance of either embedding,
+    and is reported; r = 0 (both embeddings collapse to a point) is a
+    ValidationError. The expansive term of a stress family is constant in the
+    distance, so the tighter bound (no K_e term) applies; K_e is still
+    certified and reported.
     """
     if spec.loss != "mds":
         raise ValidationError("the loss-transfer checker needs a stress-family pipeline")
+    spec = _one_delta(spec, x, y)
     eps = isometry_epsilon(x, y)
-    stages = [build_stage(space, spec) for space in (x, y)]
-    problems = [StressProblem(t, spec.m, spec.policy) for t, _ in stages]
+    targets = [stage_targets(space, spec) for space in (x, y)]
+    problems = [StressProblem(t, spec.m, spec.policy) for t in targets]
     emb_x, emb_y = (minimize(p, spec.optimizer).embedding.coords for p in problems)
     loss_base = problems[0].loss(emb_x)
     loss_cross = problems[0].loss(emb_y)
@@ -174,13 +194,10 @@ def check_loss_transfer(
     if r <= 0:
         raise ValidationError(f"evaluation radius must be positive, got {r!r}")
     n = x.n
-    w_min = 1.0
-    for _, membership in stages:
-        off = membership.w[~np.eye(n, dtype=bool)]
-        positive = off[off > 0]
-        if positive.size == 0:
-            raise ValidationError("no co-clustering strength to certify against")
-        w_min = min(w_min, float(positive.min()))
+    strengths = [np.exp(-t[~np.eye(n, dtype=bool)]) for t in targets]
+    if not all((w > 0).any() for w in strengths):
+        raise ValidationError("no co-clustering strength to certify against")
+    w_min = min(float(w[w > 0].min()) for w in strengths)
     # sup |c| over a in (0, 1] and x in [0, r], and sup |e|: both at a = 1
     k_c = 2.0 * ((2.0 / w_min - 1.0) * r * r)
     k_e = 2.0 * abs(2.0 * math.log(w_min) / w_min)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from coverembed import (
     OptimizerConfig,
@@ -16,7 +17,6 @@ from coverembed import (
 from coverembed.algorithms import (
     ALGO_TABLE,
     build_problem,
-    build_stage,
     connectivity_radius,
     stage_targets,
 )
@@ -510,9 +510,9 @@ def test_stage_membership_consistency():
     rng = np.random.default_rng(13)
     space = random_space(rng, n=5)
     for s in (spec("ml"), spec("sl"), spec("lk", k=2), spec("fuzzy")):
-        w = build_stage(space, s)[1].w
+        w = build_problem(space, spec(s.cluster, "fce", k=s.k)).w
         t = stage_targets(space, s)
-        assert np.allclose(w, np.exp(-t), atol=1e-12)
+        assert np.allclose(w, squareform(np.exp(-t), checks=False), atol=1e-12)
 
 
 def test_unknown_target_policy_is_rejected_up_front():

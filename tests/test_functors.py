@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +19,7 @@ from coverembed import (
     refines,
 )
 
-from coverembed.algorithms import PipelineSpec, connectivity_radius, stage_targets
+from coverembed.algorithms import PipelineSpec, build_problem, connectivity_radius, stage_targets
 from coverembed.covers import Cover
 from coverembed.fileio import write_hierarchy_json
 from coverembed.functors import CLUSTER_STAGES, cluster_hierarchy, first_cooccurrence
@@ -314,6 +317,15 @@ def test_geodesic_disconnection_policies():
     assert capped.d[0, 2] == pytest.approx(3.0 * 1.0)
 
 
+def test_iso_cap_separates_coincident_clusters():
+    """With every finite geodesic 0 the cap is 3.0, not 3 x 0: the clusters stay apart."""
+    space = from_points_euclidean([[0.0], [0.0], [5.0], [5.0]])
+    h = cluster_hierarchy(space, "iso", delta=1.0, disconnected="cap")
+    assert h.scales == (0.0, 3.0)
+    assert h.covers[0].blocks == ((0, 1), (2, 3))
+    assert membership_matrix(h).w[0, 2] == math.exp(-3.0)
+
+
 @st.composite
 def geodesic_cases(draw):
     """A distance matrix and a cap: 0-8 points, each taken 1-3 times (duplicates at
@@ -412,6 +424,20 @@ def test_fuzzy_collinear_union_formula():
     w = fuzzy_union_membership(space)
     expected = 1.0 - (1.0 - np.exp(-2.0)) * (1.0 - np.exp(-1.0))
     assert w.w[0, 2] == pytest.approx(expected, rel=1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.floats(0.0, 2000.0), min_size=2, max_size=8))
+@example(points=[0.0, 1.0, 100.0, 101.0])
+def test_fuzzy_union_is_positive_unless_both_strengths_are_zero(points):
+    space = from_points_euclidean([[p] for p in points])
+    d = space.d
+    rho = (d + np.where(np.eye(space.n, dtype=bool), np.inf, 0.0)).min(axis=1)
+    directed = np.exp(-np.maximum(d - rho[:, None], 0.0))
+    w = fuzzy_union_membership(space).w
+    assert np.array_equal(w > 0, (directed > 0) | (directed.T > 0))
+    exact = directed + directed.T - directed * directed.T
+    assert np.allclose(w, exact, rtol=1e-15, atol=0.0)
 
 
 def test_fuzzy_symmetric_triple():
@@ -742,6 +768,30 @@ def test_hierarchy_memberships_equal_exp_of_stage_targets_on_random_spaces():
         points = rng.normal(size=(n, 2))
         points[n // 2:] += 8.0  # two far groups: iso below the radius caps pairs
         _assert_routes_agree(from_points_euclidean(points))
+
+
+def _assert_fce_memberships_are_the_hierarchy_memberships(space):
+    for stage, params in _stage_cases(space):
+        if stage == "iso" and params["delta"] < connectivity_radius(space):
+            continue  # the fce loss keeps pairs across components at 0, uncapped
+        problem = build_problem(space, PipelineSpec(stage, "fce", **params))
+        want = membership_matrix(cluster_hierarchy(space, stage, **params)).w
+        assert problem.w.tobytes() == squareform(want, checks=False).tobytes(), (stage, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=tie_heavy_spaces())
+def test_fce_memberships_are_the_hierarchy_memberships_on_ties(space):
+    _assert_fce_memberships_are_the_hierarchy_memberships(space)
+
+
+def test_fce_memberships_are_the_hierarchy_memberships_on_random_spaces():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 5, 7):
+        _assert_fce_memberships_are_the_hierarchy_memberships(random_space(rng, n=n))
+        points = rng.normal(size=(n, 2))
+        points[n // 2:] += 8.0
+        _assert_fce_memberships_are_the_hierarchy_memberships(from_points_euclidean(points))
 
 
 def _assert_hierarchy_json_is_the_json_dumps_text(space, path):

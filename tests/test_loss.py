@@ -366,6 +366,9 @@ def test_stress_policies_for_infinite_targets():
     capped = StressProblem(t4, 1, policy="cap")
     assert capped.init_targets()[0, 2] == 3.0
     assert capped.capped_pairs == 4
+    # every finite target 0 (coincident clusters): the cap is 3.0, not 3 x 0
+    coincident = StressProblem(np.where(np.isfinite(t4), 0.0, np.inf), 1, policy="cap")
+    assert squareform(coincident.init_targets()).tolist() == [0.0, 3.0, 3.0, 3.0, 3.0, 0.0]
     dropped = StressProblem(t4, 1, policy="drop")
     assert squareform(dropped.weights)[0, 2] == 0.0
     a = np.array([[0.0], [1.0], [10.0], [11.0]])

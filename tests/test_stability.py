@@ -1,11 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverembed import (
+    DisconnectedError,
     PipelineSpec,
     ValidationError,
     check_interleaving_bound,
@@ -15,7 +17,7 @@ from coverembed import (
     interleaving_distance,
 )
 from coverembed.covers import HierarchicalCover, make_cover, refines
-from coverembed.functors import cluster_hierarchy
+from coverembed.functors import cluster_hierarchy, connectivity_radius
 
 from coverembed.covers import hierarchy_from_json
 
@@ -258,11 +260,11 @@ def test_interleaving_ground_set_mismatch():
 
 def test_shift_bound_trivial_and_uniform():
     x = CHAIN
-    assert check_interleaving_bound(lambda s: cluster_hierarchy(s, "sl"), x, x).epsilon_star == 0.0
-    rep = check_interleaving_bound(lambda s: cluster_hierarchy(s, "sl"), x, x.shifted(0.5))
-    assert rep.interleaving == _exact_report(
+    assert check_interleaving_bound(PipelineSpec("sl"), x, x).epsilon_star == 0.0
+    rep = check_interleaving_bound(PipelineSpec("sl"), x, x.shifted(0.5))
+    assert rep.epsilon_star == _exact_report(
         cluster_hierarchy(x, "sl"), cluster_hierarchy(x.shifted(0.5), "sl")
-    )
+    ).epsilon_star
     assert rep.epsilon == pytest.approx(0.5)
     assert rep.epsilon_star == pytest.approx(0.5)
     assert rep.passed
@@ -273,11 +275,94 @@ def test_shift_bound_random_perturbations():
     for _ in range(25):
         x = random_space(rng, n=6)
         y = perturbed(rng, x, 0.1)
-        rep = check_interleaving_bound(lambda s: cluster_hierarchy(s, "ml"), x, y)
-        assert rep.interleaving == _exact_report(
+        rep = check_interleaving_bound(PipelineSpec("ml"), x, y)
+        assert rep.epsilon_star == _exact_report(
             cluster_hierarchy(x, "ml"), cluster_hierarchy(y, "ml")
-        )
+        ).epsilon_star
         assert rep.passed
+
+
+@st.composite
+def space_pairs(draw):
+    """Two spaces on one ground set: random distances and a perturbed copy;
+    tie-heavy 0-3 integer distances and a perturbed or 0.1-rounded copy; or
+    two 1-d clusters whose gap in either space is small or large enough that
+    fuzzy memberships across it underflow to 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(("random", "ties", "far")))
+    if kind == "far":
+        offsets = rng.uniform(0.0, 2.0, size=n)
+        side = np.arange(n) % 2
+        gaps = draw(st.lists(st.sampled_from((5.0, 50.0, 800.0, 1500.0)), min_size=2, max_size=2))
+        return tuple(from_points_euclidean((offsets + gap * side)[:, None]) for gap in gaps)
+    if kind == "random":
+        x = random_space(rng, n=n)
+        return x, perturbed(rng, x, 0.2)
+    d = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(float)
+    x = from_matrix(d + d.T)
+    y = perturbed(rng, x, 0.05)
+    return (x, from_matrix(np.round(y.d, 1))) if draw(st.booleans()) else (x, y)
+
+
+def _flag_stage_cases(x, y):
+    """(spec, hierarchy parameters) of each flag stage: lk at k = 2 and 3, and iso
+    at the shared delta and below it, where components are capped."""
+    shared = max(connectivity_radius(x), connectivity_radius(y))
+    cases = [(PipelineSpec(stage), {}) for stage in ("sl", "ml", "fuzzy")]
+    cases += [(PipelineSpec("lk", k=k), {"k": k}) for k in (2, 3)]
+    cases.append((PipelineSpec("iso"), {"delta": shared}))
+    cases.append((PipelineSpec("iso", delta=shared / 2), {"delta": shared / 2}))
+    return cases
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=space_pairs())
+@example(pair=tuple(from_points_euclidean([[p] for p in pts])
+                    for pts in ([0.0, 1.0, 2000.0, 2001.0], [0.0, 1.0, 100.0, 101.0])))
+def test_check_epsilon_star_is_the_interleaving_distance_bit_for_bit(pair):
+    """A flag stage's eps* from its two first-co-occurrence matrices equals the
+    interleaving distance of its two hierarchies, sign of zero and inf included."""
+    x, y = pair
+    for spec, params in _flag_stage_cases(x, y):
+        got = check_interleaving_bound(spec, x, y).epsilon_star
+        hx, hy = (cluster_hierarchy(s, spec.cluster, disconnected="cap", **params) for s in pair)
+        want = interleaving_distance(hx, hy).epsilon_star
+        assert struct.pack("<d", got) == struct.pack("<d", want), (spec, got, want)
+
+
+def test_vlk_check_is_the_interleaving_of_its_hierarchies():
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        x = random_space(rng, n=6)
+        y = perturbed(rng, x, 0.1)
+        rep = check_interleaving_bound(PipelineSpec("vlk", k=2), x, y)
+        assert rep.epsilon_star == _exact_report(
+            cluster_hierarchy(x, "vlk", k=2), cluster_hierarchy(y, "vlk", k=2)
+        ).epsilon_star
+
+
+def test_stability_checks_cluster_both_spaces_at_one_iso_delta():
+    """An unset iso delta is the larger connectivity radius of the two spaces."""
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(0, 2, size=(6, 2))
+    x, y = from_points_euclidean(pts), from_points_euclidean(pts + rng.uniform(-0.1, 0.1, (6, 2)))
+    radii = connectivity_radius(x), connectivity_radius(y)
+    assert radii[0] != radii[1]
+    shared = PipelineSpec("iso", delta=max(radii))
+    assert check_interleaving_bound(PipelineSpec("iso"), x, y) == check_interleaving_bound(
+        shared, x, y
+    )
+    assert check_loss_transfer(PipelineSpec("iso"), x, y) == check_loss_transfer(shared, x, y)
+    own = interleaving_distance(*(cluster_hierarchy(s, "iso") for s in (x, y))).epsilon_star
+    assert own != check_interleaving_bound(shared, x, y).epsilon_star
+
+
+def test_strict_policy_check_raises_on_disconnected_iso():
+    x = from_points_euclidean([[0.0], [1.0], [10.0], [11.0]])
+    with pytest.raises(DisconnectedError):
+        check_interleaving_bound(PipelineSpec("iso", delta=2.0, policy="strict"), x, x)
+    assert check_interleaving_bound(PipelineSpec("iso", delta=2.0), x, x).epsilon_star == 0.0
 
 
 def test_loss_transfer_trivial_pair():
@@ -338,7 +423,6 @@ def test_loss_transfer_random_pairs():
 
 def test_loss_transfer_builds_each_space_stage_once(monkeypatch):
     """One build of the clustering stage per space, counted where the stage is computed."""
-    import coverembed.algorithms as algorithms
     import coverembed.functors as functors
 
     rng = np.random.default_rng(14)
@@ -348,10 +432,7 @@ def test_loss_transfer_builds_each_space_stage_once(monkeypatch):
         (PipelineSpec("sl", "mds", 2), [(functors, "bottleneck_matrix")]),
         (PipelineSpec("lk", "mds", 2, k=2), [(functors, "hop_bounded_minimax")]),
         (PipelineSpec("iso", "mds", 2), [(functors, "geodesic_matrix")]),
-        (
-            PipelineSpec("fuzzy", "mds", 2),
-            [(functors, "fuzzy_union_membership"), (algorithms, "fuzzy_union_membership")],
-        ),
+        (PipelineSpec("fuzzy", "mds", 2), [(functors, "fuzzy_union_membership")]),
     )
     for spec, counted_at in cases:
         built = []
