@@ -93,6 +93,7 @@ class PipelineReport:
     exit_reason: str
     grad_norm: float
     n_iters: int
+    restarts: int
     trace: tuple[tuple[int, float, float, float], ...]
 
 
@@ -162,6 +163,7 @@ def run_pipeline(spec: PipelineSpec, space: PseudometricSpace) -> tuple[Embeddin
         exit_reason=result.exit_reason,
         grad_norm=result.grad_norm,
         n_iters=result.n_iters,
+        restarts=result.restarts,
         trace=result.trace,
     )
     return embedding, report

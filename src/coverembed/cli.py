@@ -43,7 +43,7 @@ from .functors import CLUSTER_STAGES, cluster_hierarchy
 from .loss import TARGET_POLICIES, FuzzyLossFamily, check_quadrature, flatten
 from .metric import PseudometricSpace
 from .optimize import Embedding, OptimizerConfig
-from .stability import check_interleaving_bound, check_loss_transfer, interleaving_distance
+from .stability import check_stability, interleaving_distance
 
 def build_hash() -> str:
     digest = hashlib.sha256()
@@ -122,6 +122,7 @@ def cmd_embed(args):
             "final_loss": report.final_loss,
             "exit_reason": report.exit_reason,
             "n_iters": report.n_iters,
+            "restarts": report.restarts,
             "target_summary": report.target_summary,
         },
     )
@@ -171,7 +172,7 @@ def cmd_stability(args):
     x = read_space(args.x, args.input_kind)
     y = read_space(args.y, args.input_kind)
     spec = _spec_from_args(args)
-    shift = check_interleaving_bound(spec, x, y)
+    shift, transfer = check_stability(spec, x, y)
     payload = {
         "epsilon": shift.epsilon,
         "interleaving": {
@@ -179,8 +180,8 @@ def cmd_stability(args):
             "passed": shift.passed,
         },
     }
-    if spec.loss == "mds":
-        payload["loss_transfer"] = asdict(check_loss_transfer(spec, x, y))
+    if transfer is not None:
+        payload["loss_transfer"] = asdict(transfer)
     write_json(args.out, payload)
     _write_manifest(args, "stability", [args.x, args.y], [args.out])
     verdicts = [payload["interleaving"]["passed"]]

@@ -5,9 +5,10 @@ Householder tridiagonalization written without BLAS calls; `top_eigenpairs`
 trusts its input, which `classical_mds_init` checks. The descent is full-batch
 gradient descent with backtracking line search over losses whose gradients are
 assembled without BLAS calls too, so no result depends on the BLAS thread
-count, at any n; the stress loss's searches start from its SMACOF majorization
-step. Each trial point's distances are computed once, one per unordered pair
-(`loss.pair_distances`), and handed to the problem.
+count, at any n. The stress loss's searches start from its SMACOF majorization
+step; the cross-entropy loss takes a Nesterov step with function-value restart
+(O'Donoghue & Candes 2015). Each trial point's distances are computed once,
+one per unordered pair (`loss.pair_distances`), and handed to the problem.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class Embedding:
         return self.coords.shape[1]
 
 
-STEP0 = 0.1  # without a majorizing step, the first line search starts from twice this
+STEP0 = 0.1  # without a majorizing step, the carried step starts here
+STEP_GROWTH = 1.1  # ... and grows this much per iteration
 CONV_WINDOW = 10  # convergence compares the loss with the one this many steps back
 MIN_STEP = 1e-18  # a line search halving the step below this ends the run
 
@@ -80,6 +82,7 @@ class MinimizeResult:
     exit_reason: str
     grad_norm: float
     n_iters: int
+    restarts: int  # rejected momentum trials; 0 with a majorizing step
     trace: tuple[tuple[int, float, float, float], ...]  # (iter, loss, step, grad norm)
 
 
@@ -271,12 +274,17 @@ def initial_coords(problem, cfg: OptimizerConfig) -> np.ndarray:
 def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResult:
     """Full-batch gradient descent with backtracking halving line search.
 
-    Accepted steps never increase the loss. Each line search starts from the
-    problem's `majorizing_step` if it has one (a step that never raises the
-    loss: `StressProblem`), else from twice the carried step. Each trial
-    point's condensed pair distances are computed once and handed to
-    `problem.loss`, and the accepted point's also to `problem.grad`.
-    Deterministic for fixed config and inputs.
+    Accepted steps never increase the loss. With a `majorizing_step` (a step
+    that never raises the loss: `StressProblem`), each search starts there
+    along -g. Without one, the carried step s grows `STEP_GROWTH`-fold per
+    iteration and the first trial is the Nesterov point
+    a - s g + beta_k (a - a_prev), beta_k = (k - 1) / (k + 2), k the steps
+    accepted since the last restart; a trial whose loss is not finite or
+    rises restarts (k = 0, counted in `restarts`) and the search halves from
+    s / 2 along -g. Each trial point's condensed pair distances are computed
+    once and handed to `problem.loss`, and the accepted point's also to
+    `problem.grad`, so an iteration without a rejected trial costs one of
+    each. Deterministic for fixed config and inputs.
     """
     a = initial_coords(problem, cfg)
     delta = pair_distances(a)
@@ -289,27 +297,37 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
     gnorm = float(np.abs(g).max(initial=0.0))
     trace = [(0, f, step, gnorm)]
     exit_reason = "max_iters"
-    it = 0
+    it = restarts = accepted = 0  # accepted: steps since the last restart
+    a_prev = a
     for it in range(1, cfg.max_iters + 1):
         if not math.isfinite(gnorm):  # the max of |g| is NaN or inf with g
             raise NumericalError("gradient became non-finite", trace=trace)
         if gnorm == 0.0:
             exit_reason = "stationary"
             break
-        step = step * 2.0 if majorizing_step is None else majorizing_step
-        while True:
+        momentum = majorizing_step is None  # a rejected momentum trial restarts
+        if momentum:
+            step *= STEP_GROWTH
+            candidate = a - step * g + (accepted - 1) / (accepted + 2) * (a - a_prev)
+        else:
+            step = majorizing_step
             candidate = a - step * g
+        while True:
             candidate_delta = pair_distances(candidate)
             f_new = problem.loss(candidate, candidate_delta)
             if math.isfinite(f_new) and f_new <= f:
                 break
+            if momentum:
+                restarts, accepted, momentum = restarts + 1, 0, False
             step *= 0.5
             if step < MIN_STEP:
                 break
+            candidate = a - step * g
         if step < MIN_STEP:
             exit_reason = "step_underflow"
             break
-        a, f = candidate, f_new
+        a_prev, a, f = a, candidate, f_new
+        accepted += 1
         g = problem.grad(a, candidate_delta)
         gnorm = float(np.abs(g).max(initial=0.0))
         trace.append((it, f, step, gnorm))
@@ -324,6 +342,7 @@ def minimize(problem, cfg: OptimizerConfig = OptimizerConfig()) -> MinimizeResul
         exit_reason=exit_reason,
         grad_norm=gnorm,
         n_iters=it,
+        restarts=restarts,
         trace=tuple(trace),
     )
 

@@ -7,7 +7,9 @@ flag stages (all but `vlk`) the interleaving distance is max |T_x - T_y| over
 the pairs either side joins, inf when only one does, 0 at least: a flag
 scan's scales are 0 and T's distinct finite entries, and the started scan
 below takes t_j(i) = M_i (Carlsson & Memoli's sup-norm bound, JMLR 2010).
-So `check_interleaving_bound` builds covers for `vlk` alone.
+So `check_interleaving_bound` builds covers for `vlk` alone, and
+`check_stability` runs it and `check_loss_transfer` on one build of each
+space's stage.
 
 Interleavings are restricted to identity point maps on a shared ground set:
 two step functions are eps-interleaved when each cover at scale delta refines
@@ -43,9 +45,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algorithms import PipelineSpec, stage_targets
-from .covers import HierarchicalCover, first_cooccurrence_scales, refines
+from .covers import HierarchicalCover, cap_disconnected, first_cooccurrence_scales, refines
 from .errors import ValidationError
-from .functors import cluster_hierarchy, connectivity_radius, first_cooccurrence
+from .functors import cluster_hierarchy, connectivity_radius
 from .loss import StressProblem, pair_distances
 from .metric import PseudometricSpace, isometry_epsilon
 from .optimize import minimize
@@ -128,6 +130,16 @@ class ShiftStabilityReport:
     passed: bool
 
 
+def _stages(spec: PipelineSpec, x: PseudometricSpace, y: PseudometricSpace):
+    """`spec` at its one delta, the two `vlk` hierarchies (None for a flag stage)
+    and the two stage matrices T (`stage_targets`; `vlk`'s read off its hierarchy)."""
+    spec = _one_delta(spec, x, y)
+    if spec.cluster == "vlk":
+        hierarchies = tuple(cluster_hierarchy(s, "vlk", spec.k) for s in (x, y))
+        return spec, hierarchies, [first_cooccurrence_scales(h) for h in hierarchies]
+    return spec, None, [stage_targets(s, spec) for s in (x, y)]
+
+
 def check_interleaving_bound(
     spec: PipelineSpec,
     x: PseudometricSpace,
@@ -136,15 +148,14 @@ def check_interleaving_bound(
     """eps* of the spec's clustering stage on x and y vs their isometry defect eps;
     passes when eps* <= eps. A flag stage reads eps* off the two matrices,
     capping `iso` pairs across components ("strict" raises)."""
-    spec = _one_delta(spec, x, y)
-    eps = isometry_epsilon(x, y)
-    if spec.cluster == "vlk":
-        hx, hy = (cluster_hierarchy(s, "vlk", spec.k) for s in (x, y))
-        eps_star = interleaving_distance(hx, hy).epsilon_star
+    return _interleaving_bound(isometry_epsilon(x, y), *_stages(spec, x, y))
+
+
+def _interleaving_bound(eps, spec, hierarchies, matrices) -> ShiftStabilityReport:
+    if hierarchies is not None:
+        eps_star = interleaving_distance(*hierarchies).epsilon_star
     else:
-        disconnected = "error" if spec.policy == "strict" else "cap"
-        tx, ty = (first_cooccurrence(s, spec.cluster, spec.k, spec.delta, disconnected)
-                  for s in (x, y))
+        tx, ty = map(cap_disconnected, matrices) if spec.cluster == "iso" else matrices
         with np.errstate(invalid="ignore"):  # inf - inf: a pair neither side joins
             eps_star = float(np.nanmax(np.abs(tx - ty), initial=0.0))
     return ShiftStabilityReport(eps, eps_star, passed=eps_star <= eps + INTERLEAVING_SLACK)
@@ -183,9 +194,21 @@ def check_loss_transfer(
     """
     if spec.loss != "mds":
         raise ValidationError("the loss-transfer checker needs a stress-family pipeline")
-    spec = _one_delta(spec, x, y)
     eps = isometry_epsilon(x, y)
-    targets = [stage_targets(space, spec) for space in (x, y)]
+    spec, _, targets = _stages(spec, x, y)
+    return _loss_transfer(eps, spec, targets)
+
+
+def check_stability(spec: PipelineSpec, x: PseudometricSpace, y: PseudometricSpace):
+    """Both checks of the `stability` subcommand on one build of each space's
+    stage: the interleaving bound, and the loss transfer of a stress-family
+    pipeline (None for any other)."""
+    eps, (spec, hierarchies, targets) = isometry_epsilon(x, y), _stages(spec, x, y)
+    shift = _interleaving_bound(eps, spec, hierarchies, targets)
+    return shift, _loss_transfer(eps, spec, targets) if spec.loss == "mds" else None
+
+
+def _loss_transfer(eps, spec, targets) -> StabilityReport:
     problems = [StressProblem(t, spec.m, spec.policy) for t in targets]
     emb_x, emb_y = (minimize(p, spec.optimizer).embedding.coords for p in problems)
     loss_base = problems[0].loss(emb_x)
@@ -193,7 +216,7 @@ def check_loss_transfer(
     r = float(max(pair_distances(e).max(initial=0.0) for e in (emb_x, emb_y))) * 1.1
     if r <= 0:
         raise ValidationError(f"evaluation radius must be positive, got {r!r}")
-    n = x.n
+    n = problems[0].n
     strengths = [np.exp(-t[~np.eye(n, dtype=bool)]) for t in targets]
     if not all((w > 0).any() for w in strengths):
         raise ValidationError("no co-clustering strength to certify against")

@@ -77,6 +77,9 @@ def test_embed_manifest_records_the_iteration_count(tmp_path):
         )
         assert manifest["n_iters"] == report.n_iters > 0
         assert manifest["exit_reason"] == report.exit_reason != "stationary"
+        # only the fce loss takes momentum steps, whose rejected trials restart
+        assert manifest["restarts"] == report.restarts
+        assert (report.restarts > 0) == (algo == "umap")
         # the trace's last row is the last accepted iteration
         assert trace.read_text().splitlines()[-1].startswith(f"{manifest['n_iters']},")
     assert manifest["exit_reason"] == "max_iters" and manifest["n_iters"] == 4

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverembed import (
     CrossEntropyProblem,
@@ -151,7 +153,7 @@ def test_classical_init_bytes_do_not_depend_on_blas_threads():
 # Sizes at which OpenBLAS splits a matrix product or LAPACK `eigh` across threads,
 # so a path through either would change bytes with the thread count.
 _OPTIMIZER_BYTES = """
-import hashlib, tempfile
+import contextlib, hashlib, io, tempfile
 from pathlib import Path
 import numpy as np
 from coverembed import (
@@ -177,12 +179,17 @@ with tempfile.TemporaryDirectory() as tmp:
     code = dispatch(["embed", "--algo", "sls", "--input-kind", "points", "--max-iters", "100",
                      "--in", str(points), "--out", str(out)])
     print("embed sls n=300 exit", code, hashlib.sha256(out.read_bytes()).hexdigest())
+    with contextlib.redirect_stdout(io.StringIO()) as summary:
+        code = dispatch(["embed", "--algo", "umap", "--input-kind", "points", "--max-iters", "50",
+                         "--in", str(points), "--out", str(out)])
+    print(summary.getvalue().strip(), code, hashlib.sha256(out.read_bytes()).hexdigest())
 """
 
 
 def test_optimizer_bytes_do_not_depend_on_blas_threads_above_256_points():
     one, two = (_stdout_under_blas_threads(_OPTIMIZER_BYTES, t).splitlines() for t in "12")
-    assert len(one) == 6  # five digests and the embed command's summary line
+    # four digests, sls's embed digest and summary line, umap's summary with its digest
+    assert len(one) == 7
     assert one == two
 
 
@@ -367,6 +374,7 @@ def test_minimize_computes_one_distance_matrix_per_loss_evaluation(monkeypatch):
     import coverembed.optimize
 
     counts = {"distances": 0, "loss": 0, "grad": 0}
+    events = []
 
     def counted_distances(a):
         counts["distances"] += 1
@@ -378,10 +386,12 @@ def test_minimize_computes_one_distance_matrix_per_loss_evaluation(monkeypatch):
 
         def loss(self, a, delta=None):
             counts["loss"] += 1
+            events.append("loss")
             return self.problem.loss(a, delta)
 
         def grad(self, a, delta=None):
             counts["grad"] += 1
+            events.append("grad")
             return self.problem.grad(a, delta)
 
         def init_targets(self):
@@ -393,11 +403,73 @@ def test_minimize_computes_one_distance_matrix_per_loss_evaluation(monkeypatch):
     d = rng.uniform(0.5, 2.0, size=(6, 6))
     d = (d + d.T) / 2
     np.fill_diagonal(d, 0.0)
-    # Counted forwards no `majorizing_step`, so this run takes the doubling search
+    # Counted forwards no `majorizing_step`, so this run takes the momentum step
     res = minimize(Counted(StressProblem(d, 2)), OptimizerConfig(max_iters=50))
     assert counts["grad"] == len(res.trace) > 10
-    assert counts["loss"] > counts["grad"]
+    # a rejected trial is a loss call that no gradient follows
+    rejected = sum(e == "loss" and after != "grad" for e, after in zip(events, events[1:] + [None]))
+    assert counts["loss"] == counts["grad"] + rejected
+    assert 0 < res.restarts <= rejected
     assert counts["distances"] == counts["loss"]
+
+
+class _Rejecting:
+    """Forwards a problem (with its `majorizing_step`, if any) and returns `value`
+    for the first trial of each iteration in `reject`; counts trials per iteration."""
+
+    def __init__(self, problem, reject, value):
+        self.problem, self.n, self.m = problem, problem.n, problem.m
+        if hasattr(problem, "majorizing_step"):
+            self.majorizing_step = problem.majorizing_step
+        self.reject, self.value = reject, value
+        self.trials = [0]  # loss calls per iteration, the start's at 0
+
+    def loss(self, a, delta=None):
+        self.trials[-1] += 1
+        if self.trials[-1] == 1 and len(self.trials) - 1 in self.reject:
+            return self.value
+        return self.problem.loss(a, delta)
+
+    def grad(self, a, delta=None):
+        self.trials.append(0)  # an accepted point: the next iteration begins
+        return self.problem.grad(a, delta)
+
+    def init_targets(self):
+        return self.problem.init_targets()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 12), m=st.integers(1, 3),
+       value=st.sampled_from([math.inf, math.nan, 1e300]))
+def test_accepted_steps_never_raise_the_loss_with_forced_restarts(data, n, m, value):
+    """Stress (majorizing step) and fce (momentum step) from coincident points:
+    the trace's loss never rises, and `restarts` counts exactly the iterations
+    whose first trial was rejected, forced or not: none for stress."""
+    grid = st.integers(-1, 1)  # few values, so points coincide
+    start = np.array(data.draw(st.lists(grid, min_size=n * m, max_size=n * m)), float)
+    start = start.reshape(n, m)
+    if data.draw(st.booleans(), label="fce"):
+        pairs = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
+        upper = data.draw(st.lists(pairs, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        w = np.eye(n)
+        w[np.triu_indices(n, 1)] = upper
+        problem = CrossEntropyProblem(MembershipMatrix(np.maximum(w, w.T)), m)
+    else:
+        points = np.array(data.draw(st.lists(grid, min_size=2 * n, max_size=2 * n)), float)
+        problem = StressProblem(pairwise_distances(points.reshape(n, 2)), m)
+    reject = data.draw(st.sets(st.integers(1, 30), max_size=8), label="reject")
+    proxy = _Rejecting(problem, reject, value)
+    res = minimize(proxy, OptimizerConfig(max_iters=30, init="given", init_coords=start))
+    losses = [row[1] for row in res.trace]
+    assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
+    restarted = [it for it, trials in enumerate(proxy.trials) if it and trials > 1]
+    if isinstance(problem, StressProblem):
+        assert res.restarts == 0
+    else:
+        assert res.restarts == len(restarted)
+    # a forced rejection in an iteration the run reached is a restart there
+    reached = {it for it in reject if it < len(proxy.trials) and proxy.trials[it]}
+    assert reached <= set(restarted)
 
 
 def test_a_stress_run_computes_distances_once_per_iteration(monkeypatch):

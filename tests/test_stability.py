@@ -16,6 +16,7 @@ from coverembed import (
     from_points_euclidean,
     interleaving_distance,
 )
+from coverembed.cli import dispatch
 from coverembed.covers import HierarchicalCover, make_cover, refines
 from coverembed.functors import cluster_hierarchy, connectivity_radius
 
@@ -28,6 +29,7 @@ from oracles import (
     perturbed,
     random_space,
     reference_interleaving,
+    write_distance_csv,
 )
 
 CHAIN = from_matrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])
@@ -421,32 +423,55 @@ def test_loss_transfer_random_pairs():
             assert rep.passed
 
 
-def test_loss_transfer_builds_each_space_stage_once(monkeypatch):
-    """One build of the clustering stage per space, counted where the stage is computed."""
+def test_loss_transfer_builds_each_space_stage_once(monkeypatch, tmp_path):
+    """One build of the clustering stage per space, counted where the stage is
+    computed: in `check_loss_transfer`, and over a whole `stability` run, which
+    checks both bounds (`kvertex`: its hierarchy, counted at the scan)."""
     import coverembed.functors as functors
 
     rng = np.random.default_rng(14)
     x = random_space(rng, n=6, low=0.5, high=2.0)
     y = perturbed(rng, x, 0.1)
+    paths = [tmp_path / "x.csv", tmp_path / "y.csv"]
+    for path, space in zip(paths, (x, y)):
+        write_distance_csv(path, space)
+
+    def counting(patch, name, built):
+        def counted(arg, *rest, _original=getattr(functors, name), **kwargs):
+            # the first argument is the space or its distance matrix
+            d = getattr(arg, "d", arg)
+            built.append("x" if np.array_equal(d, x.d) else "y" if np.array_equal(d, y.d) else "?")
+            return _original(arg, *rest, **kwargs)
+
+        patch.setattr(functors, name, counted)
+
     cases = (
-        (PipelineSpec("sl", "mds", 2), [(functors, "bottleneck_matrix")]),
-        (PipelineSpec("lk", "mds", 2, k=2), [(functors, "hop_bounded_minimax")]),
-        (PipelineSpec("iso", "mds", 2), [(functors, "geodesic_matrix")]),
-        (PipelineSpec("fuzzy", "mds", 2), [(functors, "fuzzy_union_membership")]),
+        (PipelineSpec("sl", "mds", 2), "bottleneck_matrix"),
+        (PipelineSpec("lk", "mds", 2, k=2), "hop_bounded_minimax"),
+        (PipelineSpec("iso", "mds", 2), "geodesic_matrix"),
+        (PipelineSpec("fuzzy", "mds", 2), "fuzzy_union_membership"),
     )
-    for spec, counted_at in cases:
+    for spec, name in cases:
         built = []
         with monkeypatch.context() as patch:
-            for module, name in counted_at:
-
-                def counted(arg, *rest, _original=getattr(module, name)):
-                    # the first argument is the space or its distance matrix
-                    built.append("x" if arg is x or arg is x.d else "y")
-                    return _original(arg, *rest)
-
-                patch.setattr(module, name, counted)
+            counting(patch, name, built)
             assert check_loss_transfer(spec, x, y).passed
         assert sorted(built) == ["x", "y"], spec.cluster
+    runs = (
+        (["--algo", "sls"], "bottleneck_matrix"),
+        (["--algo", "kpath", "--k", "1"], "hop_bounded_minimax"),
+        (["--algo", "isomap"], "geodesic_matrix"),
+        (["--algo", "mdsfuzzy"], "fuzzy_union_membership"),
+        (["--algo", "umap"], "fuzzy_union_membership"),
+        (["--algo", "kvertex", "--k", "2"], "_threshold_hierarchy"),
+    )
+    for flags, name in runs:
+        built = []
+        with monkeypatch.context() as patch:
+            counting(patch, name, built)
+            argv = ["stability", *flags, "--x", str(paths[0]), "--y", str(paths[1])]
+            assert dispatch([*argv, "--max-iters", "50", "--out", str(tmp_path / "s.json")]) == 0
+        assert sorted(built) == ["x", "y"], flags
 
 
 @st.composite
